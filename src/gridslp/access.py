@@ -1,7 +1,10 @@
 """Random access to single cells without materializing the matrix.
 
-Both entry points walk one root-to-terminal path of the derivation, rewriting
-the queried coordinate into the child's local frame at every step, and return
+The descent walks one root-to-terminal path of the derivation.  At every
+symbol it reads the symbol's entry in the geometry table (see
+:func:`gridslp.grammar.layout`): a cell inside box 1 moves to the first child,
+any other cell to the second child (or, for a bare hole, is an unfilled hole
+cell), and the coordinate is rewritten into that child's frame.  It returns
 ``(character, visits)`` where ``visits`` counts productions inspected — the
 quantity the depth bounds and the accelerated index are measured against.
 Coordinates are 1-based, ``x`` selecting the row and ``y`` the column.
@@ -9,141 +12,49 @@ Coordinates are 1-based, ``x`` selecting the row and ``y`` the column.
 
 from __future__ import annotations
 
-from .grammar import Grammar2D, InternalHoleHit, OutOfBounds, Tslp2D
+from .grammar import Grammar2D, InternalHoleHit, OutOfBounds
 from .geometry import GeometryTable, compute_geometry
 
 
-def _check_bounds(x: int, y: int, h: int, w: int):
-    if not (1 <= x <= h and 1 <= y <= w):
-        raise OutOfBounds(f"position ({x},{y}) outside the {h}x{w} matrix")
-
-
-def access_plain(
-    g: Grammar2D, x: int, y: int, geo: GeometryTable | None = None
+def access_tslp(
+    t: Grammar2D, x: int, y: int, geo: GeometryTable | None = None
 ) -> tuple[str, int]:
-    """Cell (x, y) of the start symbol's matrix in a plain grammar.
+    """Cell (x, y) of the start symbol's matrix in a TSLP or plain grammar.
 
     Visits at most ``depth(start)`` productions: one per level of the
-    derivation tree along the descent path.
-    """
-    if geo is None:
-        geo = compute_geometry(g)
-    rules = g.rules
-    H, W = geo.heights, geo.widths
-    cur = g.start
-    _check_bounds(x, y, H[cur], W[cur])
-    visits = 0
-    while True:
-        r = rules[cur]
-        visits += 1
-        k = r.kind
-        if k == "term":
-            return r.char, visits
-        if k == "h":
-            lw = W[r.left]
-            if y <= lw:
-                cur = r.left
-            else:
-                y -= lw
-                cur = r.right
-        elif k == "v":
-            th = H[r.top]
-            if x <= th:
-                cur = r.top
-            else:
-                x -= th
-                cur = r.bottom
-        else:  # pragma: no cover - validate() rejects these for plain grammars
-            raise InternalHoleHit(f"plain access hit a {k} production")
-
-
-def access_tslp(
-    t: Tslp2D, x: int, y: int, geo: GeometryTable | None = None
-) -> tuple[str, int]:
-    """Cell (x, y) of the start symbol's matrix in a TSLP.
-
-    While navigating inside a context symbol the coordinate stays expressed in
-    that context's frame; entering the filling argument (at an ``apply``) or
-    the plugged context (at a ``compose``) translates it by the hole origin.
+    derivation tree along the descent path.  While navigating inside a context
+    symbol the coordinate stays expressed in that context's frame; entering
+    the filling argument (at an ``apply``) or the plugged context (at a
+    ``compose``) translates it by the hole origin.
     """
     if geo is None:
         geo = compute_geometry(t)
-    rules = t.rules
-    H, W, HOLES = geo.heights, geo.widths, geo.holes
+    entries = geo.entries
     cur = t.start
-    _check_bounds(x, y, H[cur], W[cur])
+    h, w = geo.heights[cur], geo.widths[cur]
+    if not (1 <= x <= h and 1 <= y <= w):
+        raise OutOfBounds(f"position ({x},{y}) outside the {h}x{w} matrix")
     visits = 0
     while True:
-        r = rules[cur]
+        e = entries[cur]
         visits += 1
-        k = r.kind
-        if k == "term":
-            return r.char, visits
-        if k == "h":
-            lw = W[r.left]
-            if y <= lw:
-                cur = r.left
-            else:
-                y -= lw
-                cur = r.right
-        elif k == "v":
-            th = H[r.top]
-            if x <= th:
-                cur = r.top
-            else:
-                x -= th
-                cur = r.bottom
-        elif k == "apply":
-            p, q, hr, hc = HOLES[r.ctx]
-            if hr <= x < hr + p and hc <= y < hc + q:
-                x -= hr - 1
-                y -= hc - 1
-                cur = r.arg
-            else:
-                cur = r.ctx
-        elif k == "hole":
-            # Frame coordinates of a bare-hole context: the hole occupies one
-            # side, the ground matrix the other.
-            if r.axis == "H":
-                gw = W[r.ground]
-                goff = r.hole_w if r.hole_side == "first" else 0
-                if goff < y <= goff + gw:
-                    y -= goff
-                    cur = r.ground
-                else:
-                    raise InternalHoleHit("navigated into an unfilled hole")
-            else:
-                gh = H[r.ground]
-                goff = r.hole_h if r.hole_side == "first" else 0
-                if goff < x <= goff + gh:
-                    x -= goff
-                    cur = r.ground
-                else:
-                    raise InternalHoleHit("navigated into an unfilled hole")
-        elif k == "ctxcat":
-            if r.axis == "H":
-                cw, gw = W[r.ctx], W[r.ground]
-                coff = 0 if r.ctx_side == "first" else gw
-                if coff < y <= coff + cw:
-                    y -= coff
-                    cur = r.ctx
-                else:
-                    y -= cw if r.ctx_side == "first" else 0
-                    cur = r.ground
-            else:
-                ch, gh = H[r.ctx], H[r.ground]
-                coff = 0 if r.ctx_side == "first" else gh
-                if coff < x <= coff + ch:
-                    x -= coff
-                    cur = r.ctx
-                else:
-                    x -= ch if r.ctx_side == "first" else 0
-                    cur = r.ground
-        else:  # compose
-            p, q, hr, hc = HOLES[r.outer]
-            if hr <= x < hr + p and hc <= y < hc + q:
-                x -= hr - 1
-                y -= hc - 1
-                cur = r.inner
-            else:
-                cur = r.outer
+        if e.__class__ is str:
+            return e, visits
+        c1, x1, y1, x2, y2, c2, dx2, dy2 = e
+        # Upper bounds first: they alone decide h and v, whose box 1 is at
+        # (0, 0), and testing them first keeps the plain descent fast.
+        if x <= x2 and y <= y2 and x1 < x and y1 < y:
+            x -= x1
+            y -= y1
+            cur = c1
+        elif c2 is None:
+            raise InternalHoleHit("navigated into an unfilled hole")
+        else:
+            x -= dx2
+            y -= dy2
+            cur = c2
+
+
+#: A plain grammar is a TSLP without contexts, so plain access is the same
+#: descent; the name stays for callers that hold a plain grammar.
+access_plain = access_tslp

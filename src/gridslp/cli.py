@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .access import access_plain, access_tslp
+from .access import access_tslp
 from .balance import balance_to_tslp
 from .fastaccess import access_fast, bench_access, build_fast
 from .gadgets import (
@@ -32,7 +32,6 @@ from .grammar import (
     Grammar2D,
     GridSlpError,
     ParameterError,
-    PLAIN_KINDS,
     Tslp2D,
     validate,
 )
@@ -99,11 +98,6 @@ def cmd_gen(args) -> int:
         g = build_spiral(args.n, args.c)
     else:
         g = random_grammar(args.seed, args.size, max_dim=args.max_dim)
-    if args.normalize:
-        # All constructions are already binary; normalizing re-checks that.
-        report = validate(g)
-        if not report.ok:
-            raise _Fail(1, f"generated grammar failed validation\n{report}")
     _write_text(emit_grammar(g), args.output)
     return 0
 
@@ -134,10 +128,7 @@ def cmd_expand(args) -> int:
 def cmd_access(args) -> int:
     g = _load(args.file)
     if args.fast:
-        idx = build_fast(g, epsilon=args.epsilon)
-        ch, visits = access_fast(idx, args.x, args.y)
-    elif all(r is None or r.kind in PLAIN_KINDS for r in g.rules):
-        ch, visits = access_plain(g, args.x, args.y)
+        ch, visits = access_fast(build_fast(g, epsilon=args.epsilon), args.x, args.y)
     else:
         ch, visits = access_tslp(g, args.x, args.y)
     _write_text(f"{ch} {visits}", args.output)
@@ -248,7 +239,7 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     g = _load(args.file)
     idx = build_fast(g, epsilon=args.epsilon)
-    report = bench_access(g, idx, args.queries, args.seed, threads=args.threads)
+    report = bench_access(g, idx, args.queries, args.seed)
     _write_text(report.to_json(), args.output)
     return 0
 
@@ -278,11 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="rng seed (random)")
     p.add_argument("--size", type=int, default=64, help="target size (random)")
     p.add_argument("--max-dim", type=int, default=64, help="dimension cap (random)")
-    p.add_argument(
-        "--normalize",
-        action="store_true",
-        help="re-validate that every production is binary before emitting",
-    )
     _add_output(p)
     p.set_defaults(func=cmd_gen)
 
@@ -352,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=3.0)
-    p.add_argument("--threads", type=int, default=1)
     _add_output(p)
     p.set_defaults(func=cmd_bench)
 

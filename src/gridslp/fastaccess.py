@@ -3,7 +3,9 @@
 Plain traversal visits one production per derivation level.  Here every rule
 is unwound K levels ahead of time, so its expansion splits into at most 2^K
 regions — rectangles for ground descendants, frames (a rectangle minus its
-hole) for context descendants.  Cutting the bounding box along every region
+hole) for context descendants.  The unwinding follows the geometry table's
+child placements (see :func:`gridslp.grammar.layout`), so it knows no
+production kind.  Cutting the bounding box along every region
 side yields a small grid; two predecessor lookups then jump straight to the
 region owning a cell, descending K levels per visit instead of one.
 
@@ -19,7 +21,6 @@ import math
 import random
 import time
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .access import access_plain, access_tslp
@@ -51,11 +52,6 @@ class PredecessorSet:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-
-def predecessor(s: PredecessorSet, x: int) -> int | None:
-    """The largest key of ``s`` that is ≤ x, or None."""
-    return s.pred(x)
 
 
 @dataclass(frozen=True)
@@ -130,83 +126,47 @@ class FastAccessIndex:
         return sum(self.cell_counts.values())
 
 
-def _unwind(g: Grammar2D, sym: int, geo: GeometryTable, k: int) -> UnwoundRule:
-    """Truncate sym's derivation k levels down into a region tiling."""
-    rules = g.rules
-    H, W = geo.heights, geo.widths
-    hole = geo.holes[sym]
-    h, w = H[sym], W[sym]
-    owner_hole = None
-    if hole is not None:
-        p, q, r, c = hole
-        owner_hole = (r, c, r + p - 1, c + q - 1)
+def _hole_rect(hole, ox: int, oy: int) -> tuple[int, int, int, int]:
+    """A (hole_h, hole_w, row, col) hole as an inclusive rectangle, shifted."""
+    p, q, hr, hc = hole
+    return (ox + hr, oy + hc, ox + hr + p - 1, oy + hc + q - 1)
+
+
+def _unwind(sym: int, geo: GeometryTable, k: int) -> UnwoundRule:
+    """Truncate sym's derivation k levels down into a region tiling.
+
+    Follows the geometry table's entries: each child's box is its offset in
+    the parent plus its own frame, and a context child's frame has its own
+    hole (from ``geo.holes``) translated by the same offset.  A bare hole
+    (an entry without a second child) is either the owner's hole or a region
+    some sibling plug branch already covers, so only box 1 recurses.
+    """
+    E, H, W, HOLES = geo.entries, geo.heights, geo.widths, geo.holes
     entries: list[FrontierEntry] = []
 
-    def emit(s: int, box, hole_rect) -> None:
-        x1, y1, x2, y2 = box
-        if hole_rect is None:
-            region: Region = ("rect", x1, y1, x2, y2)
-        else:
-            region = ("frame", x1, y1, x2, y2, *hole_rect)
-        entries.append(FrontierEntry(symbol=s, char=None, region=region))
-
-    def walk(s: int, box, hole_rect, level: int) -> None:
-        r = rules[s]
-        x1, y1, x2, y2 = box
-        if r.kind == "term":
-            entries.append(
-                FrontierEntry(symbol=None, char=r.char, region=("rect", *box))
-            )
+    def walk(s: int, ox: int, oy: int, level: int) -> None:
+        # s's frame sits at offset (ox, oy) inside the owner's box.
+        e = E[s]
+        if e.__class__ is str:
+            entries.append(FrontierEntry(None, e, ("rect", ox + 1, oy + 1, ox + 1, oy + 1)))
             return
         if level == k:
-            emit(s, box, hole_rect)
+            box = (ox + 1, oy + 1, ox + H[s], oy + W[s])
+            hole = HOLES[s]
+            if hole is None:
+                region: Region = ("rect", *box)
+            else:
+                region = ("frame", *box, *_hole_rect(hole, ox, oy))
+            entries.append(FrontierEntry(s, None, region))
             return
-        if r.kind == "h":
-            cut = y1 + W[r.left] - 1
-            walk(r.left, (x1, y1, x2, cut), None, level + 1)
-            walk(r.right, (x1, cut + 1, x2, y2), None, level + 1)
-        elif r.kind == "v":
-            cut = x1 + H[r.top] - 1
-            walk(r.top, (x1, y1, cut, y2), None, level + 1)
-            walk(r.bottom, (cut + 1, y1, x2, y2), None, level + 1)
-        elif r.kind == "hole":
-            # The bare hole is either the owner's hole or a region some
-            # sibling plug branch already covers; only the ground recurses.
-            if r.axis == "H":
-                if r.hole_side == "first":
-                    gbox = (x1, y1 + r.hole_w, x2, y2)
-                else:
-                    gbox = (x1, y1, x2, y2 - r.hole_w)
-            else:
-                if r.hole_side == "first":
-                    gbox = (x1 + r.hole_h, y1, x2, y2)
-                else:
-                    gbox = (x1, y1, x2 - r.hole_h, y2)
-            walk(r.ground, gbox, None, level + 1)
-        elif r.kind == "ctxcat":
-            ch, cw = H[r.ctx], W[r.ctx]
-            if r.axis == "H":
-                cut = y1 + (cw if r.ctx_side == "first" else W[r.ground]) - 1
-                left, right = (x1, y1, x2, cut), (x1, cut + 1, x2, y2)
-                cbox, gbox = (left, right) if r.ctx_side == "first" else (right, left)
-            else:
-                cut = x1 + (ch if r.ctx_side == "first" else H[r.ground]) - 1
-                top, bot = (x1, y1, cut, y2), (cut + 1, y1, x2, y2)
-                cbox, gbox = (top, bot) if r.ctx_side == "first" else (bot, top)
-            walk(r.ctx, cbox, hole_rect, level + 1)
-            walk(r.ground, gbox, None, level + 1)
-        elif r.kind == "compose":
-            p, q, hr, hc = geo.holes[r.outer]
-            inner_box = (x1 + hr - 1, y1 + hc - 1, x1 + hr - 1 + p - 1, y1 + hc - 1 + q - 1)
-            walk(r.outer, box, inner_box, level + 1)
-            walk(r.inner, inner_box, hole_rect, level + 1)
-        else:  # apply
-            p, q, hr, hc = geo.holes[r.ctx]
-            arg_box = (x1 + hr - 1, y1 + hc - 1, x1 + hr - 1 + p - 1, y1 + hc - 1 + q - 1)
-            walk(r.ctx, box, arg_box, level + 1)
-            walk(r.arg, arg_box, None, level + 1)
+        c1, x1, y1, _, _, c2, dx2, dy2 = e
+        walk(c1, ox + x1, oy + y1, level + 1)
+        if c2 is not None:
+            walk(c2, ox + dx2, oy + dy2, level + 1)
 
-    walk(sym, (1, 1, h, w), owner_hole, 0)
+    walk(sym, 0, 0, 0)
+    hole = HOLES[sym]
+    owner_hole = None if hole is None else _hole_rect(hole, 0, 0)
     return UnwoundRule(owner=sym, frontier=tuple(entries), hole_region=owner_hole)
 
 
@@ -270,7 +230,7 @@ def build_fast(
     grids: dict[int, RuleGrid] = {}
     counts: dict[int, int] = {}
     for sym in reachable_topo(t.rules, t.start):
-        rule = _unwind(t, sym, geo, params.levels)
+        rule = _unwind(sym, geo, params.levels)
         grid = _build_grid(rule, geo.heights[sym], geo.widths[sym])
         rules[sym] = rule
         grids[sym] = grid
@@ -347,29 +307,16 @@ class BenchReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _run_path(fn, positions, threads: int) -> tuple[float, int, float]:
+def _run_path(fn, positions) -> tuple[float, int, float]:
     if not positions:
         return 0.0, 0, 0.0
     t0 = time.perf_counter_ns()
-    if threads > 1:
-        chunk = (len(positions) + threads - 1) // threads
-        parts = [positions[i : i + chunk] for i in range(0, len(positions), chunk)]
-
-        def run(part):
-            vs = [fn(x, y)[1] for x, y in part]
-            return sum(vs), max(vs)
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run, parts))
-        total = sum(s for s, _ in results)
-        worst = max(m for _, m in results)
-    else:
-        total, worst = 0, 0
-        for x, y in positions:
-            v = fn(x, y)[1]
-            total += v
-            if v > worst:
-                worst = v
+    total, worst = 0, 0
+    for x, y in positions:
+        v = fn(x, y)[1]
+        total += v
+        if v > worst:
+            worst = v
     dt = time.perf_counter_ns() - t0
     return total / len(positions), worst, dt / len(positions)
 
@@ -379,7 +326,6 @@ def bench_access(
     idx: FastAccessIndex,
     queries: int,
     seed: int,
-    threads: int = 1,
 ) -> BenchReport:
     """Time plain/tslp/fast access over the same sampled positions."""
     geo = compute_geometry(g)
@@ -395,15 +341,15 @@ def bench_access(
     paths = []
     if plain_ok:
         mean, worst, nanos = _run_path(
-            lambda x, y: access_plain(g, x, y, geo=geo), positions, threads
+            lambda x, y: access_plain(g, x, y, geo=geo), positions
         )
         paths.append(PathStats("plain", mean, worst, nanos))
     mean, worst, nanos = _run_path(
-        lambda x, y: access_tslp(g, x, y, geo=geo), positions, threads
+        lambda x, y: access_tslp(g, x, y, geo=geo), positions
     )
     paths.append(PathStats("tslp", mean, worst, nanos))
     mean, worst, nanos = _run_path(
-        lambda x, y: access_fast(idx, x, y), positions, threads
+        lambda x, y: access_fast(idx, x, y), positions
     )
     paths.append(PathStats("fast", mean, worst, nanos))
     return BenchReport(

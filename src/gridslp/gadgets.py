@@ -167,16 +167,6 @@ def _vchain(b: GrammarBuilder, *parts) -> int | None:
     return acc
 
 
-def _hchain(b: GrammarBuilder, *parts) -> int | None:
-    live = [p for p in parts if p is not None]
-    if not live:
-        return None
-    acc = live[0]
-    for p in live[1:]:
-        acc = b.h(acc, p)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Bin and ShiftBin
 

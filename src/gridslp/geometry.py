@@ -3,8 +3,11 @@
 Everything downstream (expansion, random access, the transforms, the
 accelerated index) navigates by these numbers instead of materializing
 matrices, so they are computed once per grammar in a single iterative pass and
-kept in plain tuples.  Dimensions are exact integers; anything beyond 2**62
-raises :class:`OverflowError` rather than silently continuing into numbers the
+kept in plain tuples.  The rules of each production kind live in
+:func:`gridslp.grammar.layout`; this pass applies it to every symbol in
+dependency order and keeps what it returns, child placements included.
+Dimensions are exact integers; anything beyond 2**62 raises
+:class:`OverflowError` rather than silently continuing into numbers the
 index structures cannot address.
 """
 
@@ -12,9 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grammar import Grammar2D, GridSlpError, children
-
-DIM_BOUND = 1 << 62
+from .grammar import (
+    Grammar2D,
+    GridSlpError,
+    LayoutError,
+    children,
+    layout,
+    topo_all,
+)
 
 
 @dataclass(frozen=True)
@@ -25,13 +33,18 @@ class GeometryTable:
     symbols (1-based position of the hole's top-left cell inside the frame)
     and ``None`` for ground symbols.  ``depths[i]`` is the height of the
     derivation tree below symbol ``i``, counting the terminal production as 1.
-    Entries for undefined symbols are ``None``.
+    ``entries[i]`` is the child placement :func:`~gridslp.grammar.layout`
+    returns: the terminal's character, or ``(c1, x1, y1, x2, y2, c2, dx2,
+    dy2)``, which every walk over the derivation (expansion, both access
+    paths, the unwinding of the fast index) follows instead of the
+    productions.  Entries for undefined symbols are ``None``.
     """
 
     heights: tuple
     widths: tuple
     holes: tuple
     depths: tuple
+    entries: tuple
 
     def dims(self, sym: int) -> tuple[int, int]:
         return (self.heights[sym], self.widths[sym])
@@ -54,6 +67,7 @@ def geometry_pass(g: Grammar2D, on_error=None):
     W: list = [None] * n
     HOLE: list = [None] * n
     D: list = [None] * n
+    E: list = [None] * n
 
     def fail(code: str, sym: int, msg: str):
         if on_error is None:
@@ -62,159 +76,27 @@ def geometry_pass(g: Grammar2D, on_error=None):
             raise GridSlpError(f"symbol {g.labels[sym]}: {msg}")
         on_error(code, sym, msg)
 
-    seen = bytearray(n)
-    for root in range(n):
-        if seen[root] or rules[root] is None:
-            continue
-        stack = [(root, False)]
-        while stack:
-            sym, leaving = stack.pop()
-            if not leaving:
-                if seen[sym]:
-                    continue
-                seen[sym] = 1
-                stack.append((sym, True))
-                for c in children(rules[sym]):
-                    if not seen[c] and rules[c] is not None:
-                        stack.append((c, False))
+    for sym in topo_all(rules):
+        r = rules[sym]
+        below = 0
+        for c in children(r):
+            d = D[c]
+            if d is None:
+                break  # cascade from a reported child failure
+            if d > below:
+                below = d
+        else:
+            try:
+                H[sym], W[sym], HOLE[sym], E[sym] = layout(r, H, W, HOLE)
+            except LayoutError as e:
+                fail(e.code, sym, str(e))
                 continue
+            D[sym] = below + 1
 
-            r = rules[sym]
-            k = r.kind
-            if k == "term":
-                H[sym], W[sym], D[sym] = 1, 1, 1
-                continue
-            kids = children(r)
-            if any(rules[c] is None or D[c] is None for c in kids):
-                continue  # cascade from a reported child failure
-            D[sym] = 1 + max(D[c] for c in kids)
-
-            if k == "h" or k == "v":
-                a, b = kids
-                if HOLE[a] is not None or HOLE[b] is not None:
-                    fail("kind", sym, "concat operands must be ground")
-                    D[sym] = None
-                    continue
-                if k == "h":
-                    if H[a] != H[b]:
-                        fail("dimension", sym, f"h-concat heights differ: {H[a]} vs {H[b]}")
-                        D[sym] = None
-                        continue
-                    H[sym], W[sym] = H[a], W[a] + W[b]
-                else:
-                    if W[a] != W[b]:
-                        fail("dimension", sym, f"v-concat widths differ: {W[a]} vs {W[b]}")
-                        D[sym] = None
-                        continue
-                    H[sym], W[sym] = H[a] + H[b], W[a]
-
-            elif k == "hole":
-                gnd = r.ground
-                if HOLE[gnd] is not None:
-                    fail("kind", sym, "hole-concat ground operand is a context")
-                    D[sym] = None
-                    continue
-                p, q = r.hole_h, r.hole_w
-                if p < 1 or q < 1:
-                    fail("hole", sym, f"hole dimensions {p}x{q} must be positive")
-                    D[sym] = None
-                    continue
-                if r.axis == "H":
-                    if p != H[gnd]:
-                        fail("dimension", sym, f"hole height {p} != ground height {H[gnd]}")
-                        D[sym] = None
-                        continue
-                    H[sym], W[sym] = H[gnd], q + W[gnd]
-                    HOLE[sym] = (p, q, 1, 1) if r.hole_side == "first" else (p, q, 1, W[gnd] + 1)
-                else:
-                    if q != W[gnd]:
-                        fail("dimension", sym, f"hole width {q} != ground width {W[gnd]}")
-                        D[sym] = None
-                        continue
-                    H[sym], W[sym] = p + H[gnd], W[gnd]
-                    HOLE[sym] = (p, q, 1, 1) if r.hole_side == "first" else (p, q, H[gnd] + 1, 1)
-
-            elif k == "ctxcat":
-                cx, gnd = r.ctx, r.ground
-                if HOLE[cx] is None or HOLE[gnd] is not None:
-                    fail("kind", sym, "ctx-concat needs (context, ground) operands")
-                    D[sym] = None
-                    continue
-                p, q, hr, hc = HOLE[cx]
-                if r.axis == "H":
-                    if H[cx] != H[gnd]:
-                        fail("dimension", sym, f"h-concat heights differ: {H[cx]} vs {H[gnd]}")
-                        D[sym] = None
-                        continue
-                    H[sym], W[sym] = H[cx], W[cx] + W[gnd]
-                    HOLE[sym] = (p, q, hr, hc) if r.ctx_side == "first" else (p, q, hr, hc + W[gnd])
-                else:
-                    if W[cx] != W[gnd]:
-                        fail("dimension", sym, f"v-concat widths differ: {W[cx]} vs {W[gnd]}")
-                        D[sym] = None
-                        continue
-                    H[sym], W[sym] = H[cx] + H[gnd], W[cx]
-                    HOLE[sym] = (p, q, hr, hc) if r.ctx_side == "first" else (p, q, hr + H[gnd], hc)
-
-            elif k == "compose":
-                outer, inner = kids
-                if HOLE[outer] is None or HOLE[inner] is None:
-                    fail("kind", sym, "compose needs two context operands")
-                    D[sym] = None
-                    continue
-                p, q, hr, hc = HOLE[outer]
-                if (H[inner], W[inner]) != (p, q):
-                    fail(
-                        "dimension",
-                        sym,
-                        f"inner frame {H[inner]}x{W[inner]} does not fit the outer hole {p}x{q}",
-                    )
-                    D[sym] = None
-                    continue
-                p2, q2, r2, c2 = HOLE[inner]
-                H[sym], W[sym] = H[outer], W[outer]
-                HOLE[sym] = (p2, q2, hr + r2 - 1, hc + c2 - 1)
-
-            elif k == "apply":
-                cx, arg = kids
-                if HOLE[cx] is None or HOLE[arg] is not None:
-                    fail("kind", sym, "apply needs (context, ground) operands")
-                    D[sym] = None
-                    continue
-                p, q, _, _ = HOLE[cx]
-                if (H[arg], W[arg]) != (p, q):
-                    fail(
-                        "dimension",
-                        sym,
-                        f"argument {H[arg]}x{W[arg]} does not fit the hole {p}x{q}",
-                    )
-                    D[sym] = None
-                    continue
-                H[sym], W[sym] = H[cx], W[cx]
-
-            else:  # pragma: no cover - unknown kinds are rejected upstream
-                fail("kind", sym, f"unknown production kind {k!r}")
-                D[sym] = None
-                continue
-
-            if D[sym] is None:
-                continue
-            if H[sym] > DIM_BOUND or W[sym] > DIM_BOUND:
-                fail("overflow", sym, f"dimension {max(H[sym], W[sym])} exceeds 2**62")
-                H[sym] = W[sym] = D[sym] = HOLE[sym] = None
-                continue
-            hole = HOLE[sym]
-            if hole is not None:
-                p, q, hr, hc = hole
-                inside = 1 <= hr and 1 <= hc and hr + p - 1 <= H[sym] and hc + q - 1 <= W[sym]
-                if not inside or H[sym] * W[sym] <= p * q:
-                    fail("hole", sym, f"hole {p}x{q}@({hr},{hc}) not strictly inside {H[sym]}x{W[sym]}")
-                    H[sym] = W[sym] = D[sym] = HOLE[sym] = None
-
-    return H, W, HOLE, D
+    return H, W, HOLE, D, E
 
 
 def compute_geometry(g: Grammar2D) -> GeometryTable:
     """Geometry of every defined symbol of a validated grammar."""
-    H, W, HOLE, D = geometry_pass(g, on_error=None)
-    return GeometryTable(tuple(H), tuple(W), tuple(HOLE), tuple(D))
+    H, W, HOLE, D, E = geometry_pass(g, on_error=None)
+    return GeometryTable(tuple(H), tuple(W), tuple(HOLE), tuple(D), tuple(E))

@@ -174,6 +174,129 @@ def rule_size(rule: Production) -> int:
     return 1 if rule.kind == "term" else 2
 
 
+#: Frame dimensions beyond this bound are rejected as overflow.
+DIM_BOUND = 1 << 62
+
+
+class LayoutError(GridSlpError):
+    """A production whose operands do not fit together.
+
+    ``code`` is the violation code :func:`validate` reports for it:
+    ``kind``, ``dimension``, ``hole`` or ``overflow``.
+    """
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def layout(rule: Production, H, W, HOLE) -> tuple:
+    """Frame, hole and child placement of one production.
+
+    ``H``, ``W`` and ``HOLE`` hold the operands' heights, widths and holes
+    (``(hole_h, hole_w, hole_row, hole_col)`` with a 1-based origin, or
+    ``None`` for ground symbols), indexed by symbol id.  Returns
+    ``(h, w, hole, entry)``.  For a terminal ``entry`` is its character;
+    otherwise it is ``(c1, x1, y1, x2, y2, c2, dx2, dy2)``: a cell (x, y) of
+    the frame with x1 < x <= x2 and y1 < y <= y2 (box 1) is cell
+    (x - x1, y - y1) of ``c1``, and every other cell is cell
+    (x - dx2, y - dy2) of ``c2`` or, when ``c2`` is None, a cell of the
+    symbol's own hole.  So each child sits at an offset, ``(x1, y1)`` or
+    ``(dx2, dy2)``, and box 1 is ``c1``'s frame at its offset.  For apply and
+    compose, box 1 is the argument (inner context) and ``c2`` the context at
+    (0, 0), whose frame is the symbol's own and whose hole is box 1.
+
+    This is the only place that knows each kind's operand kinds, dimension
+    rules, frame, hole and child offsets.  Raises :class:`LayoutError` when
+    the operands do not fit.
+    """
+    k = rule.kind
+    if k == "term":
+        return 1, 1, None, rule.char
+    if k == "h" or k == "v":
+        a, b = (rule.left, rule.right) if k == "h" else (rule.top, rule.bottom)
+        if HOLE[a] is not None or HOLE[b] is not None:
+            raise LayoutError("kind", "concat operands must be ground")
+        ha, wa = H[a], W[a]
+        hole = None
+        if k == "h":
+            if ha != H[b]:
+                raise LayoutError("dimension", f"h-concat heights differ: {ha} vs {H[b]}")
+            h, w, entry = ha, wa + W[b], (a, 0, 0, ha, wa, b, 0, wa)
+        else:
+            if wa != W[b]:
+                raise LayoutError("dimension", f"v-concat widths differ: {wa} vs {W[b]}")
+            h, w, entry = ha + H[b], wa, (a, 0, 0, ha, wa, b, ha, 0)
+    elif k == "hole":
+        g, p, q = rule.ground, rule.hole_h, rule.hole_w
+        if HOLE[g] is not None:
+            raise LayoutError("kind", "hole-concat ground operand is a context")
+        if p < 1 or q < 1:
+            raise LayoutError("hole", f"hole dimensions {p}x{q} must be positive")
+        gh, gw = H[g], W[g]
+        first = rule.hole_side == "first"
+        # (hx, hy) and (gx, gy) are the offsets of the hole and the ground.
+        if rule.axis == "H":
+            if p != gh:
+                raise LayoutError("dimension", f"hole height {p} != ground height {gh}")
+            h, w = gh, q + gw
+            hx, hy, gx, gy = (0, 0, 0, q) if first else (0, gw, 0, 0)
+        else:
+            if q != gw:
+                raise LayoutError("dimension", f"hole width {q} != ground width {gw}")
+            h, w = p + gh, gw
+            hx, hy, gx, gy = (0, 0, p, 0) if first else (gh, 0, 0, 0)
+        hole = (p, q, hx + 1, hy + 1)
+        entry = (g, gx, gy, gx + gh, gy + gw, None, 0, 0)
+    elif k == "ctxcat":
+        c, g = rule.ctx, rule.ground
+        if HOLE[c] is None or HOLE[g] is not None:
+            raise LayoutError("kind", "ctx-concat needs (context, ground) operands")
+        ch, cw, gh, gw = H[c], W[c], H[g], W[g]
+        first = rule.ctx_side == "first"
+        # (cx, cy) and (gx, gy) are the offsets of the context and the ground.
+        if rule.axis == "H":
+            if ch != gh:
+                raise LayoutError("dimension", f"h-concat heights differ: {ch} vs {gh}")
+            h, w = ch, cw + gw
+            cx, cy, gx, gy = (0, 0, 0, cw) if first else (0, gw, 0, 0)
+        else:
+            if cw != gw:
+                raise LayoutError("dimension", f"v-concat widths differ: {cw} vs {gw}")
+            h, w = ch + gh, cw
+            cx, cy, gx, gy = (0, 0, ch, 0) if first else (gh, 0, 0, 0)
+        p, q, hr, hc = HOLE[c]
+        hole = (p, q, hr + cx, hc + cy)
+        entry = (g, gx, gy, gx + gh, gy + gw, c, cx, cy)
+    elif k == "compose" or k == "apply":
+        if k == "compose":
+            c, a = rule.outer, rule.inner
+            if HOLE[c] is None or HOLE[a] is None:
+                raise LayoutError("kind", "compose needs two context operands")
+        else:
+            c, a = rule.ctx, rule.arg
+            if HOLE[c] is None or HOLE[a] is not None:
+                raise LayoutError("kind", "apply needs (context, ground) operands")
+        p, q, hr, hc = HOLE[c]
+        if (H[a], W[a]) != (p, q):
+            what = "inner frame" if k == "compose" else "argument"
+            raise LayoutError(
+                "dimension", f"{what} {H[a]}x{W[a]} does not fit the hole {p}x{q}"
+            )
+        h, w = H[c], W[c]
+        if k == "compose":
+            p2, q2, r2, c2 = HOLE[a]
+            hole = (p2, q2, hr + r2 - 1, hc + c2 - 1)
+        else:
+            hole = None
+        entry = (a, hr - 1, hc - 1, hr + p - 1, hc + q - 1, c, 0, 0)
+    else:
+        raise LayoutError("kind", f"unknown production kind {k!r}")
+    if h > DIM_BOUND or w > DIM_BOUND:
+        raise LayoutError("overflow", f"dimension {max(h, w)} exceeds 2**62")
+    return h, w, hole, entry
+
+
 LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
@@ -245,37 +368,16 @@ def as_tslp(g: Grammar2D) -> Tslp2D:
 # Traversal helpers
 
 
-def reachable_topo(rules, start: int) -> list[int]:
-    """Reachable symbols in dependency order (children before parents).
+def _post_order(rules, roots) -> list[int]:
+    """Defined symbols below ``roots``, children before parents.
 
-    Iterative post-order; assumes acyclicity and in-range references (run
-    :func:`validate` first on untrusted input).
+    Iterative, so derivations deeper than the recursion limit are fine;
+    assumes acyclicity and in-range references (run :func:`validate` first
+    on untrusted input).
     """
     order: list[int] = []
     seen = bytearray(len(rules))
-    stack: list[tuple[int, bool]] = [(start, False)]
-    while stack:
-        sym, expanded = stack.pop()
-        if expanded:
-            order.append(sym)
-            continue
-        if seen[sym]:
-            continue
-        seen[sym] = 1
-        stack.append((sym, True))
-        r = rules[sym]
-        if r is not None:
-            for c in children(r):
-                if not seen[c]:
-                    stack.append((c, False))
-    return order
-
-
-def topo_all(rules) -> list[int]:
-    """Every defined symbol in dependency order (children before parents)."""
-    order: list[int] = []
-    seen = bytearray(len(rules))
-    for root in range(len(rules)):
+    for root in roots:
         if seen[root] or rules[root] is None:
             continue
         stack: list[tuple[int, bool]] = [(root, False)]
@@ -292,6 +394,16 @@ def topo_all(rules) -> list[int]:
                 if not seen[c] and rules[c] is not None:
                     stack.append((c, False))
     return order
+
+
+def reachable_topo(rules, start: int) -> list[int]:
+    """Reachable symbols in dependency order (children before parents)."""
+    return _post_order(rules, (start,))
+
+
+def topo_all(rules) -> list[int]:
+    """Every defined symbol in dependency order (children before parents)."""
+    return _post_order(rules, range(len(rules)))
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +535,13 @@ def validate(g: Grammar2D, hole_marker: str = "#") -> ValidationReport:
 # Builder
 
 
+def _check_axis_side(axis: str, side: str, what: str) -> None:
+    if axis not in ("H", "V"):
+        raise ParameterError(f"axis must be 'H' or 'V', got {axis!r}")
+    if side not in ("first", "second"):
+        raise ParameterError(f"{what} must be 'first' or 'second', got {side!r}")
+
+
 class GrammarBuilder:
     """Incremental construction with eager dimension checking.
 
@@ -435,8 +554,9 @@ class GrammarBuilder:
     def __init__(self, dedup: bool = True):
         self.rules: list[Production] = []
         self.labels: list[str] = []
-        self._hw: list[tuple[int, int]] = []
-        # context geometry: (hole_h, hole_w, hole_row, hole_col) or None
+        # Per-symbol heights, widths and holes, as layout() reads them.
+        self._h: list[int] = []
+        self._w: list[int] = []
         self._hole: list[tuple[int, int, int, int] | None] = []
         self._dedup = dedup
         self._index: dict[Production, int] = {}
@@ -451,7 +571,8 @@ class GrammarBuilder:
         b = cls(dedup=dedup)
         b.rules = list(g.rules)
         b.labels = list(g.labels)
-        b._hw = [(geo.heights[i], geo.widths[i]) for i in range(len(g.rules))]
+        b._h = list(geo.heights)
+        b._w = list(geo.widths)
         b._hole = list(geo.holes)
         b._used_labels = set(g.labels)
         if dedup:
@@ -462,7 +583,7 @@ class GrammarBuilder:
     # -- geometry accessors -------------------------------------------------
 
     def dims(self, sym: int) -> tuple[int, int]:
-        return self._hw[sym]
+        return self._h[sym], self._w[sym]
 
     def hole(self, sym: int) -> tuple[int, int, int, int] | None:
         return self._hole[sym]
@@ -475,15 +596,17 @@ class GrammarBuilder:
 
     # -- internals ----------------------------------------------------------
 
-    def _add(self, rule: Production, hw, hole, label: str | None) -> int:
+    def _add(self, rule: Production, label: str | None = None) -> int:
         if self._dedup:
             hit = self._index.get(rule)
             if hit is not None:
                 return hit
-        if max(hw) > 1 << 62:
-            raise OverflowError(
-                f"dimension {max(hw)} exceeds the 2**62 representable bound"
-            )
+        try:
+            h, w, hole, _ = layout(rule, self._h, self._w, self._hole)
+        except LayoutError as e:
+            raise (OverflowError if e.code == "overflow" else DimensionMismatch)(
+                str(e)
+            ) from None
         sym = len(self.rules)
         if label is None or label in self._used_labels or not LABEL_RE.match(label):
             label = f"S{sym}"
@@ -491,43 +614,26 @@ class GrammarBuilder:
                 label += "_"
         self.rules.append(rule)
         self.labels.append(label)
-        self._hw.append(hw)
+        self._h.append(h)
+        self._w.append(w)
         self._hole.append(hole)
         self._used_labels.add(label)
         if self._dedup:
             self._index[rule] = sym
         return sym
 
-    def _ground(self, sym: int, what: str):
-        if self._hole[sym] is not None:
-            raise DimensionMismatch(f"{what} must be ground, got context symbol {sym}")
-
-    def _context(self, sym: int, what: str):
-        if self._hole[sym] is None:
-            raise DimensionMismatch(f"{what} must be a context, got ground symbol {sym}")
-
     # -- plain productions ----------------------------------------------------
 
     def terminal(self, char: str, label: str | None = None) -> int:
         if len(char) != 1:
             raise ParameterError("terminal payload must be a single character")
-        return self._add(Terminal(char), (1, 1), None, label)
+        return self._add(Terminal(char), label)
 
     def h(self, left: int, right: int, label: str | None = None) -> int:
-        self._ground(left, "h operand")
-        self._ground(right, "h operand")
-        (h1, w1), (h2, w2) = self._hw[left], self._hw[right]
-        if h1 != h2:
-            raise DimensionMismatch(f"h-concat heights differ: {h1} vs {h2}")
-        return self._add(HConcat(left, right), (h1, w1 + w2), None, label)
+        return self._add(HConcat(left, right), label)
 
     def v(self, top: int, bottom: int, label: str | None = None) -> int:
-        self._ground(top, "v operand")
-        self._ground(bottom, "v operand")
-        (h1, w1), (h2, w2) = self._hw[top], self._hw[bottom]
-        if w1 != w2:
-            raise DimensionMismatch(f"v-concat widths differ: {w1} vs {w2}")
-        return self._add(VConcat(top, bottom), (h1 + h2, w1), None, label)
+        return self._add(VConcat(top, bottom), label)
 
     # -- context productions --------------------------------------------------
 
@@ -540,76 +646,24 @@ class GrammarBuilder:
         hole_w: int,
         label: str | None = None,
     ) -> int:
-        self._ground(ground, "hole-concat operand")
-        if hole_h < 1 or hole_w < 1:
-            raise DimensionMismatch("hole dimensions must be positive")
-        gh, gw = self._hw[ground]
-        if axis == "H":
-            if hole_h != gh:
-                raise DimensionMismatch(f"hole height {hole_h} != ground height {gh}")
-            hw = (gh, hole_w + gw)
-            origin = (1, 1) if hole_side == "first" else (1, gw + 1)
-        elif axis == "V":
-            if hole_w != gw:
-                raise DimensionMismatch(f"hole width {hole_w} != ground width {gw}")
-            hw = (hole_h + gh, gw)
-            origin = (1, 1) if hole_side == "first" else (gh + 1, 1)
-        else:
-            raise ParameterError(f"axis must be 'H' or 'V', got {axis!r}")
-        if hole_side not in ("first", "second"):
-            raise ParameterError(f"hole_side must be 'first' or 'second', got {hole_side!r}")
-        rule = HoleConcat(axis, hole_side, ground, hole_h, hole_w)
-        return self._add(rule, hw, (hole_h, hole_w, *origin), label)
+        _check_axis_side(axis, hole_side, "hole_side")
+        return self._add(HoleConcat(axis, hole_side, ground, hole_h, hole_w), label)
 
     def ctx_concat(
         self, axis: str, ctx_side: str, ctx: int, ground: int, label: str | None = None
     ) -> int:
-        self._context(ctx, "ctx-concat operand")
-        self._ground(ground, "ctx-concat operand")
-        if ctx_side not in ("first", "second"):
-            raise ParameterError(f"ctx_side must be 'first' or 'second', got {ctx_side!r}")
-        (ch, cw), (gh, gw) = self._hw[ctx], self._hw[ground]
-        p, q, r, c = self._hole[ctx]
-        if axis == "H":
-            if ch != gh:
-                raise DimensionMismatch(f"h-concat heights differ: {ch} vs {gh}")
-            hw = (ch, cw + gw)
-            origin = (r, c) if ctx_side == "first" else (r, c + gw)
-        elif axis == "V":
-            if cw != gw:
-                raise DimensionMismatch(f"v-concat widths differ: {cw} vs {gw}")
-            hw = (ch + gh, cw)
-            origin = (r, c) if ctx_side == "first" else (r + gh, c)
-        else:
-            raise ParameterError(f"axis must be 'H' or 'V', got {axis!r}")
-        rule = CtxConcat(axis, ctx_side, ctx, ground)
-        return self._add(rule, hw, (p, q, *origin), label)
+        _check_axis_side(axis, ctx_side, "ctx_side")
+        return self._add(CtxConcat(axis, ctx_side, ctx, ground), label)
 
     def compose(self, outer: int, inner: int, label: str | None = None) -> int:
-        self._context(outer, "compose operand")
-        self._context(inner, "compose operand")
-        p, q, r, c = self._hole[outer]
-        ih, iw = self._hw[inner]
-        if (ih, iw) != (p, q):
-            raise DimensionMismatch(
-                f"inner frame {ih}x{iw} does not fit the outer hole {p}x{q}"
-            )
-        p2, q2, r2, c2 = self._hole[inner]
-        hole = (p2, q2, r + r2 - 1, c + c2 - 1)
-        return self._add(Compose(outer, inner), self._hw[outer], hole, label)
+        return self._add(Compose(outer, inner), label)
 
     def apply(self, ctx: int, arg: int, label: str | None = None) -> int:
-        self._context(ctx, "apply operand")
-        self._ground(arg, "apply operand")
-        p, q, _, _ = self._hole[ctx]
-        ah, aw = self._hw[arg]
-        if (ah, aw) != (p, q):
-            raise DimensionMismatch(f"argument {ah}x{aw} does not fit the hole {p}x{q}")
-        return self._add(Apply(ctx, arg), self._hw[ctx], None, label)
+        return self._add(Apply(ctx, arg), label)
 
     # -- k-ary convenience ----------------------------------------------------
 
-    def chain(self, axis: str, parts: Iterable[int], label: str | None = None) -> int:
+    def chain(self, axis: str, parts: Iterable[int]) -> int:
         """Left-leaning fold of ``parts`` along ``axis`` (ground symbols)."""
         parts = list(parts)
         if not parts:
@@ -618,14 +672,6 @@ class GrammarBuilder:
         op = self.h if axis == "H" else self.v
         for nxt in parts[1:]:
             acc = op(acc, nxt)
-        if (
-            label is not None
-            and len(parts) > 1
-            and label not in self._used_labels
-            and LABEL_RE.match(label)
-        ):
-            self._used_labels.add(label)
-            self.labels[acc] = label
         return acc
 
     # -- finish ----------------------------------------------------------------
@@ -633,11 +679,10 @@ class GrammarBuilder:
     def finish(self, start: int) -> Grammar2D:
         if self.is_context(start):
             raise DimensionMismatch("start symbol must be ground")
-        if any(self._hole[s] is not None for s in range(len(self.rules))):
-            return Tslp2D(tuple(self.rules), start, tuple(self.labels))
-        if any(r.kind not in PLAIN_KINDS for r in self.rules):
-            return Tslp2D(tuple(self.rules), start, tuple(self.labels))
-        return Grammar2D(tuple(self.rules), start, tuple(self.labels))
+        # Every context symbol has a context kind, so the kinds decide.
+        plain = all(r.kind in PLAIN_KINDS for r in self.rules)
+        cls = Grammar2D if plain else Tslp2D
+        return cls(tuple(self.rules), start, tuple(self.labels))
 
     def finish_tslp(self, start: int) -> Tslp2D:
         if self.is_context(start):

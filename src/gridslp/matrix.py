@@ -10,6 +10,9 @@ caching is materialized once, larger symbols are filled by blitting the cached
 blocks, so repeated substructure (which is the whole point of grammar
 compression) costs one copy per occurrence instead of one descent per cell.
 Context symbols materialize with the hole filled by a marker character.
+Both passes follow the geometry table's child placements (see
+:func:`gridslp.grammar.layout`) rather than the productions: a block is its
+two children side by side, or an argument pasted over its context's hole.
 """
 
 from __future__ import annotations
@@ -81,8 +84,7 @@ def expand(
     if max_cells is None:
         max_cells = max_cells_default()
 
-    rules = g.rules
-    H, W, HOLES = geo.heights, geo.widths, geo.holes
+    H, W, HOLES, E = geo.heights, geo.widths, geo.holes, geo.entries
     h, w = H[sym], W[sym]
     if h * w > max_cells:
         raise AreaLimitExceeded(
@@ -92,43 +94,33 @@ def expand(
     # Pass 1: cache small reachable symbols bottom-up.  A cached entry holds
     # the fully materialized block (hole cells already marked for contexts).
     memo: dict[int, np.ndarray] = {}
-    for s in reachable_topo(rules, sym):
+    for s in reachable_topo(g.rules, sym):
         if H[s] * W[s] > _MEMO_CELLS:
             continue
-        r = rules[s]
-        k = r.kind
-        if k == "term":
-            block = np.full((1, 1), r.char, dtype="<U1")
-        elif k == "h":
-            block = np.concatenate((memo[r.left], memo[r.right]), axis=1)
-        elif k == "v":
-            block = np.concatenate((memo[r.top], memo[r.bottom]), axis=0)
-        elif k == "apply":
-            block = memo[r.ctx].copy()
-            p, q, hr, hc = HOLES[r.ctx]
-            block[hr - 1 : hr - 1 + p, hc - 1 : hc - 1 + q] = memo[r.arg]
-        elif k == "hole":
-            gh, gw = memo[r.ground].shape
-            block = np.full((H[s], W[s]), hole_marker, dtype="<U1")
-            if r.axis == "H":
-                col = 0 if r.hole_side == "second" else r.hole_w
-                block[:, col : col + gw] = memo[r.ground]
-            else:
-                row = 0 if r.hole_side == "second" else r.hole_h
-                block[row : row + gh, :] = memo[r.ground]
-        elif k == "ctxcat":
-            a, b = memo[r.ctx], memo[r.ground]
-            if r.ctx_side == "second":
-                a, b = b, a
-            axis = 1 if r.axis == "H" else 0
-            block = np.concatenate((a, b), axis=axis)
-        else:  # compose
-            block = memo[r.outer].copy()
-            p, q, hr, hc = HOLES[r.outer]
-            block[hr - 1 : hr - 1 + p, hc - 1 : hc - 1 + q] = memo[r.inner]
+        e = E[s]
+        if e.__class__ is str:
+            memo[s] = np.full((1, 1), e, dtype="<U1")
+            continue
+        c1, x1, y1, x2, y2, c2, _, _ = e
+        one = memo[c1]
+        if c2 is None:
+            two = np.full(HOLES[s][:2], hole_marker, dtype="<U1")
+        else:
+            two = memo[c2]
+        if two.shape == (H[s], W[s]):
+            # c2 spans the frame (apply, compose): box 1 overwrites its hole.
+            block = two.copy()
+            block[x1:x2, y1:y2] = one
+        else:
+            # The two boxes sit side by side, box 1 first iff it is at (0, 0).
+            pair = (one, two) if x1 == 0 and y1 == 0 else (two, one)
+            block = np.concatenate(pair, axis=1 if x2 - x1 == H[s] else 0)
         memo[s] = block
 
     # Pass 2: fill the output buffer, descending only through uncached symbols.
+    # Box 1 goes deeper in the LIFO stack than the second child, so everything
+    # the second child pushes is painted first: an argument plugged at an
+    # apply or compose overwrites the hole marker its context paints.
     buf = np.empty((h, w), dtype="<U1")
     stack: list[tuple[int, int, int]] = [(sym, 0, 0)]
     while stack:
@@ -138,47 +130,12 @@ def expand(
             bh, bw = block.shape
             buf[ox : ox + bh, oy : oy + bw] = block
             continue
-        r = rules[s]
-        k = r.kind
-        if k == "h":
-            stack.append((r.left, ox, oy))
-            stack.append((r.right, ox, oy + W[r.left]))
-        elif k == "v":
-            stack.append((r.top, ox, oy))
-            stack.append((r.bottom, ox + H[r.top], oy))
-        elif k == "apply":
-            # The argument must be filled after the context (whose descent
-            # paints hole cells with the marker), so it goes deeper in the
-            # LIFO stack: everything the context pushes pops first.
-            p, q, hr, hc = HOLES[r.ctx]
-            stack.append((r.arg, ox + hr - 1, oy + hc - 1))
-            stack.append((r.ctx, ox, oy))
-        elif k == "hole":
+        # Terminals are always cached, so this is a two-box entry.
+        c1, x1, y1, _, _, c2, dx2, dy2 = E[s]
+        stack.append((c1, ox + x1, oy + y1))
+        if c2 is None:
             p, q, hr, hc = HOLES[s]
             buf[ox + hr - 1 : ox + hr - 1 + p, oy + hc - 1 : oy + hc - 1 + q] = hole_marker
-            if r.axis == "H":
-                gcol = r.hole_w if r.hole_side == "first" else 0
-                stack.append((r.ground, ox, oy + gcol))
-            else:
-                grow = r.hole_h if r.hole_side == "first" else 0
-                stack.append((r.ground, ox + grow, oy))
-        elif k == "ctxcat":
-            ch, cw = H[r.ctx], W[r.ctx]
-            gh, gw = H[r.ground], W[r.ground]
-            if r.axis == "H":
-                coff = 0 if r.ctx_side == "first" else gw
-                goff = cw if r.ctx_side == "first" else 0
-                stack.append((r.ctx, ox, oy + coff))
-                stack.append((r.ground, ox, oy + goff))
-            else:
-                coff = 0 if r.ctx_side == "first" else gh
-                goff = ch if r.ctx_side == "first" else 0
-                stack.append((r.ctx, ox + coff, oy))
-                stack.append((r.ground, ox + goff, oy))
-        elif k == "compose":
-            p, q, hr, hc = HOLES[r.outer]
-            stack.append((r.inner, ox + hr - 1, oy + hc - 1))
-            stack.append((r.outer, ox, oy))
-        else:  # term
-            buf[ox, oy] = r.char
+        else:
+            stack.append((c2, ox + dx2, oy + dy2))
     return buf

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from gridslp import (
+    Apply,
+    Compose,
+    CtxConcat,
     GrammarBuilder,
+    HConcat,
+    HoleConcat,
+    Terminal,
+    Tslp2D,
+    VConcat,
     build_bin,
     build_cnm,
     build_cnm_sequence,
@@ -104,3 +112,117 @@ def grids_equal(g, reference: np.ndarray) -> bool:
 def full_dims(g):
     geo = compute_geometry(g)
     return geo.heights[g.start], geo.widths[g.start]
+
+
+def random_tslp(seed: int, height: int | None = None, width: int | None = None):
+    """A seeded random TSLP over all seven production kinds.
+
+    Rules are assembled directly, with dimensions and hole positions tracked
+    here rather than by the library, so a test comparing this grammar's
+    derivation against an independent painter checks the library's geometry
+    instead of reusing it.  Every context is built top-down for a requested
+    frame and hole: a bare hole beside a ground block where the frame minus
+    the hole is one strip, a context beside a ground block cut off on either
+    side of either axis, or a composition through an intermediate rectangle.
+    Ground blocks are concatenations or applications.  Symbols of equal
+    shape are reused at random, so the result is a DAG.  With ``height=1``
+    only horizontal productions are possible.
+    """
+    rng = random.Random(seed)
+    height = height or rng.randint(1, 9)
+    width = width or rng.randint(1, 9)
+    rules: list = []
+    grounds: dict[tuple[int, int], list[int]] = {}
+    contexts: dict[tuple[int, ...], list[int]] = {}
+
+    def add(rule, pool, key) -> int:
+        rules.append(rule)
+        pool.setdefault(key, []).append(len(rules) - 1)
+        return len(rules) - 1
+
+    def ground(h: int, w: int, budget: int) -> int:
+        seen = grounds.get((h, w))
+        if seen and rng.random() < 0.4:
+            return rng.choice(seen)
+        if h == w == 1:
+            return add(Terminal(rng.choice("abcd")), grounds, (1, 1))
+        ops = (["h"] if w > 1 else []) + (["v"] if h > 1 else [])
+        if budget > 0:
+            ops += ["apply", "apply"]
+        op = rng.choice(ops)
+        if op == "h":
+            k = rng.randint(1, w - 1)
+            rule = HConcat(ground(h, k, budget - 1), ground(h, w - k, budget - 1))
+        elif op == "v":
+            k = rng.randint(1, h - 1)
+            rule = VConcat(ground(k, w, budget - 1), ground(h - k, w, budget - 1))
+        else:
+            while True:
+                p, q = rng.randint(1, h), rng.randint(1, w)
+                if p * q < h * w:
+                    break
+            r, c = rng.randint(1, h - p + 1), rng.randint(1, w - q + 1)
+            cx = context(h, w, p, q, r, c, budget - 1)
+            rule = Apply(cx, ground(p, q, budget - 1))
+        return add(rule, grounds, (h, w))
+
+    def context(h, w, p, q, r, c, budget) -> int:
+        key = (h, w, p, q, r, c)
+        seen = contexts.get(key)
+        if seen and rng.random() < 0.4:
+            return rng.choice(seen)
+        ops = []
+        # A bare hole: the frame minus the hole is one full-length strip.
+        if p == h and c == 1:
+            ops.append(("hole", "H", "first"))
+        if p == h and c + q - 1 == w:
+            ops.append(("hole", "H", "second"))
+        if q == w and r == 1:
+            ops.append(("hole", "V", "first"))
+        if q == w and r + p - 1 == h:
+            ops.append(("hole", "V", "second"))
+        # A context beside a ground block, cut anywhere the cut misses the
+        # hole and leaves the context's frame strictly larger than the hole.
+        for k in range(1, w):
+            if k >= c + q - 1 and h * k > p * q:
+                ops.append(("ctxcat", "H", "first", k))
+            if k < c and h * (w - k) > p * q:
+                ops.append(("ctxcat", "H", "second", k))
+        for k in range(1, h):
+            if k >= r + p - 1 and k * w > p * q:
+                ops.append(("ctxcat", "V", "first", k))
+            if k < r and (h - k) * w > p * q:
+                ops.append(("ctxcat", "V", "second", k))
+        if budget > 0:
+            ops += [("compose",)] * 3
+        op = rng.choice(ops)
+        if op[0] == "compose":
+            # An intermediate rectangle strictly between hole and frame.
+            r1, c1 = rng.randint(1, r), rng.randint(1, c)
+            r2, c2 = rng.randint(r + p - 1, h), rng.randint(c + q - 1, w)
+            mh, mw = r2 - r1 + 1, c2 - c1 + 1
+            if p * q < mh * mw < h * w:
+                outer = context(h, w, mh, mw, r1, c1, budget - 1)
+                inner = context(mh, mw, p, q, r - r1 + 1, c - c1 + 1, budget - 1)
+                return add(Compose(outer, inner), contexts, key)
+            op = rng.choice([o for o in ops if o[0] != "compose"])
+        if op[0] == "hole":
+            _, axis, side = op
+            gh, gw = (h, w - q) if axis == "H" else (h - p, w)
+            rule = HoleConcat(axis, side, ground(gh, gw, budget - 1), p, q)
+        else:
+            _, axis, side, k = op
+            # k cells of the cut axis go to the first operand.
+            if axis == "H":
+                first, rest = (h, k), (h, w - k)
+                hole_at = (r, c) if side == "first" else (r, c - k)
+            else:
+                first, rest = (k, w), (h - k, w)
+                hole_at = (r, c) if side == "first" else (r - k, c)
+            cdims, gdims = (first, rest) if side == "first" else (rest, first)
+            cx = context(*cdims, p, q, *hole_at, budget - 1)
+            rule = CtxConcat(axis, side, cx, ground(*gdims, budget - 1))
+        return add(rule, contexts, key)
+
+    start = ground(height, width, 4)
+    return Tslp2D(rules=tuple(rules), start=start)

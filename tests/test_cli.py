@@ -64,12 +64,6 @@ class TestGen:
         assert code == 0 and out == ""
         parse_grammar(target.read_text())
 
-    def test_normalize_is_a_recheck(self, run):
-        plain = run("gen", "--gadget", "bin", "--n", 3)
-        normed = run("gen", "--gadget", "bin", "--n", 3, "--normalize")
-        assert normed[0] == 0
-        assert normed[1] == plain[1]
-
     def test_missing_parameter_is_usage_error(self, run):
         code, out, err = run("gen", "--gadget", "cnm", "--n", 16)
         assert code == 2

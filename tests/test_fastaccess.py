@@ -26,7 +26,7 @@ from gridslp import (
     expand,
     random_grammar,
 )
-from gridslp.fastaccess import PredecessorSet, predecessor
+from gridslp.fastaccess import PredecessorSet
 
 from conftest import sample_positions
 
@@ -55,10 +55,10 @@ class TestPredecessorSet:
         assert s.rank(10**6) == 2
         assert len(s) == 3
 
-    def test_module_level_helper(self):
+    def test_pred_between_and_below_keys(self):
         s = PredecessorSet((3, 8))
-        assert predecessor(s, 7) == 3
-        assert predecessor(s, 2) is None
+        assert s.pred(7) == 3
+        assert s.pred(2) is None
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -218,13 +218,3 @@ class TestBench:
         idx = build_fast(g)
         report = bench_access(g, idx, queries=32, seed=4)
         assert [p.path for p in report.paths] == ["plain", "tslp", "fast"]
-
-    def test_threads_consistent(self):
-        g = build_spiral(256)
-        t, _ = balance_to_tslp(g)
-        idx = build_fast(t)
-        one = bench_access(t, idx, queries=50, seed=9, threads=1)
-        two = bench_access(t, idx, queries=50, seed=9, threads=2)
-        for a, b in zip(one.paths, two.paths):
-            assert a.mean_visits == b.mean_visits
-            assert a.max_visits == b.max_visits
