@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Time the three access paths on one grammar and plot visits vs epsilon.
+"""Time the two access paths on one grammar and plot visits vs epsilon.
 
 Builds the spiral at the requested size, balances it, and runs the shared
-benchmark over the same sampled positions for the plain, hole-aware, and
-unwound-index paths.  A second table sweeps epsilon to show how the index's
+benchmark over the same sampled positions for the derivation descent and
+the unwound-index path.  A second table sweeps epsilon to show how the index's
 level count trades memory (table cells) against visits per query.
 
 Usage: python3 scripts/access_bench.py [--exp 12] [--queries 10000]

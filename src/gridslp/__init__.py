@@ -19,16 +19,14 @@ from .balance import (
     balance_to_tslp,
     eliminate_contexts_1d,
 )
+from .bench import BenchReport, PathStats, bench_access
 from .fastaccess import (
-    BenchReport,
     FastAccessIndex,
     FastParams,
-    PathStats,
     PredecessorSet,
     RuleGrid,
     UnwoundRule,
     access_fast,
-    bench_access,
     build_fast,
 )
 from .gadgets import (

@@ -243,13 +243,12 @@ def balance_to_tslp(
             state[z] = (spine, fill)
 
     out = b.finish_tslp(bal[g.start])
-    out_geo = compute_geometry(out)
     stats = BalanceStats(
         input_size=input_size,
         inlined_size=inlined_size,
         output_size=out.size,
         input_depth=input_depth,
-        output_depth=out_geo.depths[out.start],
+        output_depth=b.depth(out.start),
         area=area,
         path_count=path_count,
         request_count=len(requested),
@@ -265,8 +264,13 @@ def eliminate_contexts_1d(t: Tslp2D) -> Grammar1D:
     empty); applications become at most two concatenations.  Any vertical
     production makes the grammar two-dimensional and is rejected.
     """
-    rules = t.rules
     b = GrammarBuilder(dedup=True)
+    return b.finish(_eliminate_contexts_1d(b, t))
+
+
+def _eliminate_contexts_1d(b: GrammarBuilder, t: Tslp2D) -> int:
+    """Add ``eliminate_contexts_1d(t)``'s symbols to ``b``; returns its root."""
+    rules = t.rules
 
     def cat(x: int | None, y: int | None) -> int | None:
         if x is None:
@@ -309,15 +313,22 @@ def eliminate_contexts_1d(t: Tslp2D) -> Grammar1D:
             flanks[sym] = (cat(ol, il), cat(ir, orr))
         else:  # plain vertical concatenation
             raise NotOneDimensional(f"vertical concatenation in symbol {t.label(sym)}")
-    return b.finish(ground[t.start])
+    return ground[t.start]
 
 
 def balance_1d(g: Grammar1D) -> Grammar1D:
     """Equivalent plain 1D grammar of logarithmic depth."""
-    geo = compute_geometry(g)
+    b = GrammarBuilder(dedup=True)
+    return b.finish(_balance_1d(b, g, None))
+
+
+def _balance_1d(b: GrammarBuilder, g: Grammar1D, geo: GeometryTable | None) -> int:
+    """Add ``balance_1d(g)``'s symbols to ``b``; returns its root."""
+    if geo is None:
+        geo = compute_geometry(g)
     if geo.heights[g.start] != 1:
         raise NotOneDimensional(
             f"expansion is {geo.heights[g.start]} rows tall, expected 1"
         )
     t, _ = balance_to_tslp(g, geo)
-    return eliminate_contexts_1d(t)
+    return _eliminate_contexts_1d(b, t)

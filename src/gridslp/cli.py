@@ -18,7 +18,8 @@ import numpy as np
 
 from .access import access_tslp
 from .balance import balance_to_tslp
-from .fastaccess import access_fast, bench_access, build_fast
+from .bench import bench_access
+from .fastaccess import access_fast, build_fast
 from .gadgets import (
     build_bin,
     build_cnm,
@@ -27,7 +28,7 @@ from .gadgets import (
     build_spiral,
     random_grammar,
 )
-from .geometry import compute_geometry
+from .geometry import GeometryTable
 from .grammar import (
     Grammar2D,
     GridSlpError,
@@ -65,12 +66,13 @@ def _write_text(text: str, path: str | None) -> None:
             f.write(text)
 
 
-def _load(path: str) -> Grammar2D:
+def _load(path: str) -> tuple[Grammar2D, GeometryTable]:
+    """The grammar in ``path`` and the geometry its validation computed."""
     g = parse_grammar(_read_text(path))
     report = validate(g)
     if not report.ok:
         raise _Fail(1, f"{path}: invalid grammar\n{report}")
-    return g
+    return g, report.geometry
 
 
 def _require(args, *names) -> None:
@@ -103,8 +105,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    g = _load(args.file)
-    geo = compute_geometry(g)
+    g, geo = _load(args.file)
     info = {
         "kind": g.text_kind,
         "symbols": g.symbols,
@@ -119,25 +120,26 @@ def cmd_stats(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    g = _load(args.file)
-    m = expand(g, max_cells=args.max_cells)
+    g, geo = _load(args.file)
+    m = expand(g, max_cells=args.max_cells, geo=geo)
     _write_text(matrix_to_text(m), args.output)
     return 0
 
 
 def cmd_access(args) -> int:
-    g = _load(args.file)
+    g, geo = _load(args.file)
     if args.fast:
-        ch, visits = access_fast(build_fast(g, epsilon=args.epsilon), args.x, args.y)
+        idx = build_fast(g, epsilon=args.epsilon, geo=geo)
+        ch, visits = access_fast(idx, args.x, args.y)
     else:
-        ch, visits = access_tslp(g, args.x, args.y)
+        ch, visits = access_tslp(g, args.x, args.y, geo=geo)
     _write_text(f"{ch} {visits}", args.output)
     return 0
 
 
 def cmd_balance(args) -> int:
-    g = _load(args.file)
-    t, stats = balance_to_tslp(g)
+    g, geo = _load(args.file)
+    t, stats = balance_to_tslp(g, geo)
     if args.stats:
         print(
             json.dumps(
@@ -160,14 +162,14 @@ def cmd_balance(args) -> int:
 
 
 def cmd_linearize(args) -> int:
-    g = _load(args.file)
-    _write_text(emit_grammar(linearize_rows(g)), args.output)
+    g, geo = _load(args.file)
+    _write_text(emit_grammar(linearize_rows(g, geo)), args.output)
     return 0
 
 
 def cmd_rebalance(args) -> int:
-    g = _load(args.file)
-    out, stats = rebalance_plain_2d(g)
+    g, geo = _load(args.file)
+    out, stats = rebalance_plain_2d(g, geo)
     if args.stats:
         print(
             json.dumps(
@@ -188,22 +190,20 @@ def cmd_rebalance(args) -> int:
 
 
 def cmd_rotate(args) -> int:
-    g = _load(args.file)
+    g, _ = _load(args.file)
     _write_text(emit_grammar(rotate_cw(g)), args.output)
     return 0
 
 
 def cmd_margins(args) -> int:
-    g = _load(args.file)
+    g, _ = _load(args.file)
     _write_text(emit_grammar(margin_slp(g, args.side)), args.output)
     return 0
 
 
 def cmd_verify(args) -> int:
-    a = _load(args.file)
-    b = _load(args.against)
-    geo_a = compute_geometry(a)
-    geo_b = compute_geometry(b)
+    a, geo_a = _load(args.file)
+    b, geo_b = _load(args.against)
     dims_a, dims_b = geo_a.dims(a.start), geo_b.dims(b.start)
     if dims_a != dims_b:
         print(f"dimension mismatch: {dims_a} vs {dims_b}", file=sys.stderr)
@@ -237,8 +237,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    g = _load(args.file)
-    idx = build_fast(g, epsilon=args.epsilon)
+    g, geo = _load(args.file)
+    idx = build_fast(g, epsilon=args.epsilon, geo=geo)
     report = bench_access(g, idx, args.queries, args.seed)
     _write_text(report.to_json(), args.output)
     return 0
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cells", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="time the three access paths")
+    p = sub.add_parser("bench", help="time the descent and the index access paths")
     p.add_argument("file")
     p.add_argument("--queries", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)

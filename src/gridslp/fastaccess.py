@@ -16,21 +16,16 @@ it is kept behind a tiny class so something cleverer can be swapped in.
 
 from __future__ import annotations
 
-import json
 import math
-import random
-import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .access import access_plain, access_tslp
 from .geometry import GeometryTable, compute_geometry
 from .grammar import (
     Grammar2D,
     InternalHoleHit,
     OutOfBounds,
     ParameterError,
-    PLAIN_KINDS,
     Tslp2D,
     reachable_topo,
 )
@@ -264,94 +259,3 @@ def access_fast(idx: FastAccessIndex, x: int, y: int) -> tuple[str, int]:
         sym, dx, dy = cell
         x -= dx
         y -= dy
-
-
-@dataclass(frozen=True)
-class PathStats:
-    """Visit counts and timing for one access path."""
-
-    path: str
-    mean_visits: float
-    max_visits: int
-    nanos_per_query: float
-
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "meanVisits": self.mean_visits,
-            "maxVisits": self.max_visits,
-            "nanosPerQuery": self.nanos_per_query,
-        }
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    """Per-path aggregates over one batch of sampled positions."""
-
-    queries: int
-    seed: int
-    height: int
-    width: int
-    paths: tuple[PathStats, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "queries": self.queries,
-            "seed": self.seed,
-            "height": self.height,
-            "width": self.width,
-            "paths": [p.to_dict() for p in self.paths],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-
-def _run_path(fn, positions) -> tuple[float, int, float]:
-    if not positions:
-        return 0.0, 0, 0.0
-    t0 = time.perf_counter_ns()
-    total, worst = 0, 0
-    for x, y in positions:
-        v = fn(x, y)[1]
-        total += v
-        if v > worst:
-            worst = v
-    dt = time.perf_counter_ns() - t0
-    return total / len(positions), worst, dt / len(positions)
-
-
-def bench_access(
-    g: Grammar2D | Tslp2D,
-    idx: FastAccessIndex,
-    queries: int,
-    seed: int,
-) -> BenchReport:
-    """Time plain/tslp/fast access over the same sampled positions."""
-    geo = compute_geometry(g)
-    h, w = geo.dims(g.start)
-    rng = random.Random(seed)
-    positions = [
-        (rng.randrange(1, h + 1), rng.randrange(1, w + 1)) for _ in range(queries)
-    ]
-    plain_ok = all(
-        r is None or r.kind in PLAIN_KINDS for r in g.rules
-    )
-
-    paths = []
-    if plain_ok:
-        mean, worst, nanos = _run_path(
-            lambda x, y: access_plain(g, x, y, geo=geo), positions
-        )
-        paths.append(PathStats("plain", mean, worst, nanos))
-    mean, worst, nanos = _run_path(
-        lambda x, y: access_tslp(g, x, y, geo=geo), positions
-    )
-    paths.append(PathStats("tslp", mean, worst, nanos))
-    mean, worst, nanos = _run_path(
-        lambda x, y: access_fast(idx, x, y), positions
-    )
-    paths.append(PathStats("fast", mean, worst, nanos))
-    return BenchReport(
-        queries=queries, seed=seed, height=h, width=w, paths=tuple(paths)
-    )

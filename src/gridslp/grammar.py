@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Union
+from typing import TYPE_CHECKING, ClassVar, Iterable, Union
+
+if TYPE_CHECKING:
+    from .geometry import GeometryTable
 
 
 class GridSlpError(Exception):
@@ -425,7 +428,15 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Every violation found; for a sound grammar, also its geometry.
+
+    ``geometry`` is the table the validation pass computed, so a caller that
+    validates untrusted input need not compute it again.  It is ``None``
+    whenever there are violations.
+    """
+
     violations: tuple[Violation, ...]
+    geometry: GeometryTable | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -511,9 +522,9 @@ def validate(g: Grammar2D, hole_marker: str = "#") -> ValidationReport:
 
     # Bottom-up geometry pass shared with compute_geometry, collecting
     # violations instead of raising.
-    from .geometry import geometry_pass  # local import to avoid a cycle
+    from .geometry import GeometryTable, geometry_pass  # avoids an import cycle
 
-    geometry_pass(g, on_error=bad)
+    tables = geometry_pass(g, on_error=bad)
 
     if rules[g.start] is not None and rules[g.start].kind in CONTEXT_KINDS:
         bad("start", g.start, "start symbol must be ground (hole-free)")
@@ -528,7 +539,9 @@ def validate(g: Grammar2D, hole_marker: str = "#") -> ValidationReport:
                     "different marker or alphabet",
                 )
 
-    return ValidationReport(tuple(out))
+    if out:
+        return ValidationReport(tuple(out))
+    return ValidationReport((), GeometryTable(*map(tuple, tables)))
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +558,10 @@ def _check_axis_side(axis: str, side: str, what: str) -> None:
 class GrammarBuilder:
     """Incremental construction with eager dimension checking.
 
-    Tracks the frame (and hole) geometry of every added symbol so dimension
-    errors surface at the offending call, not at validation time.  With
+    Tracks the geometry of every added symbol (frame, hole, child placement
+    and derivation depth) so dimension errors surface at the offending call,
+    not at validation time, and so :meth:`geometry` hands the finished
+    grammar's table on without another pass.  With
     ``dedup=True`` structurally identical productions are shared, which the
     gadget builders rely on for their size bounds.
     """
@@ -554,12 +569,16 @@ class GrammarBuilder:
     def __init__(self, dedup: bool = True):
         self.rules: list[Production] = []
         self.labels: list[str] = []
-        # Per-symbol heights, widths and holes, as layout() reads them.
+        # Per-symbol heights, widths and holes, as layout() reads them,
+        # plus derivation depths and layout() entries.
         self._h: list[int] = []
         self._w: list[int] = []
         self._hole: list[tuple[int, int, int, int] | None] = []
+        self._depth: list[int] = []
+        self._entry: list = []
         self._dedup = dedup
-        self._index: dict[Production, int] = {}
+        # Production -> id; a horizontal concat is keyed by its (left, right).
+        self._index: dict = {}
         self._used_labels: set[str] = set()
 
     @classmethod
@@ -574,10 +593,13 @@ class GrammarBuilder:
         b._h = list(geo.heights)
         b._w = list(geo.widths)
         b._hole = list(geo.holes)
+        b._depth = list(geo.depths)
+        b._entry = list(geo.entries)
         b._used_labels = set(g.labels)
         if dedup:
             for i, rule in enumerate(g.rules):
-                b._index.setdefault(rule, i)
+                key = (rule.left, rule.right) if rule.__class__ is HConcat else rule
+                b._index.setdefault(key, i)
         return b
 
     # -- geometry accessors -------------------------------------------------
@@ -591,22 +613,48 @@ class GrammarBuilder:
     def is_context(self, sym: int) -> bool:
         return self._hole[sym] is not None
 
+    def depth(self, sym: int) -> int:
+        return self._depth[sym]
+
+    def geometry(self) -> GeometryTable:
+        """The geometry table of every symbol added so far.
+
+        Equal to ``compute_geometry`` of any grammar :meth:`finish` returns
+        from this builder's current state.
+        """
+        from .geometry import GeometryTable
+
+        return GeometryTable(
+            tuple(self._h), tuple(self._w), tuple(self._hole),
+            tuple(self._depth), tuple(self._entry),
+        )
+
     def __len__(self) -> int:
         return len(self.rules)
 
     # -- internals ----------------------------------------------------------
 
-    def _add(self, rule: Production, label: str | None = None) -> int:
+    def _add(self, rule: Production, label: str | None = None, key=None) -> int:
+        if key is None:
+            key = rule
         if self._dedup:
-            hit = self._index.get(rule)
+            hit = self._index.get(key)
             if hit is not None:
                 return hit
         try:
-            h, w, hole, _ = layout(rule, self._h, self._w, self._hole)
+            h, w, hole, entry = layout(rule, self._h, self._w, self._hole)
         except LayoutError as e:
             raise (OverflowError if e.code == "overflow" else DimensionMismatch)(
                 str(e)
             ) from None
+        if entry.__class__ is str:
+            depth = 1
+        else:
+            depth = self._depth[entry[0]]
+            c2 = entry[5]
+            if c2 is not None and self._depth[c2] > depth:
+                depth = self._depth[c2]
+            depth += 1
         sym = len(self.rules)
         if label is None or label in self._used_labels or not LABEL_RE.match(label):
             label = f"S{sym}"
@@ -617,9 +665,11 @@ class GrammarBuilder:
         self._h.append(h)
         self._w.append(w)
         self._hole.append(hole)
+        self._depth.append(depth)
+        self._entry.append(entry)
         self._used_labels.add(label)
         if self._dedup:
-            self._index[rule] = sym
+            self._index[key] = sym
         return sym
 
     # -- plain productions ----------------------------------------------------
@@ -630,7 +680,15 @@ class GrammarBuilder:
         return self._add(Terminal(char), label)
 
     def h(self, left: int, right: int, label: str | None = None) -> int:
-        return self._add(HConcat(left, right), label)
+        # Horizontal chains dominate the deduplicating builds, and most of
+        # their joins repeat one already made.  Keyed by the bare pair, a
+        # repeat is found without building an HConcat to look it up.
+        key = (left, right)
+        if self._dedup:
+            hit = self._index.get(key)
+            if hit is not None:
+                return hit
+        return self._add(HConcat(left, right), label, key)
 
     def v(self, top: int, bottom: int, label: str | None = None) -> int:
         return self._add(VConcat(top, bottom), label)

@@ -206,61 +206,60 @@ def decompose_substring(
 def linearize_rows(g: Grammar2D, geo: GeometryTable | None = None) -> Grammar1D:
     """A 1D grammar deriving the row-major flattening of exp(g).
 
-    For every symbol crossed by row i a per-row symbol derives exactly that
-    row slice; vertical concats collapse to whichever child owns the row, so
-    only terminals and horizontal concats materialize (at most N per input
-    symbol).  The N row strings are then joined with a balanced gadget.
+    Every reachable symbol gets the list of its row strings, bottom-up: a
+    terminal is its own row, a vertical concat lists its top child's rows
+    then its bottom child's, and a horizontal concat joins its children's
+    rows pairwise.  So only terminals and horizontal concats materialize (at
+    most one symbol per row of each input symbol).  The lists hold as many
+    ids in all as the reachable symbols have rows, at most |g|·N, but each is
+    dropped once its last parent has read it.  The start symbol's N row
+    strings are then joined with a balanced gadget.
     """
+    return _linearized(g, geo)[0]
+
+
+def _linearized(
+    g: Grammar2D, geo: GeometryTable | None
+) -> tuple[Grammar1D, GeometryTable]:
+    """``linearize_rows(g)`` and its geometry, both from one builder."""
     if geo is None:
         geo = compute_geometry(g)
-    rules = g.rules
-    H = geo.heights
     N, M = geo.dims(g.start)
     if N * M > (1 << 62):
         raise OverflowError(f"flattened length {N}*{M} exceeds 2**62")
-
-    b = GrammarBuilder(dedup=True)
-    memo: dict[tuple[int, int], int] = {}
-
-    def resolve(sym: int, row: int) -> tuple[int, int]:
+    rules = g.rules
+    order = reachable_topo(rules, g.start)
+    kids: dict[int, tuple[int, int]] = {}
+    parents = dict.fromkeys(order, 0)
+    for sym in order:
         r = rules[sym]
-        while r.kind == "v":
-            th = H[r.top]
-            if row <= th:
-                sym = r.top
-            else:
-                row -= th
-                sym = r.bottom
-            r = rules[sym]
-        return sym, row
-
-    def build(key: tuple[int, int]) -> int:
-        stack = [key]
-        while stack:
-            top = stack[-1]
-            if top in memo:
-                stack.pop()
-                continue
-            sym, row = top
-            r = rules[sym]
-            if r.kind == "term":
-                memo[top] = b.terminal(r.char)
-                stack.pop()
-                continue
-            lk = resolve(r.left, row)
-            rk = resolve(r.right, row)
-            ready = True
-            for k in (lk, rk):
-                if k not in memo:
-                    stack.append(k)
-                    ready = False
-            if ready:
-                memo[top] = b.h(memo[lk], memo[rk])
-                stack.pop()
-        return memo[key]
-
-    parts = [build(resolve(g.start, row)) for row in range(1, N + 1)]
-    return b.finish(_balanced_chain(b, "H", parts))
+        if r.kind == "h" or r.kind == "v":
+            kids[sym] = xy = (r.left, r.right) if r.kind == "h" else (r.top, r.bottom)
+            for c in xy:
+                parents[c] += 1
+        elif r.kind != "term":
+            raise ParameterError("linearization is defined for plain grammars only")
+    b = GrammarBuilder(dedup=True)
+    h = b.h
+    rows: dict[int, list[int]] = {}
+    for sym in order:
+        r = rules[sym]
+        if r.kind == "term":
+            rows[sym] = [b.terminal(r.char)]
+            continue
+        x, y = kids[sym]
+        if r.kind == "v":
+            rows[sym] = rows[x] + rows[y]
+        else:
+            rows[sym] = [h(a, c) for a, c in zip(rows[x], rows[y])]
+        # Drop a child's list once its last parent has read it, so the live
+        # lists stay near the output's size (a tall vertical chain would
+        # otherwise hold N(N+1)/2 ids).
+        for c in (x, y):
+            parents[c] -= 1
+            if not parents[c]:
+                del rows[c]
+    return b.finish(_balanced_chain(b, "H", rows[g.start])), b.geometry()
 
 
 @dataclass(frozen=True)
@@ -297,7 +296,7 @@ def rebalance_plain_2d(
     Grammars with holes are ground-ified (contexts inlined) up front.
     """
     # Deferred: balance builds on this module.
-    from .balance import _inline_contexts, balance_1d
+    from .balance import _balance_1d, _inline_contexts
 
     if any(r is not None and r.kind not in PLAIN_KINDS for r in g.rules):
         g = _inline_contexts(g)
@@ -309,23 +308,23 @@ def rebalance_plain_2d(
         raise ParameterError(
             f"input is {N}x{M}; rebalancing expects N ≤ M (rotate_cw first)"
         )
-    lin = linearize_rows(g, geo)
-    bal = balance_1d(lin)
-    bal_geo = compute_geometry(bal)
-
-    b = GrammarBuilder.seeded(bal, dedup=True)
+    # The row chains go into the builder holding the balanced string, so
+    # its geometry carries over and only the chains are new.
+    b = GrammarBuilder(dedup=True)
+    bal = b.finish(_balance_1d(b, *_linearized(g, geo)))
+    bal_geo = b.geometry()
     rows = []
     for r in range(1, N + 1):
         dec = decompose_substring(bal, (r - 1) * M + 1, r * M, bal_geo)
         rows.append(_balanced_chain(b, "H", list(dec.symbols)))
-    out = b.finish(_balanced_chain(b, "V", rows))
-    out_geo = compute_geometry(out)
+    root = _balanced_chain(b, "V", rows)
+    out = b.finish(root)
     stats = RebalanceStats(
         rows=N,
         cols=M,
         input_size=g.size,
         input_depth=geo.depths[g.start],
         output_size=out.size,
-        output_depth=out_geo.depths[out.start],
+        output_depth=b.depth(root),
     )
     return out, stats

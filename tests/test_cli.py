@@ -7,7 +7,14 @@ import json
 import numpy as np
 import pytest
 
-from gridslp import build_cnm, build_shiftbin, emit_grammar, expand, parse_grammar
+from gridslp import (
+    build_cnm,
+    build_shiftbin,
+    build_spiral,
+    emit_grammar,
+    expand,
+    parse_grammar,
+)
 from gridslp.cli import main
 
 from conftest import example_tslp
@@ -128,6 +135,25 @@ class TestExpandAccess:
             fast = run("access", f, 1, 2, "--fast")
             assert plain[0] == fast[0] == 0
             assert plain[1].split()[0] == fast[1].split()[0] == m[0, 1]
+
+    def test_access_computes_geometry_once(self, run, monkeypatch, tmp_path):
+        import gridslp.geometry as geometry
+
+        calls = []
+        real = geometry.geometry_pass
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "geometry_pass", counted)
+        p = tmp_path / "sp.slp"
+        p.write_text(emit_grammar(build_spiral(256)))
+        for fast in ((), ("--fast",)):
+            del calls[:]
+            code, out, err = run("access", p, 100, 200, *fast)
+            assert code == 0
+            assert len(calls) == 1, fast
 
     def test_access_out_of_bounds(self, run, shiftbin_file):
         code, out, err = run("access", shiftbin_file, 0, 1)
@@ -255,11 +281,9 @@ class TestVerify:
 class TestBench:
     def test_json_report(self, run, tmp_path):
         p = tmp_path / "sp.slp"
-        from gridslp import build_spiral
-
         p.write_text(emit_grammar(build_spiral(256)))
         code, out, err = run("bench", str(p), "--queries", 32, "--seed", 1)
         assert code == 0
         d = json.loads(out)
         assert d["queries"] == 32
-        assert [p["path"] for p in d["paths"]] == ["plain", "tslp", "fast"]
+        assert [p["path"] for p in d["paths"]] == ["tslp", "fast"]

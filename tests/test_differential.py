@@ -28,7 +28,10 @@ from gridslp import (
     eliminate_contexts_1d,
     emit_grammar,
     expand,
+    linearize_rows,
     parse_grammar,
+    rebalance_plain_2d,
+    rotate_cw,
     validate,
 )
 from gridslp.balance import _inline_contexts
@@ -38,6 +41,8 @@ from conftest import random_tslp
 SEEDS = range(300)
 HEIGHT_ONE_SEEDS = range(40)
 EPSILONS = (1.0, 3.0, 6.0)
+#: Half the corpus keeps the rebalance check under a second.
+REBALANCE_SEEDS = range(150)
 
 
 def _plug(frame, block):
@@ -180,3 +185,15 @@ def test_height_one_contexts_eliminate():
         t = random_tslp(seed, height=1, width=2 + seed % 15)
         want = _check_all_paths(t)
         assert (expand(eliminate_contexts_1d(t)) == want).all(), seed
+
+
+def test_linearize_and_rebalance_agree_with_the_painter():
+    for seed in REBALANCE_SEEDS:
+        t = random_tslp(seed)
+        cells, _ = paint(t)
+        want = np.array(cells[t.start], dtype="<U1")
+        g = _inline_contexts(t)
+        if want.shape[0] > want.shape[1]:
+            g, want = rotate_cw(g), np.rot90(want, -1)
+        assert (expand(linearize_rows(g)) == want.reshape(1, -1)).all(), seed
+        assert (expand(rebalance_plain_2d(g)[0]) == want).all(), seed

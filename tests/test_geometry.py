@@ -9,12 +9,17 @@ from hypothesis import strategies as st
 from gridslp import (
     DimensionMismatch,
     GrammarBuilder,
+    balance_to_tslp,
+    build_cnm,
+    build_cnm_sequence,
+    build_spiral,
     compute_geometry,
     expand,
     random_grammar,
+    rebalance_plain_2d,
 )
 
-from conftest import example_tslp
+from conftest import example_tslp, random_tslp
 
 
 def _builder_with_block(h, w, char="x"):
@@ -168,3 +173,61 @@ class TestAgainstExpansion:
                 patch = m[hr - 1 : hr - 1 + p, hc - 1 : hc - 1 + q]
                 assert (patch == "#").all(), (name, sym)
                 assert (m == "#").sum() == p * q, (name, sym)
+
+
+GEOMETRY_FIELDS = ("heights", "widths", "holes", "depths", "entries")
+
+
+class TestBuilderGeometry:
+    """A builder's own geometry equals a fresh pass over what it finished."""
+
+    @pytest.fixture()
+    def finished(self, monkeypatch):
+        """(builder geometry, grammar) for every finish call in a test."""
+        seen = []
+        for name in ("finish", "finish_tslp"):
+            def record(b, start, _finish=getattr(GrammarBuilder, name)):
+                g = _finish(b, start)
+                seen.append((b.geometry(), g))
+                return g
+
+            monkeypatch.setattr(GrammarBuilder, name, record)
+        return seen
+
+    @staticmethod
+    def _check(seen):
+        assert seen
+        for geo, g in seen:
+            fresh = compute_geometry(g)
+            for f in GEOMETRY_FIELDS:
+                assert getattr(geo, f) == getattr(fresh, f), f
+
+    def test_gadgets(self, finished):
+        build_spiral(256)
+        build_cnm(16, 16)
+        build_cnm_sequence(32, 16, 16, 3)
+        for seed in range(5):
+            random_grammar(seed, 40, max_dim=24)
+        self._check(finished)
+
+    def test_seeded_builder_extended(self, finished):
+        t = random_tslp(7)
+        b = GrammarBuilder.seeded(t, dedup=True)
+        x = b.terminal("z")
+        b.v(t.start, t.start)
+        ctx = b.hole_concat("V", "second", b.h(x, x), 1, 2)
+        ctx = b.ctx_concat("H", "first", ctx, b.v(x, x))
+        inner = b.hole_concat("H", "first", x, 1, 1)
+        b.finish_tslp(b.apply(b.compose(ctx, inner), x))
+        self._check(finished)
+
+    def test_balance_and_rebalance_builders(self, finished):
+        g = build_spiral(256)
+        del finished[:]
+        balance_to_tslp(g)
+        balance_to_tslp(random_tslp(3))
+        out, _ = rebalance_plain_2d(g)
+        # The rebalanced output is the last grammar finished; its builder
+        # first finished the balanced string the rows are cut from.
+        assert finished[-1][1] == out
+        self._check(finished)

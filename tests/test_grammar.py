@@ -20,11 +20,12 @@ from gridslp import (
     Tslp2D,
     VConcat,
     as_tslp,
+    compute_geometry,
     validate,
 )
 from gridslp.grammar import children, reachable_topo, rule_size, topo_all
 
-from conftest import example_tslp
+from conftest import example_tslp, random_tslp
 
 
 class TestBuilder:
@@ -55,6 +56,9 @@ class TestBuilder:
         r2 = b.h(x, x)
         assert r1 == r2
         assert len(b) == 2
+        # Same operands on the other axis are a different production.
+        assert b.v(x, x) != r1
+        assert len(b) == 3
 
     def test_no_dedup_keeps_duplicates(self):
         b = GrammarBuilder(dedup=False)
@@ -111,6 +115,19 @@ class TestBuilder:
         assert g2.symbols >= t.symbols
         # Seeding must preserve the original productions verbatim.
         assert g2.rules[: t.symbols] == t.rules
+
+    def test_seeded_dedup_finds_every_concat(self):
+        t = random_tslp(4)
+        b = GrammarBuilder.seeded(t, dedup=True)
+        kinds = set()
+        for r in t.rules:
+            if r.kind == "h":
+                assert t.rules[b.h(r.left, r.right)] == r
+            elif r.kind == "v":
+                assert t.rules[b.v(r.top, r.bottom)] == r
+            kinds.add(r.kind)
+        assert {"h", "v"} <= kinds
+        assert len(b) == t.symbols
 
 
 class TestContainers:
@@ -171,6 +188,7 @@ class TestValidate:
         for name, g in small_corpus:
             rep = validate(g)
             assert rep.ok, f"{name}: {rep}"
+            assert rep.geometry == compute_geometry(g), name
 
     def test_undefined_symbol_reported(self):
         g = Grammar2D(rules=(HConcat(1, 2), Terminal("x"), None), start=0)
@@ -191,6 +209,7 @@ class TestValidate:
         )
         rep = validate(g)
         assert any(v.code == "dimension" for v in rep.violations)
+        assert rep.geometry is None
 
     def test_plain_grammar_rejects_context_kinds(self):
         g = Grammar2D(

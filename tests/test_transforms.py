@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,30 @@ class TestLinearize:
         n_rows = geo.heights[g.start]
         lin = linearize_rows(g, geo)
         assert lin.symbols <= g.symbols * n_rows + 2 * n_rows
+
+    def test_rejects_contexts(self):
+        with pytest.raises(ParameterError):
+            linearize_rows(example_tslp())
+
+    def test_tall_vertical_chain_frees_row_lists(self):
+        # v_i = v(v_{i-1}, T): the row lists hold N(N+1)/2 ids in all
+        # (2.1M, 16 MB of pointers here), but only the last two are needed.
+        n = 2048
+        b = GrammarBuilder(dedup=True)
+        ab = [b.terminal("a"), b.terminal("b")]
+        cur = ab[0]
+        for i in range(1, n):
+            cur = b.v(cur, ab[i % 2])
+        g = b.finish(cur)
+        geo = compute_geometry(g)
+        tracemalloc.start()
+        try:
+            lin = linearize_rows(g, geo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
+        assert "".join(expand(lin)[0]) == "ab" * (n // 2)
 
 
 class TestConcatGadget:
