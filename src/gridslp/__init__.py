@@ -25,7 +25,6 @@ from .fastaccess import (
     FastParams,
     PredecessorSet,
     RuleGrid,
-    UnwoundRule,
     access_fast,
     build_fast,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "PathStats",
     "PredecessorSet",
     "RuleGrid",
-    "UnwoundRule",
     "access_fast",
     "bench_access",
     "build_fast",

@@ -53,8 +53,9 @@ class BalanceStats:
         return self.output_depth / math.log2(max(2, self.area))
 
 
-def _inline_contexts(t: Tslp2D) -> Grammar2D:
-    """An equivalent plain grammar: every context use is expanded in place.
+def _inline_contexts(t: Tslp2D) -> tuple[Grammar2D, GeometryTable]:
+    """An equivalent plain grammar, every context use expanded in place,
+    and its geometry table, which the builder already holds.
 
     Memoized on (symbol, plugged hole contents), so a context applied to k
     distinct arguments is copied k times but never more.
@@ -130,7 +131,7 @@ def _inline_contexts(t: Tslp2D) -> Grammar2D:
                 continue
             memo[key] = memo[ok]
             stack.pop()
-    return b.finish(memo[(t.start, None)])
+    return b.finish(memo[(t.start, None)]), b.geometry()
 
 
 def _spine_push(b: GrammarBuilder, spine: list, ctx: int, weight: int) -> None:
@@ -166,9 +167,8 @@ def balance_to_tslp(
     input_depth = geo.depths[g.start]
 
     if any(r is not None and r.kind not in PLAIN_KINDS for r in g.rules):
-        g = _inline_contexts(g if isinstance(g, Tslp2D) else Tslp2D(
+        g, geo = _inline_contexts(g if isinstance(g, Tslp2D) else Tslp2D(
             rules=g.rules, start=g.start, labels=g.labels))
-        geo = compute_geometry(g)
     inlined_size = g.size
 
     rules = g.rules

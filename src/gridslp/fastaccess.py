@@ -1,6 +1,6 @@
 """Accelerated random access: K-level unwinding plus per-rule grids.
 
-Plain traversal visits one production per derivation level.  Here every rule
+Plain traversal visits one production per derivation level.  Here a rule
 is unwound K levels ahead of time, so its expansion splits into at most 2^K
 regions — rectangles for ground descendants, frames (a rectangle minus its
 hole) for context descendants.  The unwinding follows the geometry table's
@@ -8,6 +8,10 @@ child placements (see :func:`gridslp.grammar.layout`), so it knows no
 production kind.  Cutting the bounding box along every region
 side yields a small grid; two predecessor lookups then jump straight to the
 region owning a cell, descending K levels per visit instead of one.
+
+Only the symbols a descent can reach get a grid: the start symbol and the
+frontier symbols named by some grid cell.  Symbols the unwinding skips
+over, a few levels inside some frontier symbol, are never landed on.
 
 The predecessor structure is deliberately a thin wrapper over a sorted array
 (the theoretical alternative is a word-RAM device with the same interface);
@@ -17,8 +21,8 @@ it is kept behind a tiny class so something cleverer can be swapped in.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
 from .geometry import GeometryTable, compute_geometry
 from .grammar import (
@@ -27,7 +31,6 @@ from .grammar import (
     OutOfBounds,
     ParameterError,
     Tslp2D,
-    reachable_topo,
 )
 
 
@@ -69,27 +72,10 @@ class FastParams:
         return cls(epsilon=epsilon, levels=k, b_bound=1 << k, area=area)
 
 
-#: Region shapes inside an unwound rule's bounding box (1-based, inclusive).
-#: ("rect", x1, y1, x2, y2) or ("frame", x1, y1, x2, y2, hx1, hy1, hx2, hy2).
+#: One region of an unwound symbol, 1-based and inclusive inside its box:
+#: (cell value, x1, y1, x2, y2, hole), where hole is None or the
+#: (hx1, hy1, hx2, hy2) a frame leaves out.
 Region = tuple
-
-
-@dataclass(frozen=True)
-class FrontierEntry:
-    """One K-level descendant: where it sits and how coordinates shift."""
-
-    symbol: int | None  # None for a terminal resolved during unwinding
-    char: str | None
-    region: Region
-
-
-@dataclass(frozen=True)
-class UnwoundRule:
-    """The ≤ 2^K regions tiling one symbol's expansion."""
-
-    owner: int
-    frontier: tuple[FrontierEntry, ...]
-    hole_region: tuple[int, int, int, int] | None
 
 
 @dataclass(frozen=True)
@@ -107,133 +93,139 @@ class RuleGrid:
 
 @dataclass(frozen=True)
 class FastAccessIndex:
-    """Immutable query structure: one grid per reachable symbol."""
+    """Immutable query structure: one grid per symbol a descent can land on."""
 
     grammar: Grammar2D
     params: FastParams
     geo: GeometryTable
-    rules: dict[int, UnwoundRule]
     grids: dict[int, RuleGrid]
-    cell_counts: dict[int, int] = field(repr=False, default_factory=dict)
 
     @property
     def total_cells(self) -> int:
-        return sum(self.cell_counts.values())
+        return sum(len(g.cells) * len(g.cells[0]) for g in self.grids.values())
 
 
-def _hole_rect(hole, ox: int, oy: int) -> tuple[int, int, int, int]:
-    """A (hole_h, hole_w, row, col) hole as an inclusive rectangle, shifted."""
-    p, q, hr, hc = hole
-    return (ox + hr, oy + hc, ox + hr + p - 1, oy + hc + q - 1)
-
-
-def _unwind(sym: int, geo: GeometryTable, k: int) -> UnwoundRule:
+def _unwind(
+    sym: int, geo: GeometryTable, k: int, terminals: dict | None = None
+) -> tuple[list[Region], set[int], set[int]]:
     """Truncate sym's derivation k levels down into a region tiling.
 
-    Follows the geometry table's entries: each child's box is its offset in
-    the parent plus its own frame, and a context child's frame has its own
-    hole (from ``geo.holes``) translated by the same offset.  A bare hole
-    (an entry without a second child) is either the owner's hole or a region
-    some sibling plug branch already covers, so only box 1 recurses.
+    Returns the regions and the row and column cut lines along every region
+    side, frame hole and the owner's own hole.  The regions tile the box
+    minus the owner's hole disjointly: a frame covers its box minus its hole,
+    which a sibling plug branch covers.  Follows the geometry table's
+    entries: each child's box is its offset in the parent plus its own frame,
+    and a context child's frame has its own hole (from ``geo.holes``)
+    translated by the same offset.  A bare hole (an entry without a second
+    child) is either the owner's hole or a region some sibling plug branch
+    already covers, so only box 1 recurses.  ``terminals`` interns the
+    ("T", char) cell values.
     """
     E, H, W, HOLES = geo.entries, geo.heights, geo.widths, geo.holes
-    entries: list[FrontierEntry] = []
-
-    def walk(s: int, ox: int, oy: int, level: int) -> None:
+    if terminals is None:
+        terminals = {}
+    xs = {1, H[sym] + 1}
+    ys = {1, W[sym] + 1}
+    hole = HOLES[sym]
+    if hole is not None:
+        p, q, hr, hc = hole
+        xs.update((hr, hr + p))
+        ys.update((hc, hc + q))
+    regions: list[Region] = []
+    stack = [(sym, 0, 0, 0)]
+    while stack:
         # s's frame sits at offset (ox, oy) inside the owner's box.
+        s, ox, oy, level = stack.pop()
         e = E[s]
         if e.__class__ is str:
-            entries.append(FrontierEntry(None, e, ("rect", ox + 1, oy + 1, ox + 1, oy + 1)))
-            return
-        if level == k:
-            box = (ox + 1, oy + 1, ox + H[s], oy + W[s])
+            x, y = ox + 1, oy + 1
+            regions.append((terminals.setdefault(e, ("T", e)), x, y, x, y, None))
+            xs.update((x, x + 1))
+            ys.update((y, y + 1))
+        elif level == k:
+            x2, y2 = ox + H[s], oy + W[s]
+            xs.update((ox + 1, x2 + 1))
+            ys.update((oy + 1, y2 + 1))
             hole = HOLES[s]
-            if hole is None:
-                region: Region = ("rect", *box)
-            else:
-                region = ("frame", *box, *_hole_rect(hole, ox, oy))
-            entries.append(FrontierEntry(s, None, region))
-            return
-        c1, x1, y1, _, _, c2, dx2, dy2 = e
-        walk(c1, ox + x1, oy + y1, level + 1)
-        if c2 is not None:
-            walk(c2, ox + dx2, oy + dy2, level + 1)
-
-    walk(sym, 0, 0, 0)
-    hole = HOLES[sym]
-    owner_hole = None if hole is None else _hole_rect(hole, 0, 0)
-    return UnwoundRule(owner=sym, frontier=tuple(entries), hole_region=owner_hole)
+            if hole is not None:
+                p, q, hr, hc = hole
+                hole = (ox + hr, oy + hc, ox + hr + p - 1, oy + hc + q - 1)
+                xs.update((ox + hr, ox + hr + p))
+                ys.update((oy + hc, oy + hc + q))
+            regions.append(((s, ox, oy), ox + 1, oy + 1, x2, y2, hole))
+        else:
+            c1, x1, y1, _, _, c2, dx2, dy2 = e
+            if c2 is not None:
+                stack.append((c2, ox + dx2, oy + dy2, level + 1))
+            stack.append((c1, ox + x1, oy + y1, level + 1))
+    return regions, xs, ys
 
 
-def _build_grid(rule: UnwoundRule, h: int, w: int) -> RuleGrid:
-    """Cut along every region side and paint cells outermost-first."""
-    xs = {1, h + 1}
-    ys = {1, w + 1}
-    for e in rule.frontier:
-        x1, y1, x2, y2 = e.region[1:5]
-        xs.update((x1, x2 + 1))
-        ys.update((y1, y2 + 1))
-        if e.region[0] == "frame":
-            hx1, hy1, hx2, hy2 = e.region[5:]
-            xs.update((hx1, hx2 + 1))
-            ys.update((hy1, hy2 + 1))
-    if rule.hole_region is not None:
-        hx1, hy1, hx2, hy2 = rule.hole_region
-        xs.update((hx1, hx2 + 1))
-        ys.update((hy1, hy2 + 1))
+def _build_grid(regions: list[Region], xs: set[int], ys: set[int]) -> RuleGrid:
+    """Cut along every line and paint each region's cells once.
+
+    The regions are disjoint, so painting order does not matter, and cells
+    no region covers (the owner's hole) stay None.
+    """
     xlines = sorted(xs)
     ylines = sorted(ys)
-    rows, cols = len(xlines) - 1, len(ylines) - 1
-    cells = [[None] * cols for _ in range(rows)]
-
-    def paint(box, value) -> None:
-        x1, y1, x2, y2 = box
-        for i in range(bisect_left(xlines, x1), bisect_left(xlines, x2 + 1)):
+    xi = {v: i for i, v in enumerate(xlines)}
+    yi = {v: j for j, v in enumerate(ylines)}
+    cols = len(ylines) - 1
+    cells = [[None] * cols for _ in range(len(xlines) - 1)]
+    for value, x1, y1, x2, y2, hole in regions:
+        i1, i2 = xi[x1], xi[x2 + 1]
+        j1, j2 = yi[y1], yi[y2 + 1]
+        run = [value] * (j2 - j1)
+        if hole is None:
+            for row in cells[i1:i2]:
+                row[j1:j2] = run
+            continue
+        hx1, hy1, hx2, hy2 = hole
+        h1, h2 = xi[hx1], xi[hx2 + 1]
+        b1, b2 = yi[hy1], yi[hy2 + 1]
+        for i in range(i1, i2):
             row = cells[i]
-            for j in range(bisect_left(ylines, y1), bisect_left(ylines, y2 + 1)):
-                row[j] = value
-
-    def area(e: FrontierEntry) -> int:
-        x1, y1, x2, y2 = e.region[1:5]
-        return (x2 - x1 + 1) * (y2 - y1 + 1)
-
-    # Outer boxes first: nested pieces repaint the frame holes they tile.
-    for e in sorted(rule.frontier, key=area, reverse=True):
-        x1, y1, x2, y2 = e.region[1:5]
-        if e.symbol is None:
-            paint((x1, y1, x2, y2), ("T", e.char))
-        else:
-            paint((x1, y1, x2, y2), (e.symbol, x1 - 1, y1 - 1))
-    if rule.hole_region is not None:
-        paint(rule.hole_region, None)
+            if h1 <= i < h2:
+                row[j1:b1] = run[: b1 - j1]
+                row[b2:j2] = run[: j2 - b2]
+            else:
+                row[j1:j2] = run
     return RuleGrid(
         xs=PredecessorSet(tuple(xlines)),
         ys=PredecessorSet(tuple(ylines)),
-        cells=tuple(tuple(row) for row in cells),
+        cells=tuple(map(tuple, cells)),
     )
 
 
 def build_fast(
     t: Grammar2D | Tslp2D, epsilon: float = 3.0, geo: GeometryTable | None = None
 ) -> FastAccessIndex:
-    """Index every reachable symbol for K-level-at-a-time descent."""
+    """Index the symbols a descent can land on for K-level-at-a-time descent.
+
+    Those are the start symbol and every symbol some grid cell names: a
+    worklist from the start unwinds each symbol once and queues the
+    frontier symbols it meets.
+    """
     if geo is None:
         geo = compute_geometry(t)
     area = geo.heights[t.start] * geo.widths[t.start]
     params = FastParams.from_area(area, epsilon)
-    rules: dict[int, UnwoundRule] = {}
+    k = params.levels
+    terminals: dict[str, tuple] = {}
     grids: dict[int, RuleGrid] = {}
-    counts: dict[int, int] = {}
-    for sym in reachable_topo(t.rules, t.start):
-        rule = _unwind(sym, geo, params.levels)
-        grid = _build_grid(rule, geo.heights[sym], geo.widths[sym])
-        rules[sym] = rule
-        grids[sym] = grid
-        counts[sym] = len(grid.cells) * (len(grid.cells[0]) if grid.cells else 0)
-    return FastAccessIndex(
-        grammar=t, params=params, geo=geo, rules=rules, grids=grids,
-        cell_counts=counts,
-    )
+    todo = [t.start]
+    while todo:
+        sym = todo.pop()
+        if sym in grids:
+            continue
+        regions, xs, ys = _unwind(sym, geo, k, terminals)
+        grids[sym] = _build_grid(regions, xs, ys)
+        for region in regions:
+            s = region[0][0]
+            if s != "T" and s not in grids:
+                todo.append(s)
+    return FastAccessIndex(grammar=t, params=params, geo=geo, grids=grids)
 
 
 def access_fast(idx: FastAccessIndex, x: int, y: int) -> tuple[str, int]:

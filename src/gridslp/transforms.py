@@ -299,9 +299,8 @@ def rebalance_plain_2d(
     from .balance import _balance_1d, _inline_contexts
 
     if any(r is not None and r.kind not in PLAIN_KINDS for r in g.rules):
-        g = _inline_contexts(g)
-        geo = None
-    if geo is None:
+        g, geo = _inline_contexts(g)
+    elif geo is None:
         geo = compute_geometry(g)
     N, M = geo.dims(g.start)
     if N > M:

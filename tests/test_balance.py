@@ -23,12 +23,13 @@ from gridslp import (
     eliminate_contexts_1d,
     expand,
     random_grammar,
+    rebalance_plain_2d,
     validate,
 )
 from gridslp.balance import _inline_contexts
 from gridslp.grammar import PLAIN_KINDS
 
-from conftest import caterpillar, example_tslp, sample_positions
+from conftest import caterpillar, example_tslp, random_tslp, sample_positions
 
 
 class TestBalanceToTslp:
@@ -106,19 +107,43 @@ class TestBalanceToTslp:
 class TestInlineContexts:
     def test_plain_grammar_unchanged_semantics(self):
         g = build_cnm(16, 16)
-        flat = _inline_contexts(g)
+        flat, _ = _inline_contexts(g)
         assert (expand(flat) == expand(g)).all()
 
     def test_balanced_output_inlines_linearly(self):
         g = build_spiral(256)
         t, _ = balance_to_tslp(g)
-        flat = _inline_contexts(t)
+        flat, _ = _inline_contexts(t)
         assert all(
             r.kind in PLAIN_KINDS for r in flat.rules if r is not None
         )
         assert (expand(flat) == expand(g)).all()
         # each (context, plug) pair is materialized at most once
         assert flat.symbols <= 4 * t.symbols
+
+    def test_returns_the_builders_geometry(self):
+        for seed in range(20):
+            flat, geo = _inline_contexts(random_tslp(seed))
+            assert geo == compute_geometry(flat), seed
+
+    def test_holed_inputs_reuse_the_inlined_geometry(self, monkeypatch):
+        """Given the input's table, neither pipeline runs a geometry pass."""
+        import gridslp.geometry as geometry
+
+        t = random_tslp(3)
+        geo = compute_geometry(t)
+        calls = []
+        real = geometry.geometry_pass
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "geometry_pass", counted)
+        for fn in (balance_to_tslp, rebalance_plain_2d):
+            del calls[:]
+            fn(t, geo)
+            assert len(calls) == 0, fn.__name__
 
 
 class TestEliminateContexts1D:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from bisect import bisect_right
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from gridslp import (
     FastParams,
+    InternalHoleHit,
     OutOfBounds,
     ParameterError,
     access_fast,
@@ -26,9 +28,10 @@ from gridslp import (
     expand,
     random_grammar,
 )
-from gridslp.fastaccess import PredecessorSet
+from gridslp.fastaccess import PredecessorSet, _unwind
+from gridslp.grammar import reachable_topo
 
-from conftest import sample_positions
+from conftest import random_tslp, sample_positions
 
 
 def _linear_pred(keys, x):
@@ -98,11 +101,25 @@ class TestFastParams:
 
 
 def _region_area(region):
-    if region[0] == "rect":
-        _, x1, y1, x2, y2 = region
-        return (x2 - x1 + 1) * (y2 - y1 + 1)
-    _, x1, y1, x2, y2, hx1, hy1, hx2, hy2 = region
-    return (x2 - x1 + 1) * (y2 - y1 + 1) - (hx2 - hx1 + 1) * (hy2 - hy1 + 1)
+    _, x1, y1, x2, y2, hole = region
+    area = (x2 - x1 + 1) * (y2 - y1 + 1)
+    if hole is not None:
+        hx1, hy1, hx2, hy2 = hole
+        area -= (hx2 - hx1 + 1) * (hy2 - hy1 + 1)
+    return area
+
+
+def _hole_area(geo, sym):
+    hole = geo.holes[sym]
+    return 0 if hole is None else hole[0] * hole[1]
+
+
+def _in_own_hole(geo, sym, x, y):
+    hole = geo.holes[sym]
+    if hole is None:
+        return False
+    p, q, hr, hc = hole
+    return hr <= x < hr + p and hc <= y < hc + q
 
 
 class TestIndexStructure:
@@ -110,29 +127,86 @@ class TestIndexStructure:
         for name, g in small_corpus:
             t, _ = balance_to_tslp(g)
             idx = build_fast(t)
-            for sym, rule in idx.rules.items():
+            k = idx.params.levels
+            for sym in reachable_topo(t.rules, t.start):
+                regions, _, _ = _unwind(sym, idx.geo, k)
                 h, w = idx.geo.dims(sym)
-                covered = sum(_region_area(e.region) for e in rule.frontier)
-                hole = 0
-                if rule.hole_region is not None:
-                    hx1, hy1, hx2, hy2 = rule.hole_region
-                    hole = (hx2 - hx1 + 1) * (hy2 - hy1 + 1)
-                assert covered + hole == h * w, (name, sym)
-                assert len(rule.frontier) <= idx.params.b_bound
+                covered = sum(_region_area(r) for r in regions)
+                assert covered + _hole_area(idx.geo, sym) == h * w, (name, sym)
+                assert len(regions) <= idx.params.b_bound
 
     def test_total_cells_bound(self, small_corpus):
         for name, g in small_corpus:
             t, _ = balance_to_tslp(g)
             idx = build_fast(t)
-            bound = len(idx.rules) * (idx.params.b_bound + 2) ** 2
+            bound = len(idx.grids) * (idx.params.b_bound + 2) ** 2
             assert idx.total_cells <= bound, name
 
     def test_frontier_entries_resolve(self):
+        """Each region resolves to one terminal cell or one whole symbol."""
         t, _ = balance_to_tslp(build_shiftbin(3))
-        idx = build_fast(t)
-        for rule in idx.rules.values():
-            for entry in rule.frontier:
-                assert (entry.symbol is None) != (entry.char is None)
+        geo = compute_geometry(t)
+        for sym in reachable_topo(t.rules, t.start):
+            regions, _, _ = _unwind(sym, geo, build_fast(t).params.levels)
+            for value, x1, y1, x2, y2, hole in regions:
+                if value[0] == "T":
+                    assert len(value) == 2 and len(value[1]) == 1
+                    assert (x1, y1, hole) == (x2, y2, None)
+                else:
+                    s, dx, dy = value
+                    assert geo.dims(s) == (x2 - dx, y2 - dy)
+                    assert (dx, dy) == (x1 - 1, y1 - 1)
+                    assert (hole is None) == (geo.holes[s] is None)
+
+    def test_indexes_exactly_the_landing_symbols(self, small_corpus):
+        """Grids exist for the start and for every symbol a cell names."""
+        tslps = [balance_to_tslp(g)[0] for _, g in small_corpus]
+        tslps += [random_tslp(seed) for seed in range(40)]
+        for t in tslps:
+            for eps in (1.0, 3.0, 6.0):
+                idx = build_fast(t, eps)
+                named = {
+                    cell[0]
+                    for grid in idx.grids.values()
+                    for row in grid.cells
+                    for cell in row
+                    if cell is not None and cell[0] != "T"
+                }
+                assert set(idx.grids) == {t.start} | named
+                assert set(idx.grids) <= set(reachable_topo(t.rules, t.start))
+
+    @pytest.mark.parametrize("eps", [1.0, 3.0, 6.0])
+    def test_every_cell_resolves_like_the_descent(self, eps):
+        """Both corners of every grid cell answer as access_tslp does there.
+
+        Sampled positions miss cells; this probes each one, and checks that a
+        cell is None exactly where it lies in its symbol's own hole.
+        """
+        for seed in range(80):
+            t = random_tslp(seed)
+            geo = compute_geometry(t)
+            idx = build_fast(t, eps, geo)
+
+            def descend(sym, x, y):
+                return access_tslp(replace(t, start=sym), x, y, geo=geo)[0]
+
+            for sym, grid in idx.grids.items():
+                xs, ys = grid.xs.keys, grid.ys.keys
+                for i, row in enumerate(grid.cells):
+                    for j, cell in enumerate(row):
+                        for x, y in ((xs[i], ys[j]), (xs[i + 1] - 1, ys[j + 1] - 1)):
+                            where = (seed, sym, x, y)
+                            assert (cell is None) == _in_own_hole(geo, sym, x, y), where
+                            if cell is None:
+                                with pytest.raises(InternalHoleHit):
+                                    descend(sym, x, y)
+                                continue
+                            if cell[0] == "T":
+                                got = cell[1]
+                            else:
+                                s, dx, dy = cell
+                                got = descend(s, x - dx, y - dy)
+                            assert got == descend(sym, x, y), where
 
 
 class TestAccessFast:
