@@ -4,7 +4,7 @@
 Builds the spiral at the requested size, balances it, and runs the shared
 benchmark over the same sampled positions for the derivation descent and
 the unwound-index path.  A second table sweeps epsilon to show how the index's
-level count trades memory (indexed symbols, table cells) and build time
+level count trades memory (indexed symbols, table cells, bytes) and build time
 against visits per query.
 
 Usage: python3 scripts/access_bench.py [--exp 12] [--queries 10000]
@@ -36,7 +36,7 @@ def main() -> None:
     for p in report.paths:
         print(f"{p.path:>6} {p.mean_visits:>12.2f} {p.max_visits:>11} {p.nanos_per_query:>10.0f}")
 
-    print(f"\n{'eps':>5} {'levels':>7} {'grids':>7} {'cells':>9} {'build_s':>8} {'mean_visits':>12}")
+    print(f"\n{'eps':>5} {'levels':>7} {'grids':>7} {'cells':>9} {'bytes':>10} {'build_s':>8} {'mean_visits':>12}")
     for eps in args.epsilons:
         t0 = time.perf_counter()
         idx = build_fast(t, eps)
@@ -44,7 +44,7 @@ def main() -> None:
         report = bench_access(t, idx, args.queries, args.seed)
         fast = next(p for p in report.paths if p.path == "fast")
         print(f"{eps:>5.1f} {idx.params.levels:>7} {len(idx.grids):>7} {idx.total_cells:>9} "
-              f"{build_s:>8.3f} {fast.mean_visits:>12.2f}")
+              f"{idx.nbytes:>10} {build_s:>8.3f} {fast.mean_visits:>12.2f}")
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ from .fastaccess import (
     FastAccessIndex,
     FastParams,
     PredecessorSet,
-    RuleGrid,
     access_fast,
     build_fast,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "FastParams",
     "PathStats",
     "PredecessorSet",
-    "RuleGrid",
     "access_fast",
     "bench_access",
     "build_fast",

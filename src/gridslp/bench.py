@@ -12,6 +12,7 @@ import json
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .access import access_tslp
 from .fastaccess import FastAccessIndex, access_fast
@@ -91,8 +92,8 @@ def bench_access(
     ]
     paths = []
     for name, fn in (
-        ("tslp", lambda x, y: access_tslp(g, x, y, geo=geo)),
-        ("fast", lambda x, y: access_fast(idx, x, y)),
+        ("tslp", partial(access_tslp, g, geo=geo)),
+        ("fast", partial(access_fast, idx)),
     ):
         mean, worst, nanos = _run_path(fn, positions)
         paths.append(PathStats(name, mean, worst, nanos))

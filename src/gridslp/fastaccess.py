@@ -13,9 +13,10 @@ Only the symbols a descent can reach get a grid: the start symbol and the
 frontier symbols named by some grid cell.  Symbols the unwinding skips
 over, a few levels inside some frontier symbol, are never landed on.
 
-The predecessor structure is deliberately a thin wrapper over a sorted array
-(the theoretical alternative is a word-RAM device with the same interface);
-it is kept behind a tiny class so something cleverer can be swapped in.
+The index is flat: each landing symbol has a dense grid id (the start's is
+0) and one grid, its inner cut lines as two sorted key tuples (plain arrays
+standing in for the theory's word-RAM predecessor structure) and its cells
+in one row-major list, so a visit is two ``bisect_right`` calls and one index.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from sys import getsizeof
 
 from .geometry import GeometryTable, compute_geometry
 from .grammar import (
@@ -73,36 +75,42 @@ class FastParams:
 
 
 #: One region of an unwound symbol, 1-based and inclusive inside its box:
-#: (cell value, x1, y1, x2, y2, hole), where hole is None or the
-#: (hx1, hy1, hx2, hy2) a frame leaves out.
+#: (value, x1, y1, x2, y2, hole), where value is (symbol, dx, dy) or the
+#: terminal cell (-1, char, 0), and hole is None or the (hx1, hy1, hx2, hy2)
+#: a frame leaves out.
 Region = tuple
 
 
 @dataclass(frozen=True)
-class RuleGrid:
-    """Cut lines and the cell → frontier table for one unwound rule.
-
-    Cell values: ("T", char) resolves inline, (symbol, dx, dy) descends with
-    local coordinates (x - dx, y - dy), and None marks the owner's own hole.
-    """
-
-    xs: PredecessorSet
-    ys: PredecessorSet
-    cells: tuple[tuple, ...]
-
-
-@dataclass(frozen=True)
 class FastAccessIndex:
-    """Immutable query structure: one grid per symbol a descent can land on."""
+    """Query structure: one flat grid per symbol a descent can land on.
+
+    ``grids[g]`` is ``(xkeys, ykeys, cells, ncols)`` for ``symbols[g]``, and
+    grid 0 is the start, whose ``height`` and ``width`` bound every query.
+    Its cell ``(g2, dx, dy)`` descends to grid ``g2`` at (x - dx, y - dy),
+    ``(-1, char, 0)`` is a terminal, and None is the owner's own hole.
+    """
 
     grammar: Grammar2D
     params: FastParams
     geo: GeometryTable
-    grids: dict[int, RuleGrid]
+    grids: tuple[tuple, ...]
+    symbols: tuple[int, ...]
+    height: int
+    width: int
 
     @property
     def total_cells(self) -> int:
-        return sum(len(g.cells) * len(g.cells[0]) for g in self.grids.values())
+        return sum(len(grid[2]) for grid in self.grids)
+
+    @property
+    def nbytes(self) -> int:
+        """``sys.getsizeof`` over the grids: each grid's tuple, key tuples
+        and cell list, plus each distinct cell tuple once."""
+        grids = self.grids
+        distinct = {id(c): c for grid in grids for c in grid[2] if c is not None}
+        parts = (part for grid in grids for part in (grid, *grid[:3]))
+        return sum(map(getsizeof, parts)) + sum(map(getsizeof, distinct.values()))
 
 
 def _unwind(
@@ -119,7 +127,7 @@ def _unwind(
     translated by the same offset.  A bare hole (an entry without a second
     child) is either the owner's hole or a region some sibling plug branch
     already covers, so only box 1 recurses.  ``terminals`` interns the
-    ("T", char) cell values.
+    (-1, char, 0) cell values.
     """
     E, H, W, HOLES = geo.entries, geo.heights, geo.widths, geo.holes
     if terminals is None:
@@ -139,7 +147,7 @@ def _unwind(
         e = E[s]
         if e.__class__ is str:
             x, y = ox + 1, oy + 1
-            regions.append((terminals.setdefault(e, ("T", e)), x, y, x, y, None))
+            regions.append((terminals.setdefault(e, (-1, e, 0)), x, y, x, y, None))
             xs.update((x, x + 1))
             ys.update((y, y + 1))
         elif level == k:
@@ -161,41 +169,48 @@ def _unwind(
     return regions, xs, ys
 
 
-def _build_grid(regions: list[Region], xs: set[int], ys: set[int]) -> RuleGrid:
-    """Cut along every line and paint each region's cells once.
+def _paint(
+    regions: list[Region], xs: set[int], ys: set[int], ids: dict[int, int],
+    order: list[int],
+) -> tuple:
+    """Cut along every line and paint each region's cells once, row-major.
 
     The regions are disjoint, so painting order does not matter, and cells
-    no region covers (the owner's hole) stay None.
+    no region covers (the owner's hole) stay None.  A frontier region's
+    symbol becomes its grid id; the first cell to name a symbol numbers it
+    and queues it on ``order``.
     """
     xlines = sorted(xs)
     ylines = sorted(ys)
     xi = {v: i for i, v in enumerate(xlines)}
     yi = {v: j for j, v in enumerate(ylines)}
-    cols = len(ylines) - 1
-    cells = [[None] * cols for _ in range(len(xlines) - 1)]
+    n = len(ylines) - 1
+    cells = [None] * ((len(xlines) - 1) * n)
     for value, x1, y1, x2, y2, hole in regions:
-        i1, i2 = xi[x1], xi[x2 + 1]
+        s = value[0]
+        if s >= 0:
+            gid = ids.get(s)
+            if gid is None:
+                gid = ids[s] = len(order)
+                order.append(s)
+            value = (gid, value[1], value[2])
+        i1, i2 = xi[x1] * n, xi[x2 + 1] * n
         j1, j2 = yi[y1], yi[y2 + 1]
         run = [value] * (j2 - j1)
         if hole is None:
-            for row in cells[i1:i2]:
-                row[j1:j2] = run
+            for r in range(i1, i2, n):
+                cells[r + j1 : r + j2] = run
             continue
         hx1, hy1, hx2, hy2 = hole
-        h1, h2 = xi[hx1], xi[hx2 + 1]
+        h1, h2 = xi[hx1] * n, xi[hx2 + 1] * n
         b1, b2 = yi[hy1], yi[hy2 + 1]
-        for i in range(i1, i2):
-            row = cells[i]
-            if h1 <= i < h2:
-                row[j1:b1] = run[: b1 - j1]
-                row[b2:j2] = run[: j2 - b2]
+        for r in range(i1, i2, n):
+            if h1 <= r < h2:
+                cells[r + j1 : r + b1] = run[: b1 - j1]
+                cells[r + b2 : r + j2] = run[: j2 - b2]
             else:
-                row[j1:j2] = run
-    return RuleGrid(
-        xs=PredecessorSet(tuple(xlines)),
-        ys=PredecessorSet(tuple(ylines)),
-        cells=tuple(map(tuple, cells)),
-    )
+                cells[r + j1 : r + j2] = run
+    return tuple(xlines[1:-1]), tuple(ylines[1:-1]), cells, n
 
 
 def build_fast(
@@ -203,51 +218,46 @@ def build_fast(
 ) -> FastAccessIndex:
     """Index the symbols a descent can land on for K-level-at-a-time descent.
 
-    Those are the start symbol and every symbol some grid cell names: a
-    worklist from the start unwinds each symbol once and queues the
-    frontier symbols it meets.
+    Those are the start symbol and every symbol some grid cell names:
+    ``order`` lists them by grid id and grows as painting names new ones,
+    so each is unwound and painted once.
     """
     if geo is None:
         geo = compute_geometry(t)
-    area = geo.heights[t.start] * geo.widths[t.start]
-    params = FastParams.from_area(area, epsilon)
+    h, w = geo.dims(t.start)
+    params = FastParams.from_area(h * w, epsilon)
     k = params.levels
     terminals: dict[str, tuple] = {}
-    grids: dict[int, RuleGrid] = {}
-    todo = [t.start]
-    while todo:
-        sym = todo.pop()
-        if sym in grids:
-            continue
-        regions, xs, ys = _unwind(sym, geo, k, terminals)
-        grids[sym] = _build_grid(regions, xs, ys)
-        for region in regions:
-            s = region[0][0]
-            if s != "T" and s not in grids:
-                todo.append(s)
-    return FastAccessIndex(grammar=t, params=params, geo=geo, grids=grids)
+    order = [t.start]
+    ids = {t.start: 0}
+    grids = [
+        _paint(*_unwind(sym, geo, k, terminals), ids, order) for sym in order
+    ]
+    return FastAccessIndex(
+        grammar=t, params=params, geo=geo, grids=tuple(grids),
+        symbols=tuple(order), height=h, width=w,
+    )
 
 
 def access_fast(idx: FastAccessIndex, x: int, y: int) -> tuple[str, int]:
     """The character at (x, y), descending ≥ K derivation levels per visit."""
-    geo = idx.geo
-    start = idx.grammar.start
-    h, w = geo.heights[start], geo.widths[start]
-    if not (1 <= x <= h and 1 <= y <= w):
-        raise OutOfBounds(f"position ({x},{y}) outside {h}x{w} expansion")
+    if not (1 <= x <= idx.height and 1 <= y <= idx.width):
+        raise OutOfBounds(
+            f"position ({x},{y}) outside {idx.height}x{idx.width} expansion"
+        )
     grids = idx.grids
-    sym = start
-    visits = 0
+    g = visits = 0
     while True:
-        grid = grids[sym]
+        xkeys, ykeys, cells, n = grids[g]
         visits += 1
-        cell = grid.cells[grid.xs.rank(x)][grid.ys.rank(y)]
+        cell = cells[bisect_right(xkeys, x) * n + bisect_right(ykeys, y)]
         if cell is None:
             raise InternalHoleHit(
-                f"position maps into the hole of symbol {idx.grammar.label(sym)}"
+                "position maps into the hole of symbol "
+                f"{idx.grammar.label(idx.symbols[g])}"
             )
-        if cell[0] == "T":
-            return cell[1], visits
-        sym, dx, dy = cell
+        g, dx, dy = cell
+        if g < 0:
+            return dx, visits
         x -= dx
         y -= dy

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from bisect import bisect_right
 
@@ -149,8 +151,9 @@ class TestIndexStructure:
         for sym in reachable_topo(t.rules, t.start):
             regions, _, _ = _unwind(sym, geo, build_fast(t).params.levels)
             for value, x1, y1, x2, y2, hole in regions:
-                if value[0] == "T":
-                    assert len(value) == 2 and len(value[1]) == 1
+                if value[0] < 0:
+                    assert value[0] == -1 and value[2] == 0
+                    assert len(value[1]) == 1
                     assert (x1, y1, hole) == (x2, y2, None)
                 else:
                     s, dx, dy = value
@@ -166,14 +169,31 @@ class TestIndexStructure:
             for eps in (1.0, 3.0, 6.0):
                 idx = build_fast(t, eps)
                 named = {
-                    cell[0]
-                    for grid in idx.grids.values()
-                    for row in grid.cells
-                    for cell in row
-                    if cell is not None and cell[0] != "T"
+                    idx.symbols[cell[0]]
+                    for _, _, cells, _ in idx.grids
+                    for cell in cells
+                    if cell is not None and cell[0] >= 0
                 }
-                assert set(idx.grids) == {t.start} | named
-                assert set(idx.grids) <= set(reachable_topo(t.rules, t.start))
+                assert set(idx.symbols) == {t.start} | named
+                assert set(idx.symbols) <= set(reachable_topo(t.rules, t.start))
+
+    def test_grid_ids_are_dense(self, small_corpus, spiral_1024):
+        """Grid 0 is the start, and the ids cells name are exactly 1..n-1:
+        each in range, and every grid but the start's named by some cell."""
+        tslps = [balance_to_tslp(spiral_1024)[0]]
+        tslps += [balance_to_tslp(g)[0] for _, g in small_corpus]
+        tslps += [random_tslp(seed) for seed in range(80)]
+        for t in tslps:
+            for eps in (1.0, 3.0, 6.0):
+                idx = build_fast(t, eps)
+                assert idx.symbols[0] == t.start
+                assert len(idx.symbols) == len(set(idx.symbols)) == len(idx.grids)
+                named = set()
+                for xkeys, ykeys, cells, n in idx.grids:
+                    assert n == len(ykeys) + 1
+                    assert len(cells) == (len(xkeys) + 1) * n
+                    named.update(c[0] for c in cells if c is not None and c[0] >= 0)
+                assert named == set(range(1, len(idx.grids)))
 
     @pytest.mark.parametrize("eps", [1.0, 3.0, 6.0])
     def test_every_cell_resolves_like_the_descent(self, eps):
@@ -190,23 +210,40 @@ class TestIndexStructure:
             def descend(sym, x, y):
                 return access_tslp(replace(t, start=sym), x, y, geo=geo)[0]
 
-            for sym, grid in idx.grids.items():
-                xs, ys = grid.xs.keys, grid.ys.keys
-                for i, row in enumerate(grid.cells):
-                    for j, cell in enumerate(row):
-                        for x, y in ((xs[i], ys[j]), (xs[i + 1] - 1, ys[j + 1] - 1)):
-                            where = (seed, sym, x, y)
-                            assert (cell is None) == _in_own_hole(geo, sym, x, y), where
-                            if cell is None:
-                                with pytest.raises(InternalHoleHit):
-                                    descend(sym, x, y)
-                                continue
-                            if cell[0] == "T":
-                                got = cell[1]
-                            else:
-                                s, dx, dy = cell
-                                got = descend(s, x - dx, y - dy)
-                            assert got == descend(sym, x, y), where
+            for sym, (xkeys, ykeys, cells, n) in zip(idx.symbols, idx.grids):
+                h, w = geo.dims(sym)
+                xs, ys = (1, *xkeys, h + 1), (1, *ykeys, w + 1)
+                for c, cell in enumerate(cells):
+                    i, j = divmod(c, n)
+                    for x, y in ((xs[i], ys[j]), (xs[i + 1] - 1, ys[j + 1] - 1)):
+                        where = (seed, sym, x, y)
+                        assert (cell is None) == _in_own_hole(geo, sym, x, y), where
+                        if cell is None:
+                            with pytest.raises(InternalHoleHit):
+                                descend(sym, x, y)
+                            continue
+                        if cell[0] < 0:
+                            got = cell[1]
+                        else:
+                            g, dx, dy = cell
+                            got = descend(idx.symbols[g], x - dx, y - dy)
+                        assert got == descend(sym, x, y), where
+
+    @pytest.mark.parametrize("eps", [1.0, 3.0, 6.0])
+    def test_nbytes_tracks_traced_memory(self, spiral_1024, eps):
+        """nbytes leaves out the int objects the keys and cells hold and the
+        index's own small fields: tracemalloc's retained bytes after the
+        build fall within [nbytes, 1.5 * nbytes] on the spiral."""
+        t, _ = balance_to_tslp(spiral_1024)
+        geo = compute_geometry(t)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            idx = build_fast(t, eps, geo)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert idx.nbytes <= retained <= 1.5 * idx.nbytes, (idx.nbytes, retained)
 
 
 class TestAccessFast:
