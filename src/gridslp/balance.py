@@ -1,12 +1,17 @@
 """Depth reduction via contexts: heavy paths folded into balanced composes.
 
 ``balance_to_tslp`` rewrites an arbitrary grammar into an equivalent one with
-holes whose derivation depth is logarithmic in the expansion area (measured,
-with the constant reported in stats).  The construction decomposes the DAG
-into heavy paths by expansion weight, expresses each path node as a one-hole
-context around its heavy child, and folds the per-path context sequences into
-weight-balanced composition trees, so a query crossing a path pays the
-log-ratio of the weights it skips rather than the path length.
+holes whose derivation depth is at most the input's and logarithmic in the
+expansion area (measured, with the constant reported in stats).  A symbol
+whose depth is already within ``KEEP_SLACK`` of ⌈log2 area⌉ is copied as it
+is.  Above those, the construction decomposes the DAG into heavy paths by
+expansion weight, expresses each path node as a one-hole context around its
+heavy child, and folds the per-path context sequences into weight-balanced
+composition trees, so a query crossing a path pays the log-ratio of the
+weights it skips rather than the path length.  A kept symbol adds at most
+log2 of its own area + ``KEEP_SLACK`` below the fold, so the O(log area)
+depth and O(g) size bounds still hold; if the fold would not beat the input's
+depth, the input is returned instead.
 
 ``eliminate_contexts_1d`` undoes the holes for height-1 grammars — every
 context splits into the plain string left of its hole and the one right of it
@@ -26,9 +31,14 @@ from .grammar import (
     NotOneDimensional,
     PLAIN_KINDS,
     Tslp2D,
+    as_tslp,
     reachable_topo,
 )
 from .geometry import GeometryTable, compute_geometry
+
+# A symbol of depth ≤ ⌈log2 area⌉ + KEEP_SLACK is already as shallow as a
+# fold could make it, up to a constant, and is copied verbatim.
+KEEP_SLACK = 6
 
 
 @dataclass(frozen=True)
@@ -43,6 +53,7 @@ class BalanceStats:
     area: int
     path_count: int
     request_count: int
+    kept_count: int  # input symbols copied into the output verbatim
 
     @property
     def size_ratio(self) -> float:
@@ -153,18 +164,38 @@ def _spine_push(b: GrammarBuilder, spine: list, ctx: int, weight: int) -> None:
 def balance_to_tslp(
     g: Grammar2D | Tslp2D, geo: GeometryTable | None = None
 ) -> tuple[Tslp2D, BalanceStats]:
-    """An equivalent grammar with holes whose depth is O(log area).
+    """An equivalent grammar with holes of depth at most min(the input's
+    depth, O(log area)).
 
-    Grammars that already use holes are first flattened to plain form (each
-    context copied once per distinct argument).  Every plain node then becomes
-    a one-hole context around its heavier child; maximal heavy chains are
-    folded into weight-balanced composition trees, and each node another rule
-    references gets a single ``apply`` of its chain suffix to the chain's end.
+    A grammar already shallow for its size, depth ≤ ⌈log2 area⌉ +
+    ``KEEP_SLACK``, is returned as it is (``as_tslp``).  Others that use
+    holes are first flattened to plain form (each context copied once per
+    distinct argument).  A symbol as shallow for its own size is copied
+    verbatim (terminals always are).  Every other node a fold can reach
+    becomes a one-hole context around its heavier child; maximal heavy
+    chains of such nodes are folded into weight-balanced composition trees
+    over a kept ``fill``, with kept light children as their grounds, and
+    each node another rule references gets a single ``apply`` of its chain
+    suffix to the chain's end.  If the fold comes out deeper than the input,
+    the input itself is returned.
     """
     if geo is None:
         geo = compute_geometry(g)
+    source = g
     input_size = g.size
     input_depth = geo.depths[g.start]
+    area = geo.area(g.start)
+
+    def unchanged(inlined_size: int) -> tuple[Tslp2D, BalanceStats]:
+        kept = len(reachable_topo(source.rules, source.start))
+        return as_tslp(source), BalanceStats(
+            input_size, inlined_size, input_size, input_depth, input_depth,
+            area, 0, 0, kept)
+
+    # Kept: depth ≤ ⌈log2 area⌉ + KEEP_SLACK, in integers; a terminal, of
+    # area 1 and depth 1, always is.
+    if input_depth <= (area - 1).bit_length() + KEEP_SLACK:
+        return unchanged(input_size)
 
     if any(r is not None and r.kind not in PLAIN_KINDS for r in g.rules):
         g, geo = _inline_contexts(g if isinstance(g, Tslp2D) else Tslp2D(
@@ -172,86 +203,103 @@ def balance_to_tslp(
     inlined_size = g.size
 
     rules = g.rules
-    H, W = geo.heights, geo.widths
-    area = H[g.start] * W[g.start]
+    H, W, D = geo.heights, geo.widths, geo.depths
     order = reachable_topo(rules, g.start)
-    b = GrammarBuilder(dedup=True)
 
-    if rules[g.start].kind == "term":
-        out = b.finish_tslp(b.terminal(rules[g.start].char))
-        stats = BalanceStats(input_size, inlined_size, out.size, input_depth,
-                             1, area, 0, 1)
-        return out, stats
-
-    weight = {s: H[s] * W[s] for s in order}
-    topo_index = {s: i for i, s in enumerate(order)}
-
-    def split(sym: int):
-        """(heavy child, light child, axis, hole side of the heavy child)."""
-        r = rules[sym]
-        axis = "H" if r.kind == "h" else "V"
-        x, y = (r.left, r.right) if r.kind == "h" else (r.top, r.bottom)
-        if weight[y] > weight[x]:
-            return y, x, axis, "second"
-        return x, y, axis, "first"
-
-    # Canonical heavy parent: the earliest parent continuing through a node.
+    # Top-down marks: a child of a folded node is folded (FOLD) unless it is
+    # kept, and then it is copied, as is all below a copied node (COPY).
+    # Each folded node is split into (heavy child, light child,
+    # axis, hole side of the heavy child).  The canonical heavy parent of a
+    # folded node is its earliest parent in ``order`` whose heavy child it
+    # is (the last one met here); a second such parent, or a light one,
+    # requests the node's own fold.
+    FOLD, COPY = 1, 2
+    mark = bytearray(len(rules))
+    mark[g.start] = FOLD
+    split: dict[int, tuple[int, int, str, str]] = {}
     canon: dict[int, int] = {}
     requested: set[int] = {g.start}
-    for z in order:
-        if rules[z].kind == "term":
+    for z in reversed(order):
+        m = mark[z]
+        if not m:
             continue
-        heavy, light, _, _ = split(z)
-        if rules[light].kind != "term":
+        r = rules[z]
+        k = r.kind
+        if k == "term":
+            continue
+        x, y = (r.left, r.right) if k == "h" else (r.top, r.bottom)
+        if m & COPY:
+            mark[x] |= COPY
+            mark[y] |= COPY
+        if not m & FOLD:
+            continue
+        for c in (x, y):
+            if D[c] <= (H[c] * W[c] - 1).bit_length() + KEEP_SLACK:
+                mark[c] |= COPY
+            else:
+                mark[c] |= FOLD
+        axis = "H" if k == "h" else "V"
+        if H[y] * W[y] > H[x] * W[x]:
+            heavy, light, side = y, x, "second"
+        else:
+            heavy, light, side = x, y, "first"
+        split[z] = (heavy, light, axis, side)
+        if mark[light] & FOLD:
             requested.add(light)
-        if rules[heavy].kind != "term":
-            prev = canon.get(heavy)
-            if prev is None or topo_index[z] < topo_index[prev]:
-                canon[heavy] = z
-    for z in order:
-        if rules[z].kind == "term":
-            continue
-        heavy, _, _, _ = split(z)
-        if rules[heavy].kind != "term" and canon[heavy] != z:
-            requested.add(heavy)
+        if mark[heavy] & FOLD:
+            if heavy in canon:
+                requested.add(heavy)
+            canon[heavy] = z
 
+    b = GrammarBuilder(dedup=True)
+    copy: dict[int, int] = {}
     bal: dict[int, int] = {}
     state: dict[int, tuple[list, int]] = {}
     path_count = 0
     for z in order:
-        if rules[z].kind == "term":
+        m = mark[z]
+        if m & COPY:
+            r = rules[z]
+            if r.kind == "term":
+                copy[z] = b.terminal(r.char)
+            elif r.kind == "h":
+                copy[z] = b.h(copy[r.left], copy[r.right])
+            else:
+                copy[z] = b.v(copy[r.top], copy[r.bottom])
+        if not m & FOLD:
             continue
-        heavy, light, axis, hole_side = split(z)
-        if rules[light].kind == "term":
-            ground = b.terminal(rules[light].char)
-        else:
-            ground = bal[light]
+        heavy, light, axis, hole_side = split[z]
+        ground = bal[light] if mark[light] & FOLD else copy[light]
         k_z = b.hole_concat(axis, hole_side, ground, H[heavy], W[heavy])
-        if rules[heavy].kind == "term":
+        if not mark[heavy] & FOLD:
             spine: list = []
-            fill = b.terminal(rules[heavy].char)
+            fill = copy[heavy]
             path_count += 1
         elif canon[heavy] == z:
             spine, fill = state.pop(heavy)
         else:
             spine, fill = [], bal[heavy]
             path_count += 1
-        _spine_push(b, spine, k_z, weight[light])
+        _spine_push(b, spine, k_z, H[light] * W[light])
         if z in requested:
             bal[z] = b.apply(spine[-1][2], fill)
-        if canon.get(z) is not None:
+        if z in canon:
             state[z] = (spine, fill)
 
+    output_depth = b.depth(bal[g.start])
+    if output_depth > input_depth:
+        return unchanged(inlined_size)
     out = b.finish_tslp(bal[g.start])
     stats = BalanceStats(
         input_size=input_size,
         inlined_size=inlined_size,
         output_size=out.size,
         input_depth=input_depth,
-        output_depth=b.depth(out.start),
+        output_depth=output_depth,
         area=area,
         path_count=path_count,
         request_count=len(requested),
+        kept_count=len(copy),
     )
     return out, stats
 

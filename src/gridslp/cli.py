@@ -152,6 +152,7 @@ def cmd_balance(args) -> int:
                     "area": stats.area,
                     "paths": stats.path_count,
                     "requests": stats.request_count,
+                    "kept": stats.kept_count,
                 },
                 indent=2,
             ),

@@ -76,6 +76,10 @@ class TestBalanceToTslp:
         geo = compute_geometry(t)
         assert stats.output_depth == geo.depths[t.start]
         assert stats.area == 32 * 32
+        # Already shallow (depth 16 on 32x32): returned as it is, no fold.
+        assert stats.path_count == 0
+        g = build_spiral(256)
+        t, stats = balance_to_tslp(g)
         assert 0 < stats.path_count <= stats.request_count
 
     def test_output_is_tslp(self):
@@ -102,6 +106,88 @@ class TestBalanceToTslp:
                 access_plain(g, x, y, geo=geo)[0]
                 == access_tslp(t, x, y, geo=tgeo)[0]
             )
+
+
+def _quadtree(m: list[str], b: GrammarBuilder, x: int, y: int, n: int) -> int:
+    """Hash-consed quadtree of the n×n block of ``m`` at (x, y), 0-based."""
+    if n == 1:
+        return b.terminal(m[x][y])
+    k = n // 2
+    q = [_quadtree(m, b, x + dx, y + dy, k) for dx in (0, k) for dy in (0, k)]
+    return b.v(b.h(q[0], q[1]), b.h(q[2], q[3]))
+
+
+def _shape(g, sym: int, memo: dict) -> tuple:
+    """The derivation below ``sym`` as nested tuples, ids left out."""
+    if sym not in memo:
+        r = g.rules[sym]
+        if r.kind == "term":
+            memo[sym] = ("term", r.char)
+        elif r.kind not in PLAIN_KINDS:
+            memo[sym] = (r.kind,)
+        else:
+            x, y = (r.left, r.right) if r.kind == "h" else (r.top, r.bottom)
+            memo[sym] = (r.kind, _shape(g, x, memo), _shape(g, y, memo))
+    return memo[sym]
+
+
+class TestDepthAware:
+    """Already-shallow symbols are kept, and no output is deeper than its input."""
+
+    def _check(self, g, name):
+        geo = compute_geometry(g)
+        t, stats = balance_to_tslp(g, geo)
+        assert stats.output_depth <= stats.input_depth == geo.depths[g.start], name
+        assert stats.output_depth == compute_geometry(t).depths[t.start], name
+        assert (expand(t) == expand(g)).all(), name
+
+    def test_never_deeper_on_corpus(self, small_corpus):
+        for name, g in small_corpus:
+            self._check(g, name)
+
+    def test_never_deeper_on_random_grammars(self):
+        for seed in range(60):
+            self._check(random_grammar(seed, 30 + seed, max_dim=24), seed)
+
+    def test_never_deeper_on_random_tslps(self):
+        for seed in range(300):
+            self._check(random_tslp(seed), seed)
+
+    def test_quadtree_keeps_its_depth(self):
+        rng = random.Random(7)
+        glyphs = [["".join(rng.choice("ab") for _ in range(4)) for _ in range(4)]
+                  for _ in range(5)]
+        tiles = [[rng.randrange(5) for _ in range(16)] for _ in range(16)]
+        m = ["".join(glyphs[tiles[i // 4][j // 4]][i % 4][j % 4] for j in range(64))
+             for i in range(64)]
+        b = GrammarBuilder(dedup=True)
+        g = b.finish(_quadtree(m, b, 0, 0, 64))
+        t, stats = balance_to_tslp(g)
+        assert stats.input_depth == compute_geometry(g).depths[g.start] == 13
+        assert stats.output_depth == stats.input_depth
+        assert stats.path_count == 0
+        assert t.rules == g.rules
+        assert expand(t).tolist() == [list(row) for row in m]
+
+    def test_deep_corner_keeps_its_shallow_block(self):
+        rng = random.Random(9)
+        b = GrammarBuilder(dedup=False)
+        level = [b.terminal(rng.choice("abcd")) for _ in range(64)]
+        while len(level) > 1:
+            level = [b.h(level[i], level[i + 1]) for i in range(0, len(level), 2)]
+        block = level[0]
+        tail = b.terminal("z")
+        for _ in range(999):
+            tail = b.h(tail, b.terminal(rng.choice("xyz")))
+        g = b.finish(b.h(block, tail))
+        t, stats = balance_to_tslp(g)
+        assert (expand(t) == expand(g)).all()
+        assert stats.output_depth < stats.input_depth
+        assert stats.output_depth <= 3 * math.log2(stats.area) + 10
+        assert 0 < stats.path_count and stats.kept_count >= 127
+        want = _shape(g, block, {})
+        memo: dict = {}
+        assert any(_shape(t, s, memo) == want for s in range(t.symbols))
 
 
 class TestInlineContexts:

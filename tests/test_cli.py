@@ -183,8 +183,13 @@ class TestTransforms:
             "area",
             "paths",
             "requests",
+            "kept",
         }
         assert stats["area"] == 32 * 32
+        # Already shallow: every reachable symbol is kept, none is folded.
+        assert stats["paths"] == 0
+        assert stats["kept"] > 0
+        assert stats["outputDepth"] == stats["inputDepth"]
 
     def test_rebalance_stats_json(self, run, tmp_path):
         p = tmp_path / "cnm.slp"
