@@ -1,0 +1,55 @@
+#!/usr/bin/env python3
+"""The plain-versus-holed size separation, printed over the spiral family.
+
+A plain grammar of depth O(log N) for an N×N spiral needs Ω(g·N/log³N)
+symbols, while a grammar with holes balances it at O(g).  For each N the
+table gives the input size g, the size of ``rebalance_plain_2d``'s output
+(plain, logarithmic depth) over g, the lower bound's growth term N/log2³N
+and the ratio of the two, the size of ``balance_to_tslp``'s output (holed)
+over g, both output depths, and the rebalance's wall time.  The plain ratio
+grows with N and follows N/log³N, the holed one stays flat.
+
+Usage: python3 scripts/separation.py [--exps 8 9 10 11 12 13 14]
+"""
+
+import argparse
+import math
+import time
+
+from gridslp import (
+    balance_to_tslp,
+    build_spiral,
+    compute_geometry,
+    rebalance_plain_2d,
+)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--exps", type=int, nargs="+", default=list(range(8, 15)))
+    args = ap.parse_args()
+
+    print(
+        f"{'N':>6} {'g':>6} {'plain':>7} {'plain/g':>8} {'N/log3N':>8} "
+        f"{'ratio':>6} {'tslp':>6} {'tslp/g':>7} {'depths':>7} {'rebal_s':>8}"
+    )
+    for exp in args.exps:
+        n = 1 << exp
+        g = build_spiral(n)
+        geo = compute_geometry(g)
+        t0 = time.perf_counter()
+        _, plain = rebalance_plain_2d(g, geo)
+        secs = time.perf_counter() - t0
+        _, tslp = balance_to_tslp(g, geo)
+        growth = n / exp ** 3
+        per_g = plain.output_size / g.size
+        print(
+            f"{n:>6} {g.size:>6} {plain.output_size:>7} {per_g:>8.2f} "
+            f"{growth:>8.2f} {per_g / growth:>6.2f} {tslp.output_size:>6} "
+            f"{tslp.output_size / g.size:>7.2f} "
+            f"{plain.output_depth:>3}/{tslp.output_depth:<3} {secs:>8.3f}"
+        )
+
+
+if __name__ == "__main__":
+    main()

@@ -13,10 +13,14 @@ log2 of its own area + ``KEEP_SLACK`` below the fold, so the O(log area)
 depth and O(g) size bounds still hold; if the fold would not beat the input's
 depth, the input is returned instead.
 
-``eliminate_contexts_1d`` undoes the holes for height-1 grammars — every
-context splits into the plain string left of its hole and the one right of it
-— and ``balance_1d`` chains the two, yielding the balanced plain 1D grammar
-the 2D rebalancing pipeline is built on.
+One plan (``_plan``: the marks, heavy/light splits and requested nodes) and
+one fold (``_fold``) serve two context algebras.  ``balance_to_tslp`` makes
+contexts as holed symbols.  ``balance_1d``, the balanced plain 1D grammar
+the 2D rebalancing pipeline is built on, makes each context as the pair of
+plain strings left and right of its hole, so composing two contexts is two
+concatenations and applying one is at most two more, and no holed symbol is
+ever built.  ``eliminate_contexts_1d`` turns any height-1 grammar with holes
+into such flanks.
 """
 
 from __future__ import annotations
@@ -145,20 +149,120 @@ def _inline_contexts(t: Tslp2D) -> tuple[Grammar2D, GeometryTable]:
     return b.finish(memo[(t.start, None)]), b.geometry()
 
 
-def _spine_push(b: GrammarBuilder, spine: list, ctx: int, weight: int) -> None:
-    """Append a context as the new outermost piece of a path's fold.
+# Marks of the shared plan: a node a fold decomposes, one copied verbatim.
+FOLD, COPY = 1, 2
 
-    ``spine`` holds (ctx, weight, acc) triples with weight classes strictly
-    increasing toward the bottom, like a binary counter; ``acc`` is the
-    composition of that entry with everything below it, so the full fold is
-    always ``spine[-1][2]`` and consecutive snapshots share structure.
+
+def _plan(rules, geo: GeometryTable, start: int):
+    """The top-down pass every fold shares: marks, splits and requests.
+
+    A child of a folded node is folded (FOLD) unless it is kept, and then
+    it is copied, as is all below a copied node (COPY).  Each folded node
+    is split into (heavy child, light child, axis, hole side of the heavy
+    child, light child's area).  The canonical heavy parent of a folded
+    node is its earliest parent in ``order`` whose heavy child it is (the
+    last one met here); a second such parent, or a light one, requests the
+    node's own fold, as does being the start.
     """
-    while spine and spine[-1][1].bit_length() <= weight.bit_length():
-        inner, w2, _ = spine.pop()
-        ctx = b.compose(ctx, inner)
-        weight += w2
-    acc = b.compose(ctx, spine[-1][2]) if spine else ctx
-    spine.append((ctx, weight, acc))
+    H, W, D = geo.heights, geo.widths, geo.depths
+    order = reachable_topo(rules, start)
+    mark = bytearray(len(rules))
+    mark[start] = FOLD
+    split: dict[int, tuple[int, int, str, str, int]] = {}
+    canon: dict[int, int] = {}
+    requested: set[int] = {start}
+    for z in reversed(order):
+        m = mark[z]
+        if not m:
+            continue
+        r = rules[z]
+        k = r.kind
+        if k == "term":
+            continue
+        x, y = (r.left, r.right) if k == "h" else (r.top, r.bottom)
+        if m & COPY:
+            mark[x] |= COPY
+            mark[y] |= COPY
+        if not m & FOLD:
+            continue
+        for c in (x, y):
+            if D[c] <= (H[c] * W[c] - 1).bit_length() + KEEP_SLACK:
+                mark[c] |= COPY
+            else:
+                mark[c] |= FOLD
+        axis = "H" if k == "h" else "V"
+        if H[y] * W[y] > H[x] * W[x]:
+            heavy, light, side = y, x, "second"
+        else:
+            heavy, light, side = x, y, "first"
+        split[z] = (heavy, light, axis, side, H[light] * W[light])
+        if mark[light] & FOLD:
+            requested.add(light)
+        if mark[heavy] & FOLD:
+            if heavy in canon:
+                requested.add(heavy)
+            canon[heavy] = z
+    return order, mark, split, canon, requested
+
+
+def _fold(b: GrammarBuilder, rules, plan, hole, compose, apply):
+    """Run ``plan`` into ``b`` with one context algebra.
+
+    ``hole(axis, side, ground, heavy)`` makes the context of a folded node
+    around its heavy child, ``compose(outer, inner)`` nests two contexts,
+    and ``apply(ctx, fill)`` plugs one into a ground symbol.  Each heavy
+    path's contexts go on a spine of ``[ctx, weight, acc]`` entries whose
+    weight classes strictly increase toward the bottom, like a binary
+    counter; ``acc`` is the composition of that entry with everything below
+    it and is made only when a requested node reads the spine (``None``
+    until then), so consecutive snapshots share structure and none is built
+    that no symbol reaches.  Returns the folded (requested) and copied
+    symbols and the number of heavy paths.
+    """
+    order, mark, split, canon, requested = plan
+    copy: dict[int, int] = {}
+    bal: dict[int, int] = {}
+    state: dict[int, tuple[list, int]] = {}
+    path_count = 0
+    for z in order:
+        m = mark[z]
+        if m & COPY:
+            r = rules[z]
+            if r.kind == "term":
+                copy[z] = b.terminal(r.char)
+            elif r.kind == "h":
+                copy[z] = b.h(copy[r.left], copy[r.right])
+            else:
+                copy[z] = b.v(copy[r.top], copy[r.bottom])
+        if not m & FOLD:
+            continue
+        heavy, light, axis, side, weight = split[z]
+        ctx = hole(axis, side, bal[light] if mark[light] & FOLD else copy[light], heavy)
+        if not mark[heavy] & FOLD:
+            spine: list = []
+            fill = copy[heavy]
+            path_count += 1
+        elif canon[heavy] == z:
+            spine, fill = state.pop(heavy)
+        else:
+            spine, fill = [], bal[heavy]
+            path_count += 1
+        while spine and spine[-1][1].bit_length() <= weight.bit_length():
+            inner, w2, _ = spine.pop()
+            ctx = compose(ctx, inner)
+            weight += w2
+        spine.append([ctx, weight, None if spine else ctx])
+        if z in requested:
+            i = len(spine) - 1
+            while spine[i][2] is None:
+                i -= 1
+            acc = spine[i][2]
+            for e in spine[i + 1:]:
+                acc = e[2] = compose(e[0], acc)
+            bal[z] = apply(acc, fill)
+        if z in canon:
+            state[z] = (spine, fill)
+    return bal, copy, path_count
 
 
 def balance_to_tslp(
@@ -198,93 +302,17 @@ def balance_to_tslp(
         return unchanged(input_size)
 
     if any(r is not None and r.kind not in PLAIN_KINDS for r in g.rules):
-        g, geo = _inline_contexts(g if isinstance(g, Tslp2D) else Tslp2D(
-            rules=g.rules, start=g.start, labels=g.labels))
+        g, geo = _inline_contexts(as_tslp(g))
     inlined_size = g.size
 
-    rules = g.rules
-    H, W, D = geo.heights, geo.widths, geo.depths
-    order = reachable_topo(rules, g.start)
-
-    # Top-down marks: a child of a folded node is folded (FOLD) unless it is
-    # kept, and then it is copied, as is all below a copied node (COPY).
-    # Each folded node is split into (heavy child, light child,
-    # axis, hole side of the heavy child).  The canonical heavy parent of a
-    # folded node is its earliest parent in ``order`` whose heavy child it
-    # is (the last one met here); a second such parent, or a light one,
-    # requests the node's own fold.
-    FOLD, COPY = 1, 2
-    mark = bytearray(len(rules))
-    mark[g.start] = FOLD
-    split: dict[int, tuple[int, int, str, str]] = {}
-    canon: dict[int, int] = {}
-    requested: set[int] = {g.start}
-    for z in reversed(order):
-        m = mark[z]
-        if not m:
-            continue
-        r = rules[z]
-        k = r.kind
-        if k == "term":
-            continue
-        x, y = (r.left, r.right) if k == "h" else (r.top, r.bottom)
-        if m & COPY:
-            mark[x] |= COPY
-            mark[y] |= COPY
-        if not m & FOLD:
-            continue
-        for c in (x, y):
-            if D[c] <= (H[c] * W[c] - 1).bit_length() + KEEP_SLACK:
-                mark[c] |= COPY
-            else:
-                mark[c] |= FOLD
-        axis = "H" if k == "h" else "V"
-        if H[y] * W[y] > H[x] * W[x]:
-            heavy, light, side = y, x, "second"
-        else:
-            heavy, light, side = x, y, "first"
-        split[z] = (heavy, light, axis, side)
-        if mark[light] & FOLD:
-            requested.add(light)
-        if mark[heavy] & FOLD:
-            if heavy in canon:
-                requested.add(heavy)
-            canon[heavy] = z
-
+    H, W = geo.heights, geo.widths
+    plan = _plan(g.rules, geo, g.start)
     b = GrammarBuilder(dedup=True)
-    copy: dict[int, int] = {}
-    bal: dict[int, int] = {}
-    state: dict[int, tuple[list, int]] = {}
-    path_count = 0
-    for z in order:
-        m = mark[z]
-        if m & COPY:
-            r = rules[z]
-            if r.kind == "term":
-                copy[z] = b.terminal(r.char)
-            elif r.kind == "h":
-                copy[z] = b.h(copy[r.left], copy[r.right])
-            else:
-                copy[z] = b.v(copy[r.top], copy[r.bottom])
-        if not m & FOLD:
-            continue
-        heavy, light, axis, hole_side = split[z]
-        ground = bal[light] if mark[light] & FOLD else copy[light]
-        k_z = b.hole_concat(axis, hole_side, ground, H[heavy], W[heavy])
-        if not mark[heavy] & FOLD:
-            spine: list = []
-            fill = copy[heavy]
-            path_count += 1
-        elif canon[heavy] == z:
-            spine, fill = state.pop(heavy)
-        else:
-            spine, fill = [], bal[heavy]
-            path_count += 1
-        _spine_push(b, spine, k_z, H[light] * W[light])
-        if z in requested:
-            bal[z] = b.apply(spine[-1][2], fill)
-        if z in canon:
-            state[z] = (spine, fill)
+    bal, copy, path_count = _fold(
+        b, g.rules, plan,
+        lambda axis, side, ground, heavy: b.hole_concat(
+            axis, side, ground, H[heavy], W[heavy]),
+        b.compose, b.apply)
 
     output_depth = b.depth(bal[g.start])
     if output_depth > input_depth:
@@ -298,10 +326,38 @@ def balance_to_tslp(
         output_depth=output_depth,
         area=area,
         path_count=path_count,
-        request_count=len(requested),
+        request_count=len(plan[4]),
         kept_count=len(copy),
     )
     return out, stats
+
+
+def _flanks(b: GrammarBuilder):
+    """The 1D context algebra over ``b``: ``(cat, hole, compose, apply)``.
+
+    A one-dimensional context is a string with one hole, so it is the pair
+    of plain strings left and right of the hole, ``None`` where empty.
+    Composing two is two concatenations and applying one at most two more.
+    """
+    h = b.h
+
+    def cat(x: int | None, y: int | None) -> int | None:
+        if x is None:
+            return y
+        if y is None:
+            return x
+        return h(x, y)
+
+    def hole(axis: str, side: str, ground: int, heavy: int | None = None):
+        return (None, ground) if side == "first" else (ground, None)
+
+    def compose(outer, inner):
+        return cat(outer[0], inner[0]), cat(inner[1], outer[1])
+
+    def apply(ctx, fill: int) -> int:
+        return cat(cat(ctx[0], fill), ctx[1])
+
+    return cat, hole, compose, apply
 
 
 def eliminate_contexts_1d(t: Tslp2D) -> Grammar1D:
@@ -313,20 +369,8 @@ def eliminate_contexts_1d(t: Tslp2D) -> Grammar1D:
     production makes the grammar two-dimensional and is rejected.
     """
     b = GrammarBuilder(dedup=True)
-    return b.finish(_eliminate_contexts_1d(b, t))
-
-
-def _eliminate_contexts_1d(b: GrammarBuilder, t: Tslp2D) -> int:
-    """Add ``eliminate_contexts_1d(t)``'s symbols to ``b``; returns its root."""
+    cat, hole, compose, apply = _flanks(b)
     rules = t.rules
-
-    def cat(x: int | None, y: int | None) -> int | None:
-        if x is None:
-            return y
-        if y is None:
-            return x
-        return b.h(x, y)
-
     ground: dict[int, int] = {}
     flanks: dict[int, tuple[int | None, int | None]] = {}
     for sym in reachable_topo(rules, t.start):
@@ -337,13 +381,11 @@ def _eliminate_contexts_1d(b: GrammarBuilder, t: Tslp2D) -> int:
         elif k == "h":
             ground[sym] = b.h(ground[r.left], ground[r.right])
         elif k == "apply":
-            yl, yr = flanks[r.ctx]
-            ground[sym] = cat(cat(yl, ground[r.arg]), yr)
+            ground[sym] = apply(flanks[r.ctx], ground[r.arg])
         elif k == "hole":
             if r.axis != "H":
                 raise NotOneDimensional(f"vertical hole in symbol {t.label(sym)}")
-            gid = ground[r.ground]
-            flanks[sym] = (None, gid) if r.hole_side == "first" else (gid, None)
+            flanks[sym] = hole(r.axis, r.hole_side, ground[r.ground])
         elif k == "ctxcat":
             if r.axis != "H":
                 raise NotOneDimensional(
@@ -356,27 +398,43 @@ def _eliminate_contexts_1d(b: GrammarBuilder, t: Tslp2D) -> int:
             else:
                 flanks[sym] = (cat(gid, yl), yr)
         elif k == "compose":
-            ol, orr = flanks[r.outer]
-            il, ir = flanks[r.inner]
-            flanks[sym] = (cat(ol, il), cat(ir, orr))
+            flanks[sym] = compose(flanks[r.outer], flanks[r.inner])
         else:  # plain vertical concatenation
             raise NotOneDimensional(f"vertical concatenation in symbol {t.label(sym)}")
-    return ground[t.start]
+    return b.finish(ground[t.start])
 
 
 def balance_1d(g: Grammar1D) -> Grammar1D:
-    """Equivalent plain 1D grammar of logarithmic depth."""
-    b = GrammarBuilder(dedup=True)
-    return b.finish(_balance_1d(b, g, None))
+    """Equivalent plain 1D grammar of depth at most min(the input's depth,
+    O(log length)); an input already that shallow is returned as it is.
 
-
-def _balance_1d(b: GrammarBuilder, g: Grammar1D, geo: GeometryTable | None) -> int:
-    """Add ``balance_1d(g)``'s symbols to ``b``; returns its root."""
-    if geo is None:
-        geo = compute_geometry(g)
+    Holed input is first flattened to plain form, like ``balance_to_tslp``'s.
+    """
+    geo = compute_geometry(g)
     if geo.heights[g.start] != 1:
         raise NotOneDimensional(
             f"expansion is {geo.heights[g.start]} rows tall, expected 1"
         )
-    t, _ = balance_to_tslp(g, geo)
-    return _eliminate_contexts_1d(b, t)
+    if any(r is not None and r.kind not in PLAIN_KINDS for r in g.rules):
+        g, geo = _inline_contexts(as_tslp(g))
+    folded = _fold_1d(g.rules, g.start, geo)
+    return g if folded is None else folded[0].finish(folded[1])
+
+
+def _fold_1d(
+    rules, start: int, geo: GeometryTable
+) -> tuple[GrammarBuilder, int] | None:
+    """The balanced form of a plain height-1 grammar, built in a new
+    builder, with its root; ``None`` where the input should stay as it is.
+
+    The fold runs ``balance_to_tslp``'s plan with flank pairs (``_flanks``)
+    for contexts, so no holed symbol is ever made.  The input stays when its
+    depth passes the keep test or the fold would be deeper.
+    """
+    depth = geo.depths[start]
+    if depth <= (geo.area(start) - 1).bit_length() + KEEP_SLACK:
+        return None
+    b = GrammarBuilder(dedup=True)
+    bal, _, _ = _fold(b, rules, _plan(rules, geo, start), *_flanks(b)[1:])
+    root = bal[start]
+    return None if b.depth(root) > depth else (b, root)

@@ -20,7 +20,6 @@ from .grammar import (
     OutOfBounds,
     PLAIN_KINDS,
     ParameterError,
-    Terminal,
     VConcat,
     reachable_topo,
 )
@@ -215,15 +214,14 @@ def linearize_rows(g: Grammar2D, geo: GeometryTable | None = None) -> Grammar1D:
     dropped once its last parent has read it.  The start symbol's N row
     strings are then joined with a balanced gadget.
     """
-    return _linearized(g, geo)[0]
-
-
-def _linearized(
-    g: Grammar2D, geo: GeometryTable | None
-) -> tuple[Grammar1D, GeometryTable]:
-    """``linearize_rows(g)`` and its geometry, both from one builder."""
     if geo is None:
         geo = compute_geometry(g)
+    b = GrammarBuilder(dedup=True)
+    return b.finish(_linearize(b, g, geo))
+
+
+def _linearize(b: GrammarBuilder, g: Grammar2D, geo: GeometryTable) -> int:
+    """Add ``linearize_rows(g)``'s symbols to ``b``; returns its root."""
     N, M = geo.dims(g.start)
     if N * M > (1 << 62):
         raise OverflowError(f"flattened length {N}*{M} exceeds 2**62")
@@ -239,7 +237,6 @@ def _linearized(
                 parents[c] += 1
         elif r.kind != "term":
             raise ParameterError("linearization is defined for plain grammars only")
-    b = GrammarBuilder(dedup=True)
     h = b.h
     rows: dict[int, list[int]] = {}
     for sym in order:
@@ -259,7 +256,7 @@ def _linearized(
             parents[c] -= 1
             if not parents[c]:
                 del rows[c]
-    return b.finish(_balanced_chain(b, "H", rows[g.start])), b.geometry()
+    return _balanced_chain(b, "H", rows[g.start])
 
 
 @dataclass(frozen=True)
@@ -296,7 +293,7 @@ def rebalance_plain_2d(
     Grammars with holes are ground-ified (contexts inlined) up front.
     """
     # Deferred: balance builds on this module.
-    from .balance import _balance_1d, _inline_contexts
+    from .balance import _fold_1d, _inline_contexts
 
     if any(r is not None and r.kind not in PLAIN_KINDS for r in g.rules):
         g, geo = _inline_contexts(g)
@@ -308,10 +305,16 @@ def rebalance_plain_2d(
             f"input is {N}x{M}; rebalancing expects N ≤ M (rotate_cw first)"
         )
     # The row chains go into the builder holding the balanced string, so
-    # its geometry carries over and only the chains are new.
+    # its geometry carries over and only the chains are new.  A string
+    # already shallow enough stays in the builder that linearized it.
     b = GrammarBuilder(dedup=True)
-    bal = b.finish(_balance_1d(b, *_linearized(g, geo)))
+    root = _linearize(b, g, geo)
     bal_geo = b.geometry()
+    folded = _fold_1d(b.rules, root, bal_geo)
+    if folded is not None:
+        b, root = folded
+        bal_geo = b.geometry()
+    bal = b.finish(root)
     rows = []
     for r in range(1, N + 1):
         dec = decompose_substring(bal, (r - 1) * M + 1, r * M, bal_geo)
