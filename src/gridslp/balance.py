@@ -20,12 +20,14 @@ the 2D rebalancing pipeline is built on, makes each context as the pair of
 plain strings left and right of its hole, so composing two contexts is two
 concatenations and applying one is at most two more, and no holed symbol is
 ever built.  ``eliminate_contexts_1d`` turns any height-1 grammar with holes
-into such flanks.
+into such flanks, and ``_inline_contexts`` flattens a 2D one to plain form
+before a fold.  Both eliminations follow the geometry table's ``layout``
+entries (child boxes, offsets and holes), not the production kinds, which
+only ``grammar`` and ``textio`` name.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .grammar import (
@@ -63,19 +65,22 @@ class BalanceStats:
     def size_ratio(self) -> float:
         return self.output_size / max(1, self.input_size)
 
-    @property
-    def depth_per_log(self) -> float:
-        return self.output_depth / math.log2(max(2, self.area))
 
-
-def _inline_contexts(t: Tslp2D) -> tuple[Grammar2D, GeometryTable]:
+def _inline_contexts(
+    t: Grammar2D, geo: GeometryTable | None = None
+) -> tuple[Grammar2D, GeometryTable]:
     """An equivalent plain grammar, every context use expanded in place,
     and its geometry table, which the builder already holds.
 
-    Memoized on (symbol, plugged hole contents), so a context applied to k
-    distinct arguments is copied k times but never more.
+    Follows the ``layout`` entries: a second child that spans the whole
+    frame is a context whose hole box 1 fills; otherwise the two boxes (or
+    box 1 and the hole) sit side by side.  Memoized on (symbol, plugged hole
+    contents), so a context applied to k distinct arguments is copied k
+    times but never more.
     """
-    rules = t.rules
+    if geo is None:
+        geo = compute_geometry(t)
+    H, W, HOLE, E = geo.heights, geo.widths, geo.holes, geo.entries
     b = GrammarBuilder(dedup=True)
     memo: dict[tuple[int, int | None], int] = {}
     stack: list[tuple[int, int | None]] = [(t.start, None)]
@@ -85,67 +90,33 @@ def _inline_contexts(t: Tslp2D) -> tuple[Grammar2D, GeometryTable]:
             stack.pop()
             continue
         sym, plug = key
-        r = rules[sym]
-        k = r.kind
-        if k == "term":
-            memo[key] = b.terminal(r.char)
+        e = E[sym]
+        if e.__class__ is str:
+            memo[key] = b.terminal(e)
             stack.pop()
-        elif k in ("h", "v"):
-            x, y = (r.left, r.right) if k == "h" else (r.top, r.bottom)
-            xk, yk = (x, None), (y, None)
-            missing = [d for d in (xk, yk) if d not in memo]
+            continue
+        c1, x1, y1, _, _, c2, _, _ = e
+        # A child gets the plug iff it has a hole.
+        k1 = (c1, None if HOLE[c1] is None else plug)
+        if c2 is not None and H[c2] == H[sym] and W[c2] == W[sym]:
+            if k1 not in memo:
+                stack.append(k1)
+                continue
+            k2 = (c2, memo[k1])
+            if k2 not in memo:
+                stack.append(k2)
+                continue
+            memo[key] = memo[k2]
+        else:
+            k2 = None if c2 is None else (c2, None if HOLE[c2] is None else plug)
+            missing = [k for k in (k1, k2) if k is not None and k not in memo]
             if missing:
                 stack.extend(missing)
                 continue
-            op = b.h if k == "h" else b.v
-            memo[key] = op(memo[xk], memo[yk])
-            stack.pop()
-        elif k == "apply":
-            ak = (r.arg, None)
-            if ak not in memo:
-                stack.append(ak)
-                continue
-            ck = (r.ctx, memo[ak])
-            if ck not in memo:
-                stack.append(ck)
-                continue
-            memo[key] = memo[ck]
-            stack.pop()
-        elif k == "hole":
-            gk = (r.ground, None)
-            if gk not in memo:
-                stack.append(gk)
-                continue
-            op = b.h if r.axis == "H" else b.v
-            if r.hole_side == "first":
-                memo[key] = op(plug, memo[gk])
-            else:
-                memo[key] = op(memo[gk], plug)
-            stack.pop()
-        elif k == "ctxcat":
-            gk = (r.ground, None)
-            ck = (r.ctx, plug)
-            missing = [d for d in (gk, ck) if d not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            op = b.h if r.axis == "H" else b.v
-            if r.ctx_side == "first":
-                memo[key] = op(memo[ck], memo[gk])
-            else:
-                memo[key] = op(memo[gk], memo[ck])
-            stack.pop()
-        else:  # compose
-            ik = (r.inner, plug)
-            if ik not in memo:
-                stack.append(ik)
-                continue
-            ok = (r.outer, memo[ik])
-            if ok not in memo:
-                stack.append(ok)
-                continue
-            memo[key] = memo[ok]
-            stack.pop()
+            op = b.h if H[c1] == H[sym] else b.v
+            first, second = memo[k1], plug if k2 is None else memo[k2]
+            memo[key] = op(first, second) if x1 == y1 == 0 else op(second, first)
+        stack.pop()
     return b.finish(memo[(t.start, None)]), b.geometry()
 
 
@@ -302,7 +273,7 @@ def balance_to_tslp(
         return unchanged(input_size)
 
     if any(r is not None and r.kind not in PLAIN_KINDS for r in g.rules):
-        g, geo = _inline_contexts(as_tslp(g))
+        g, geo = _inline_contexts(g, geo)
     inlined_size = g.size
 
     H, W = geo.heights, geo.widths
@@ -360,48 +331,47 @@ def _flanks(b: GrammarBuilder):
     return cat, hole, compose, apply
 
 
-def eliminate_contexts_1d(t: Tslp2D) -> Grammar1D:
+def eliminate_contexts_1d(
+    t: Tslp2D, geo: GeometryTable | None = None
+) -> Grammar1D:
     """Replace every context of a height-1 grammar by its two hole flanks.
 
     A one-dimensional context is a string with one hole, so it splits into
     the plain string left of the hole and the one right of it (either may be
-    empty); applications become at most two concatenations.  Any vertical
-    production makes the grammar two-dimensional and is rejected.
+    empty); applications become at most two concatenations.  Follows the
+    ``layout`` entries: a second child as wide as the symbol is a context
+    whose hole box 1 fills, and otherwise box 1 is a ground beside the hole,
+    a context or a ground.  Every child's frame fits inside its parent's,
+    so a start one row tall has no vertical production; a taller one is
+    rejected.
     """
+    if geo is None:
+        geo = compute_geometry(t)
+    if geo.heights[t.start] != 1:
+        raise NotOneDimensional(
+            f"expansion is {geo.heights[t.start]} rows tall, expected 1"
+        )
+    W, HOLE, E = geo.widths, geo.holes, geo.entries
     b = GrammarBuilder(dedup=True)
-    cat, hole, compose, apply = _flanks(b)
-    rules = t.rules
-    ground: dict[int, int] = {}
-    flanks: dict[int, tuple[int | None, int | None]] = {}
-    for sym in reachable_topo(rules, t.start):
-        r = rules[sym]
-        k = r.kind
-        if k == "term":
-            ground[sym] = b.terminal(r.char)
-        elif k == "h":
-            ground[sym] = b.h(ground[r.left], ground[r.right])
-        elif k == "apply":
-            ground[sym] = apply(flanks[r.ctx], ground[r.arg])
-        elif k == "hole":
-            if r.axis != "H":
-                raise NotOneDimensional(f"vertical hole in symbol {t.label(sym)}")
-            flanks[sym] = hole(r.axis, r.hole_side, ground[r.ground])
-        elif k == "ctxcat":
-            if r.axis != "H":
-                raise NotOneDimensional(
-                    f"vertical concatenation in symbol {t.label(sym)}"
-                )
-            yl, yr = flanks[r.ctx]
-            gid = ground[r.ground]
-            if r.ctx_side == "first":
-                flanks[sym] = (yl, cat(yr, gid))
-            else:
-                flanks[sym] = (cat(gid, yl), yr)
-        elif k == "compose":
-            flanks[sym] = compose(flanks[r.outer], flanks[r.inner])
-        else:  # plain vertical concatenation
-            raise NotOneDimensional(f"vertical concatenation in symbol {t.label(sym)}")
-    return b.finish(ground[t.start])
+    _, hole, compose, apply = _flanks(b)
+    # A ground symbol's id, a context's flank pair.
+    out: dict[int, int | tuple[int | None, int | None]] = {}
+    for sym in reachable_topo(t.rules, t.start):
+        e = E[sym]
+        if e.__class__ is str:
+            out[sym] = b.terminal(e)
+            continue
+        c1, _, y1, _, _, c2, _, _ = e
+        if c2 is not None and W[c2] == W[sym]:
+            out[sym] = (apply if HOLE[c1] is None else compose)(out[c2], out[c1])
+            continue
+        # Box 1 is a ground beside a hole, which c2 (a context or a ground)
+        # fills when present; the hole is second iff box 1 is at (0, 0).
+        ctx = hole("H", "second" if y1 == 0 else "first", out[c1])
+        if c2 is not None:
+            ctx = (apply if HOLE[c2] is None else compose)(ctx, out[c2])
+        out[sym] = ctx
+    return b.finish(out[t.start])
 
 
 def balance_1d(g: Grammar1D) -> Grammar1D:
@@ -416,7 +386,7 @@ def balance_1d(g: Grammar1D) -> Grammar1D:
             f"expansion is {geo.heights[g.start]} rows tall, expected 1"
         )
     if any(r is not None and r.kind not in PLAIN_KINDS for r in g.rules):
-        g, geo = _inline_contexts(as_tslp(g))
+        g, geo = _inline_contexts(g, geo)
     folded = _fold_1d(g.rules, g.start, geo)
     return g if folded is None else folded[0].finish(folded[1])
 

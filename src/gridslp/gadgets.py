@@ -101,70 +101,9 @@ def distinct_blocks(row: str, n: int) -> int:
 # structure through deduplication)
 
 
-def _zero_row(b: GrammarBuilder, zero: int, width: int) -> int:
-    """A 1 x width row of zeros as a plain chain (keeps symbol counts exact)."""
-    acc = zero
-    for _ in range(width - 1):
-        acc = b.h(acc, zero)
-    return acc
-
-
 def _zero_rect(b: GrammarBuilder, zero: int, h: int, w: int) -> int:
     """An all-zero h x w block in O(log h + log w) symbols."""
-    if h < 1 or w < 1:
-        raise ParameterError(f"zero block needs positive dims, got {h}x{w}")
-    pieces = []
-    cell = zero
-    rest = w
-    while rest:
-        if rest & 1:
-            pieces.append(cell)
-        rest >>= 1
-        if rest:
-            cell = b.h(cell, cell)
-    row = pieces[0]
-    for p in pieces[1:]:
-        row = b.h(row, p)
-    pieces = []
-    strip = row
-    rest = h
-    while rest:
-        if rest & 1:
-            pieces.append(strip)
-        rest >>= 1
-        if rest:
-            strip = b.v(strip, strip)
-    block = pieces[0]
-    for p in pieces[1:]:
-        block = b.v(block, p)
-    return block
-
-
-def _vstack_copies(b: GrammarBuilder, sym: int, count: int) -> int:
-    """``count`` copies of ``sym`` stacked vertically, O(log count) symbols."""
-    pieces = []
-    cur = sym
-    rest = count
-    while rest:
-        if rest & 1:
-            pieces.append(cur)
-        rest >>= 1
-        if rest:
-            cur = b.v(cur, cur)
-    acc = pieces[0]
-    for p in pieces[1:]:
-        acc = b.v(acc, p)
-    return acc
-
-
-def _vchain(b: GrammarBuilder, *parts) -> int | None:
-    live = [p for p in parts if p is not None]
-    if not live:
-        return None
-    acc = live[0]
-    for p in live[1:]:
-        acc = b.v(acc, p)
-    return acc
+    return b.repeat("V", b.repeat("H", zero, w), h)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +148,8 @@ def _shiftbin_into(b: GrammarBuilder, n: int) -> int:
     """Add the ShiftBin construction for block size 2^n; returns the root."""
     a = _bin_into(b, n)  # block 0: Bin at the top of its column block
     zero = b.terminal("0")
-    zrow = _zero_row(b, zero, n + 2)
+    # A plain chain of n + 2 zeros, which keeps the symbol count exact.
+    zrow = b.chain("H", [zero] * (n + 2))
     # Doubling step: the left half keeps the shifts, the right half gets the
     # same blocks pushed a further 2^(i-1) rows down.
     zi = zrow  # zeros, 2^(i-1) x 2^(i-1)(n+2)
@@ -253,17 +193,15 @@ def _cnm_into(b: GrammarBuilder, N: int, M: int) -> int:
     k_right = (N - mp) // (2 * mp)
     pad_right = (N - mp) - 2 * mp * k_right
 
-    left = _vchain(
-        b,
-        _vstack_copies(b, sb, k_left) if k_left else None,
+    left = b.chain("V", [
+        b.repeat("V", sb, k_left) if k_left else None,
         _zero_rect(b, zero, pad_left, W) if pad_left else None,
-    )
-    right = _vchain(
-        b,
+    ])
+    right = b.chain("V", [
         _zero_rect(b, zero, mp, wide),
-        _vstack_copies(b, wsb, k_right) if k_right else None,
+        b.repeat("V", wsb, k_right) if k_right else None,
         _zero_rect(b, zero, pad_right, wide) if pad_right else None,
-    )
+    ])
     return b.h(left, right)
 
 
@@ -311,8 +249,8 @@ def build_cnm_sequence(
     # alternates between two padding patterns, so two chains interleave.
     stride = 1 if b_step % (2 * mp) == 0 else 2
     copies = stride * b_step // (2 * mp)
-    grow_l = _vstack_copies(b, sb, copies)
-    grow_r = _vstack_copies(b, wsb, copies)
+    grow_l = b.repeat("V", sb, copies)
+    grow_r = b.repeat("V", wsb, copies)
 
     roots: list[int | None] = [None] * (k + 1)
     for parity in range(stride):
@@ -326,15 +264,15 @@ def build_cnm_sequence(
         pads_left = _zero_rect(b, zero, pad_left, W) if pad_left else None
         pads_right = _zero_rect(b, zero, pad_right, wide) if pad_right else None
 
-        stack_left = _vstack_copies(b, sb, k_left) if k_left else None
-        tops = _vchain(
-            b, top_zeros, _vstack_copies(b, wsb, k_right) if k_right else None
+        stack_left = b.repeat("V", sb, k_left) if k_left else None
+        tops = b.chain(
+            "V", [top_zeros, b.repeat("V", wsb, k_right) if k_right else None]
         )
 
         i = parity
         while True:
-            left = _vchain(b, stack_left, pads_left)
-            right = _vchain(b, tops, pads_right)
+            left = b.chain("V", [stack_left, pads_left])
+            right = b.chain("V", [tops, pads_right])
             roots[i] = b.h(left, right)
             i += stride
             if i > k:

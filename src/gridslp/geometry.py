@@ -53,13 +53,14 @@ class GeometryTable:
         return self.heights[sym] * self.widths[sym]
 
 
-def geometry_pass(g: Grammar2D, on_error=None):
+def geometry_pass(g: Grammar2D, on_error=None, order=None):
     """Compute per-symbol geometry, reporting or raising on inconsistencies.
 
     With ``on_error`` (a callback ``(code, symbol, message)``) every violation
     is reported and the offending symbol's geometry is left undefined so one
     pass can surface all problems; without it the first inconsistency raises.
-    Assumes references are in range and acyclic.
+    Assumes references are in range and acyclic.  ``order`` is ``topo_all``
+    of the rules, when the caller already has it.
     """
     rules = g.rules
     n = len(rules)
@@ -76,7 +77,7 @@ def geometry_pass(g: Grammar2D, on_error=None):
             raise GridSlpError(f"symbol {g.labels[sym]}: {msg}")
         on_error(code, sym, msg)
 
-    for sym in topo_all(rules):
+    for sym in topo_all(rules) if order is None else order:
         r = rules[sym]
         below = 0
         for c in children(r):

@@ -351,10 +351,6 @@ class Tslp2D(Grammar2D):
 
     text_kind: ClassVar[str] = "TSLP2D"
 
-    def is_context(self, sym: int) -> bool:
-        r = self.rules[sym]
-        return r is not None and r.kind in CONTEXT_KINDS
-
 
 Grammar1D = Grammar2D
 """A 1D SLP is a 2D SLP whose every reachable symbol has height 1."""
@@ -371,31 +367,37 @@ def as_tslp(g: Grammar2D) -> Tslp2D:
 # Traversal helpers
 
 
-def _post_order(rules, roots) -> list[int]:
+def _post_order(rules, roots, on_cycle=None) -> list[int]:
     """Defined symbols below ``roots``, children before parents.
 
     Iterative, so derivations deeper than the recursion limit are fine;
-    assumes acyclicity and in-range references (run :func:`validate` first
-    on untrusted input).
+    assumes in-range references (run :func:`validate` first on untrusted
+    input).  A reference back to a symbol still being expanded closes a
+    cycle; ``on_cycle(sym)`` is called with that symbol, if given.
     """
     order: list[int] = []
-    seen = bytearray(len(rules))
+    # 0 unseen, 1 expanding (on the current path), 2 done.
+    state = bytearray(len(rules))
     for root in roots:
-        if seen[root] or rules[root] is None:
+        if state[root] or rules[root] is None:
             continue
         stack: list[tuple[int, bool]] = [(root, False)]
         while stack:
             sym, expanded = stack.pop()
             if expanded:
+                state[sym] = 2
                 order.append(sym)
                 continue
-            if seen[sym]:
+            if state[sym]:
                 continue
-            seen[sym] = 1
+            state[sym] = 1
             stack.append((sym, True))
             for c in children(rules[sym]):
-                if not seen[c] and rules[c] is not None:
-                    stack.append((c, False))
+                if not state[c]:
+                    if rules[c] is not None:
+                        stack.append((c, False))
+                elif on_cycle is not None and state[c] == 1:
+                    on_cycle(c)
     return order
 
 
@@ -472,51 +474,31 @@ def validate(g: Grammar2D, hole_marker: str = "#") -> ValidationReport:
         bad("undefined", g.start, "start symbol id out of range")
         return ValidationReport(tuple(out))
 
-    defined = [r is not None for r in rules]
-    ref_ok = [True] * n
+    # The rules whose references are all sound; the others are left out of
+    # the cycle search, like undefined symbols.
+    sound = list(rules)
     for sym, r in enumerate(rules):
         if r is None:
             continue
         if not is_tslp and r.kind not in PLAIN_KINDS:
             bad("kind", sym, f"{r.kind} production not allowed in a plain grammar")
-            ref_ok[sym] = False
+            sound[sym] = None
             continue
         for c in children(r):
             if not (0 <= c < n):
                 bad("undefined", sym, f"reference to out-of-range symbol {c}")
-                ref_ok[sym] = False
-            elif not defined[c]:
+                sound[sym] = None
+            elif rules[c] is None:
                 bad("undefined", sym, f"reference to undefined symbol {g.labels[c]}")
-                ref_ok[sym] = False
-    if not defined[g.start]:
+                sound[sym] = None
+    if rules[g.start] is None:
         bad("undefined", g.start, "start symbol has no production")
 
-    # Global cycle check (iterative three-color DFS over all defined symbols).
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = bytearray(n)
-    for root in range(n):
-        if color[root] != WHITE or rules[root] is None:
-            continue
-        stack: list[tuple[int, bool]] = [(root, False)]
-        while stack:
-            sym, leaving = stack.pop()
-            if leaving:
-                color[sym] = BLACK
-                continue
-            if color[sym] == BLACK:
-                continue
-            if color[sym] == GRAY:
-                continue
-            color[sym] = GRAY
-            stack.append((sym, True))
-            if rules[sym] is None or not ref_ok[sym]:
-                continue
-            for c in children(rules[sym]):
-                if color[c] == GRAY:
-                    bad("cycle", c, "symbol participates in a reference cycle")
-                elif color[c] == WHITE:
-                    stack.append((c, False))
-    if any(v.code in ("cycle", "undefined", "kind") for v in out):
+    order = _post_order(
+        sound, range(n),
+        lambda c: bad("cycle", c, "symbol participates in a reference cycle"),
+    )
+    if out:
         # Geometry is meaningless below a broken reference structure.
         return ValidationReport(tuple(out))
 
@@ -524,9 +506,9 @@ def validate(g: Grammar2D, hole_marker: str = "#") -> ValidationReport:
     # violations instead of raising.
     from .geometry import GeometryTable, geometry_pass  # avoids an import cycle
 
-    tables = geometry_pass(g, on_error=bad)
+    tables = geometry_pass(g, on_error=bad, order=order)
 
-    if rules[g.start] is not None and rules[g.start].kind in CONTEXT_KINDS:
+    if rules[g.start].kind in CONTEXT_KINDS:
         bad("start", g.start, "start symbol must be ground (hole-free)")
 
     if is_tslp:
@@ -606,9 +588,6 @@ class GrammarBuilder:
 
     def dims(self, sym: int) -> tuple[int, int]:
         return self._h[sym], self._w[sym]
-
-    def hole(self, sym: int) -> tuple[int, int, int, int] | None:
-        return self._hole[sym]
 
     def is_context(self, sym: int) -> bool:
         return self._hole[sym] is not None
@@ -721,9 +700,10 @@ class GrammarBuilder:
 
     # -- k-ary convenience ----------------------------------------------------
 
-    def chain(self, axis: str, parts: Iterable[int]) -> int:
-        """Left-leaning fold of ``parts`` along ``axis`` (ground symbols)."""
-        parts = list(parts)
+    def chain(self, axis: str, parts: Iterable[int | None]) -> int:
+        """Left-leaning fold along ``axis`` of the ``parts`` that are not None
+        (ground symbols)."""
+        parts = [p for p in parts if p is not None]
         if not parts:
             raise ParameterError("chain of zero parts")
         acc = parts[0]
@@ -731,6 +711,35 @@ class GrammarBuilder:
         for nxt in parts[1:]:
             acc = op(acc, nxt)
         return acc
+
+    def repeat(self, axis: str, sym: int, count: int) -> int:
+        """``count`` copies of ``sym`` along ``axis`` in O(log count) symbols:
+        the doublings of ``sym`` for the one bits of ``count``, chained."""
+        if count < 1:
+            raise ParameterError(f"repeat count must be positive, got {count}")
+        op = self.h if axis == "H" else self.v
+        pieces = []
+        while count:
+            if count & 1:
+                pieces.append(sym)
+            count >>= 1
+            if count:
+                sym = op(sym, sym)
+        return self.chain(axis, pieces)
+
+    def balanced(self, axis: str, parts: list[int]) -> int:
+        """Complete binary concatenation tree over ``parts`` (index halving)."""
+        if not parts:
+            raise ParameterError("cannot concatenate zero parts")
+        op = self.h if axis == "H" else self.v
+
+        def build(lo: int, hi: int) -> int:
+            if hi - lo == 1:
+                return parts[lo]
+            mid = lo + (hi - lo + 1) // 2
+            return op(build(lo, mid), build(mid, hi))
+
+        return build(0, len(parts))
 
     # -- finish ----------------------------------------------------------------
 

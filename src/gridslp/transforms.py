@@ -9,7 +9,6 @@ them (linearize, balance the 1D string, reassemble rows with gadgets).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .grammar import (
@@ -26,21 +25,6 @@ from .grammar import (
 from .geometry import GeometryTable, compute_geometry
 
 
-def _balanced_chain(b: GrammarBuilder, axis: str, parts: list[int]) -> int:
-    """Complete binary concatenation tree over ``parts`` (index halving)."""
-    if not parts:
-        raise ParameterError("cannot concatenate zero parts")
-    op = b.h if axis == "H" else b.v
-
-    def build(lo: int, hi: int) -> int:
-        if hi - lo == 1:
-            return parts[lo]
-        mid = lo + (hi - lo + 1) // 2
-        return op(build(lo, mid), build(mid, hi))
-
-    return build(0, len(parts))
-
-
 def concat_gadget(
     g: Grammar2D, parts: list[int], axis: str
 ) -> tuple[Grammar2D, int]:
@@ -53,7 +37,7 @@ def concat_gadget(
     if axis not in ("H", "V"):
         raise ParameterError(f"axis must be 'H' or 'V', got {axis!r}")
     b = GrammarBuilder.seeded(g, dedup=True)
-    root = _balanced_chain(b, axis, list(parts))
+    root = b.balanced(axis, list(parts))
     return b.finish(root), root
 
 
@@ -256,7 +240,7 @@ def _linearize(b: GrammarBuilder, g: Grammar2D, geo: GeometryTable) -> int:
             parents[c] -= 1
             if not parents[c]:
                 del rows[c]
-    return _balanced_chain(b, "H", rows[g.start])
+    return b.balanced("H", rows[g.start])
 
 
 @dataclass(frozen=True)
@@ -269,16 +253,6 @@ class RebalanceStats:
     input_depth: int
     output_size: int
     output_depth: int
-
-    @property
-    def size_constant(self) -> float:
-        """output size / (input size · rows) — the C of the size budget."""
-        return self.output_size / (self.input_size * self.rows)
-
-    @property
-    def depth_constant(self) -> float:
-        """output depth / log2(rows · cols) — the C of the depth budget."""
-        return self.output_depth / math.log2(max(2, self.rows * self.cols))
 
 
 def rebalance_plain_2d(
@@ -296,7 +270,7 @@ def rebalance_plain_2d(
     from .balance import _fold_1d, _inline_contexts
 
     if any(r is not None and r.kind not in PLAIN_KINDS for r in g.rules):
-        g, geo = _inline_contexts(g)
+        g, geo = _inline_contexts(g, geo)
     elif geo is None:
         geo = compute_geometry(g)
     N, M = geo.dims(g.start)
@@ -318,8 +292,8 @@ def rebalance_plain_2d(
     rows = []
     for r in range(1, N + 1):
         dec = decompose_substring(bal, (r - 1) * M + 1, r * M, bal_geo)
-        rows.append(_balanced_chain(b, "H", list(dec.symbols)))
-    root = _balanced_chain(b, "V", rows)
+        rows.append(b.balanced("H", list(dec.symbols)))
+    root = b.balanced("V", rows)
     out = b.finish(root)
     stats = RebalanceStats(
         rows=N,

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +25,7 @@ from gridslp import (
     VConcat,
     as_tslp,
     compute_geometry,
+    expand,
     validate,
 )
 from gridslp.grammar import children, reachable_topo, rule_size, topo_all
@@ -106,6 +111,24 @@ class TestBuilder:
         x = b.terminal("x")
         root = b.chain("H", [x, x, x, x, x])
         assert b.dims(root) == (1, 5)
+        assert b.dims(b.chain("V", [None, x, None, x])) == (2, 1)
+        with pytest.raises(ParameterError):
+            b.chain("V", [None])
+
+    @pytest.mark.parametrize("axis", ["H", "V"])
+    def test_repeat_tiles_in_logarithmic_symbols(self, axis):
+        for count in range(1, 71):
+            b = GrammarBuilder(dedup=True)
+            top = b.h(b.terminal("a"), b.terminal("b"))
+            block = b.v(top, b.h(b.terminal("c"), b.terminal("d")))
+            before = len(b)
+            root = b.repeat(axis, block, count)
+            assert len(b) - before <= 2 * count.bit_length(), count
+            want = np.tile(expand(b.finish(block)),
+                           (1, count) if axis == "H" else (count, 1))
+            assert (expand(b.finish(root)) == want).all(), count
+        with pytest.raises(ParameterError):
+            GrammarBuilder().repeat(axis, 0, 0)
 
     def test_seeded_builder_extends(self):
         t = example_tslp()
@@ -264,3 +287,27 @@ def test_random_grammars_always_validate(seed, size):
     g = random_grammar(seed, size, max_dim=32)
     assert g.symbols == size
     assert validate(g).ok
+
+
+#: Modules that may name the holed production kinds: the one that defines
+#: them (with their layout) and the text format that spells them.
+KIND_MODULES = {"grammar.py", "textio.py", "__init__.py"}
+
+HOLED_KIND_NAMES = re.compile(
+    r"""["'](apply|hole|ctxcat|compose)["']"""
+    r"|\b(Apply|HoleConcat|CtxConcat|Compose)\b"
+    r"|\.(ctx|arg|outer|inner)\b|hole_side|ctx_side"
+)
+
+
+def test_only_grammar_and_textio_name_holed_kinds():
+    """Everything else follows ``layout`` entries instead of the kinds."""
+    src = Path(__file__).resolve().parent.parent / "src" / "gridslp"
+    hits = [
+        f"{path.name}:{i}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        if path.name not in KIND_MODULES
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if HOLED_KIND_NAMES.search(line)
+    ]
+    assert not hits, "\n".join(hits)
