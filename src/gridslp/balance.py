@@ -40,7 +40,7 @@ from .grammar import (
     as_tslp,
     reachable_topo,
 )
-from .geometry import GeometryTable, compute_geometry
+from .geometry import GeometryTable, compute_geometry, geometry_pass
 
 # A symbol of depth ≤ ⌈log2 area⌉ + KEEP_SLACK is already as shallow as a
 # fold could make it, up to a constant, and is copied verbatim.
@@ -331,9 +331,7 @@ def _flanks(b: GrammarBuilder):
     return cat, hole, compose, apply
 
 
-def eliminate_contexts_1d(
-    t: Tslp2D, geo: GeometryTable | None = None
-) -> Grammar1D:
+def eliminate_contexts_1d(t: Tslp2D) -> Grammar1D:
     """Replace every context of a height-1 grammar by its two hole flanks.
 
     A one-dimensional context is a string with one hole, so it splits into
@@ -343,20 +341,17 @@ def eliminate_contexts_1d(
     whose hole box 1 fills, and otherwise box 1 is a ground beside the hole,
     a context or a ground.  Every child's frame fits inside its parent's,
     so a start one row tall has no vertical production; a taller one is
-    rejected.
+    rejected.  Only the symbols the start reaches are laid out and walked.
     """
-    if geo is None:
-        geo = compute_geometry(t)
-    if geo.heights[t.start] != 1:
-        raise NotOneDimensional(
-            f"expansion is {geo.heights[t.start]} rows tall, expected 1"
-        )
-    W, HOLE, E = geo.widths, geo.holes, geo.entries
+    order = reachable_topo(t.rules, t.start)
+    H, W, HOLE, _, E = geometry_pass(t, order=order)
+    if H[t.start] != 1:
+        raise NotOneDimensional(f"expansion is {H[t.start]} rows tall, expected 1")
     b = GrammarBuilder(dedup=True)
     _, hole, compose, apply = _flanks(b)
     # A ground symbol's id, a context's flank pair.
     out: dict[int, int | tuple[int | None, int | None]] = {}
-    for sym in reachable_topo(t.rules, t.start):
+    for sym in order:
         e = E[sym]
         if e.__class__ is str:
             out[sym] = b.terminal(e)

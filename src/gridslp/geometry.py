@@ -59,8 +59,9 @@ def geometry_pass(g: Grammar2D, on_error=None, order=None):
     With ``on_error`` (a callback ``(code, symbol, message)``) every violation
     is reported and the offending symbol's geometry is left undefined so one
     pass can surface all problems; without it the first inconsistency raises.
-    Assumes references are in range and acyclic.  ``order`` is ``topo_all``
-    of the rules, when the caller already has it.
+    Assumes references are in range and acyclic.  ``order`` lists the
+    symbols to lay out, children first (default ``topo_all`` of the rules);
+    the others' geometry stays undefined.
     """
     rules = g.rules
     n = len(rules)
