@@ -530,9 +530,12 @@ def validate(g: Grammar2D, hole_marker: str = "#") -> ValidationReport:
 # Builder
 
 
-def _check_axis_side(axis: str, side: str, what: str) -> None:
+def _check_axis(axis: str) -> None:
     if axis not in ("H", "V"):
         raise ParameterError(f"axis must be 'H' or 'V', got {axis!r}")
+
+
+def _check_side(side: str, what: str) -> None:
     if side not in ("first", "second"):
         raise ParameterError(f"{what} must be 'first' or 'second', got {side!r}")
 
@@ -546,11 +549,14 @@ class GrammarBuilder:
     grammar's table on without another pass.  With
     ``dedup=True`` structurally identical productions are shared, which the
     gadget builders rely on for their size bounds.
+
+    Symbols are named at :meth:`finish`: a seeded builder keeps its seed's
+    labels and names each added symbol ``S<id>``, with ``_`` appended while
+    that clashes; a fresh builder's grammar gets the default labels.
     """
 
     def __init__(self, dedup: bool = True):
         self.rules: list[Production] = []
-        self.labels: list[str] = []
         # Per-symbol heights, widths and holes, as layout() reads them,
         # plus derivation depths and layout() entries.
         self._h: list[int] = []
@@ -561,36 +567,31 @@ class GrammarBuilder:
         self._dedup = dedup
         # Production -> id; a horizontal concat is keyed by its (left, right).
         self._index: dict = {}
-        self._used_labels: set[str] = set()
+        self._seed_labels: tuple[str, ...] = ()
 
     @classmethod
-    def seeded(cls, g: Grammar2D, dedup: bool = False) -> "GrammarBuilder":
-        """A builder preloaded with a validated grammar's symbols."""
+    def seeded(cls, g: Grammar2D) -> "GrammarBuilder":
+        """A deduplicating builder preloaded with a validated grammar's symbols."""
         from .geometry import compute_geometry
 
         geo = compute_geometry(g)
-        b = cls(dedup=dedup)
+        b = cls()
         b.rules = list(g.rules)
-        b.labels = list(g.labels)
+        b._seed_labels = g.labels
         b._h = list(geo.heights)
         b._w = list(geo.widths)
         b._hole = list(geo.holes)
         b._depth = list(geo.depths)
         b._entry = list(geo.entries)
-        b._used_labels = set(g.labels)
-        if dedup:
-            for i, rule in enumerate(g.rules):
-                key = (rule.left, rule.right) if rule.__class__ is HConcat else rule
-                b._index.setdefault(key, i)
+        for i, rule in enumerate(g.rules):
+            key = (rule.left, rule.right) if rule.__class__ is HConcat else rule
+            b._index.setdefault(key, i)
         return b
 
     # -- geometry accessors -------------------------------------------------
 
     def dims(self, sym: int) -> tuple[int, int]:
         return self._h[sym], self._w[sym]
-
-    def is_context(self, sym: int) -> bool:
-        return self._hole[sym] is not None
 
     def depth(self, sym: int) -> int:
         return self._depth[sym]
@@ -613,13 +614,14 @@ class GrammarBuilder:
 
     # -- internals ----------------------------------------------------------
 
-    def _add(self, rule: Production, label: str | None = None, key=None) -> int:
+    def _add(self, rule: Production, key=None) -> int:
+        # A caller that has probed the index itself passes the key it missed.
         if key is None:
             key = rule
-        if self._dedup:
-            hit = self._index.get(key)
-            if hit is not None:
-                return hit
+            if self._dedup:
+                hit = self._index.get(key)
+                if hit is not None:
+                    return hit
         try:
             h, w, hole, entry = layout(rule, self._h, self._w, self._hole)
         except LayoutError as e:
@@ -635,30 +637,24 @@ class GrammarBuilder:
                 depth = self._depth[c2]
             depth += 1
         sym = len(self.rules)
-        if label is None or label in self._used_labels or not LABEL_RE.match(label):
-            label = f"S{sym}"
-            while label in self._used_labels:
-                label += "_"
         self.rules.append(rule)
-        self.labels.append(label)
         self._h.append(h)
         self._w.append(w)
         self._hole.append(hole)
         self._depth.append(depth)
         self._entry.append(entry)
-        self._used_labels.add(label)
         if self._dedup:
             self._index[key] = sym
         return sym
 
     # -- plain productions ----------------------------------------------------
 
-    def terminal(self, char: str, label: str | None = None) -> int:
+    def terminal(self, char: str) -> int:
         if len(char) != 1:
             raise ParameterError("terminal payload must be a single character")
-        return self._add(Terminal(char), label)
+        return self._add(Terminal(char))
 
-    def h(self, left: int, right: int, label: str | None = None) -> int:
+    def h(self, left: int, right: int) -> int:
         # Horizontal chains dominate the deduplicating builds, and most of
         # their joins repeat one already made.  Keyed by the bare pair, a
         # repeat is found without building an HConcat to look it up.
@@ -667,38 +663,36 @@ class GrammarBuilder:
             hit = self._index.get(key)
             if hit is not None:
                 return hit
-        return self._add(HConcat(left, right), label, key)
+        return self._add(HConcat(left, right), key)
 
-    def v(self, top: int, bottom: int, label: str | None = None) -> int:
-        return self._add(VConcat(top, bottom), label)
+    def v(self, top: int, bottom: int) -> int:
+        return self._add(VConcat(top, bottom))
 
     # -- context productions --------------------------------------------------
 
     def hole_concat(
-        self,
-        axis: str,
-        hole_side: str,
-        ground: int,
-        hole_h: int,
-        hole_w: int,
-        label: str | None = None,
+        self, axis: str, hole_side: str, ground: int, hole_h: int, hole_w: int
     ) -> int:
-        _check_axis_side(axis, hole_side, "hole_side")
-        return self._add(HoleConcat(axis, hole_side, ground, hole_h, hole_w), label)
+        _check_axis(axis)
+        _check_side(hole_side, "hole_side")
+        return self._add(HoleConcat(axis, hole_side, ground, hole_h, hole_w))
 
-    def ctx_concat(
-        self, axis: str, ctx_side: str, ctx: int, ground: int, label: str | None = None
-    ) -> int:
-        _check_axis_side(axis, ctx_side, "ctx_side")
-        return self._add(CtxConcat(axis, ctx_side, ctx, ground), label)
+    def ctx_concat(self, axis: str, ctx_side: str, ctx: int, ground: int) -> int:
+        _check_axis(axis)
+        _check_side(ctx_side, "ctx_side")
+        return self._add(CtxConcat(axis, ctx_side, ctx, ground))
 
-    def compose(self, outer: int, inner: int, label: str | None = None) -> int:
-        return self._add(Compose(outer, inner), label)
+    def compose(self, outer: int, inner: int) -> int:
+        return self._add(Compose(outer, inner))
 
-    def apply(self, ctx: int, arg: int, label: str | None = None) -> int:
-        return self._add(Apply(ctx, arg), label)
+    def apply(self, ctx: int, arg: int) -> int:
+        return self._add(Apply(ctx, arg))
 
     # -- k-ary convenience ----------------------------------------------------
+
+    def _concat(self, axis: str):
+        _check_axis(axis)
+        return self.h if axis == "H" else self.v
 
     def chain(self, axis: str, parts: Iterable[int | None]) -> int:
         """Left-leaning fold along ``axis`` of the ``parts`` that are not None
@@ -707,7 +701,7 @@ class GrammarBuilder:
         if not parts:
             raise ParameterError("chain of zero parts")
         acc = parts[0]
-        op = self.h if axis == "H" else self.v
+        op = self._concat(axis)
         for nxt in parts[1:]:
             acc = op(acc, nxt)
         return acc
@@ -717,7 +711,7 @@ class GrammarBuilder:
         the doublings of ``sym`` for the one bits of ``count``, chained."""
         if count < 1:
             raise ParameterError(f"repeat count must be positive, got {count}")
-        op = self.h if axis == "H" else self.v
+        op = self._concat(axis)
         pieces = []
         while count:
             if count & 1:
@@ -731,7 +725,7 @@ class GrammarBuilder:
         """Complete binary concatenation tree over ``parts`` (index halving)."""
         if not parts:
             raise ParameterError("cannot concatenate zero parts")
-        op = self.h if axis == "H" else self.v
+        op = self._concat(axis)
 
         def build(lo: int, hi: int) -> int:
             if hi - lo == 1:
@@ -744,14 +738,25 @@ class GrammarBuilder:
     # -- finish ----------------------------------------------------------------
 
     def finish(self, start: int) -> Grammar2D:
-        if self.is_context(start):
+        if self._hole[start] is not None:
             raise DimensionMismatch("start symbol must be ground")
         # Every context symbol has a context kind, so the kinds decide.
         plain = all(r.kind in PLAIN_KINDS for r in self.rules)
         cls = Grammar2D if plain else Tslp2D
-        return cls(tuple(self.rules), start, tuple(self.labels))
+        return cls(tuple(self.rules), start, self._labels())
 
     def finish_tslp(self, start: int) -> Tslp2D:
-        if self.is_context(start):
-            raise DimensionMismatch("start symbol must be ground")
-        return Tslp2D(tuple(self.rules), start, tuple(self.labels))
+        return as_tslp(self.finish(start))
+
+    def _labels(self) -> tuple[str, ...]:
+        if not self._seed_labels:
+            return ()  # Grammar2D's defaults
+        # Added names clash only with the seed's: each is S<its id> plus "_"s.
+        used = set(self._seed_labels)
+        labels = list(self._seed_labels)
+        for sym in range(len(labels), len(self.rules)):
+            label = f"S{sym}"
+            while label in used:
+                label += "_"
+            labels.append(label)
+        return tuple(labels)

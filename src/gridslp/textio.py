@@ -129,10 +129,11 @@ def parse_grammar(text: str) -> Grammar2D:
     rules: list = [None] * len(ids)
 
     def ref(label: str, lineno: int) -> int:
-        if not LABEL_RE.match(label):
-            raise FormatError(f"line {lineno}: bad label {label!r}")
         sym = ids.get(label)
         if sym is None:
+            # A defined label was checked at its definition.
+            if not LABEL_RE.match(label):
+                raise FormatError(f"line {lineno}: bad label {label!r}")
             sym = len(ids)
             ids[label] = sym
             labels.append(label)

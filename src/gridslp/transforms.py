@@ -34,9 +34,7 @@ def concat_gadget(
     subtrees are shared) and increases depth over the parts by at most
     ceil(log2 k).  Returns the extended grammar and the tree's root.
     """
-    if axis not in ("H", "V"):
-        raise ParameterError(f"axis must be 'H' or 'V', got {axis!r}")
-    b = GrammarBuilder.seeded(g, dedup=True)
+    b = GrammarBuilder.seeded(g)
     root = b.balanced(axis, list(parts))
     return b.finish(root), root
 
@@ -112,8 +110,12 @@ def decompose_substring(
 ) -> SubstringDecomposition:
     """Cover S[i..j] by at most 2·depth + 2 whole-symbol expansions.
 
-    Descends to the lowest production whose expansion contains the range,
-    then peels a suffix of its left child and a prefix of its right child.
+    One walk from the start symbol: a symbol whose expansion lies inside the
+    range is taken whole, and any other has its children that overlap the
+    range visited, left before right.  So the cover is the range's maximal
+    symbols in order: below the lowest symbol containing the range, a suffix
+    of its left child and a prefix of its right child, each at most one
+    symbol per level.
     """
     if geo is None:
         geo = compute_geometry(g)
@@ -122,68 +124,21 @@ def decompose_substring(
     length = W[g.start]
     if not (1 <= i <= j <= length):
         raise OutOfBounds(f"range [{i},{j}] outside string of length {length}")
-    src = (i, j)
-
-    # Find the lowest symbol containing the whole range.
-    cur = g.start
-    while True:
-        r = rules[cur]
-        if r.kind == "term":
-            return SubstringDecomposition((cur,), src)
-        lw = W[r.left]
-        if j <= lw:
-            cur = r.left
-        elif i > lw:
-            i -= lw
-            j -= lw
-            cur = r.right
-        else:
-            break
-    if i == 1 and j == W[cur]:
-        return SubstringDecomposition((cur,), src)
-
-    r = rules[cur]
-    lw = W[r.left]
-
-    # Suffix of the left child starting at i.
-    suffix: list[int] = []
-    rights: list[int] = []
-    node = r.left
-    pos = i
-    while True:
-        if pos == 1:
-            suffix.append(node)
-            break
-        rr = rules[node]
-        if rr.kind == "term":
-            suffix.append(node)
-            break
-        w = W[rr.left]
-        if pos <= w:
-            rights.append(rr.right)
-            node = rr.left
-        else:
-            pos -= w
-            node = rr.right
-    suffix.extend(reversed(rights))
-
-    # Prefix of the right child ending at j - lw.
-    prefix: list[int] = []
-    node = r.right
-    pos = j - lw
-    while True:
-        rr = rules[node]
-        if pos == W[node]:
-            prefix.append(node)
-            break
-        w = W[rr.left]
-        if pos <= w:
-            node = rr.left
-        else:
-            prefix.append(rr.left)
-            pos -= w
-            node = rr.right
-    return SubstringDecomposition(tuple(suffix + prefix), src)
+    cover: list[int] = []
+    # (symbol, offset): the symbol derives S[offset + 1 .. offset + width].
+    stack = [(g.start, 0)]
+    while stack:
+        sym, off = stack.pop()
+        if i <= off + 1 and off + W[sym] <= j:
+            cover.append(sym)
+            continue
+        r = rules[sym]
+        mid = off + W[r.left]
+        if j > mid:
+            stack.append((r.right, mid))
+        if i <= mid:
+            stack.append((r.left, off))
+    return SubstringDecomposition(tuple(cover), (i, j))
 
 
 def linearize_rows(g: Grammar2D, geo: GeometryTable | None = None) -> Grammar1D:

@@ -212,7 +212,7 @@ class TestBuilderGeometry:
 
     def test_seeded_builder_extended(self, finished):
         t = random_tslp(7)
-        b = GrammarBuilder.seeded(t, dedup=True)
+        b = GrammarBuilder.seeded(t)
         x = b.terminal("z")
         b.v(t.start, t.start)
         ctx = b.hole_concat("V", "second", b.h(x, x), 1, 2)

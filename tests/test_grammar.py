@@ -25,6 +25,7 @@ from gridslp import (
     VConcat,
     as_tslp,
     compute_geometry,
+    concat_gadget,
     expand,
     validate,
 )
@@ -132,7 +133,7 @@ class TestBuilder:
 
     def test_seeded_builder_extends(self):
         t = example_tslp()
-        b = GrammarBuilder.seeded(t, dedup=True)
+        b = GrammarBuilder.seeded(t)
         x = b.terminal("0")
         g2 = b.finish_tslp(t.start)
         assert g2.symbols >= t.symbols
@@ -141,7 +142,7 @@ class TestBuilder:
 
     def test_seeded_dedup_finds_every_concat(self):
         t = random_tslp(4)
-        b = GrammarBuilder.seeded(t, dedup=True)
+        b = GrammarBuilder.seeded(t)
         kinds = set()
         for r in t.rules:
             if r.kind == "h":
@@ -151,6 +152,24 @@ class TestBuilder:
             kinds.add(r.kind)
         assert {"h", "v"} <= kinds
         assert len(b) == t.symbols
+
+    @pytest.mark.parametrize("axis", ["h", "horizontal"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda b, x, axis: b.chain(axis, [x, x]),
+            lambda b, x, axis: b.repeat(axis, x, 3),
+            lambda b, x, axis: b.balanced(axis, [x, x, x]),
+            lambda b, x, axis: concat_gadget(b.finish(x), [x, x], axis),
+        ],
+        ids=["chain", "repeat", "balanced", "concat_gadget"],
+    )
+    def test_bad_axis_rejected(self, build, axis):
+        # Any axis but "H" or "V" is an error, never a silent vertical build.
+        b = GrammarBuilder()
+        x = b.terminal("x")
+        with pytest.raises(ParameterError):
+            build(b, x, axis)
 
 
 class TestContainers:

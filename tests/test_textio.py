@@ -6,7 +6,10 @@ import pytest
 
 from gridslp import (
     FormatError,
+    Grammar2D,
     GrammarBuilder,
+    HConcat,
+    Terminal,
     Tslp2D,
     emit_grammar,
     expand,
@@ -31,14 +34,26 @@ class TestRoundTrip:
             assert emit_grammar(parse_grammar(text)) == text, name
 
     def test_labels_preserved(self):
-        b = GrammarBuilder(dedup=False)
-        x = b.terminal("x", label="leaf")
-        g = b.finish(b.h(x, x, label="pair"))
+        g = Grammar2D((Terminal("x"), HConcat(0, 0)), 1, ("leaf", "pair"))
         text = emit_grammar(g)
         assert "leaf T x" in text
         assert "pair H leaf leaf" in text
         back = parse_grammar(text)
         assert back.labels[back.start] == "pair"
+
+    def test_seeded_builder_names_added_symbols_at_finish(self):
+        # The seed already uses S2 and S3, the default names of the first
+        # two added symbols, so those two take a trailing underscore.
+        g = parse_grammar("SLP2D v1\nstart S3\nS2 T x\nS3 H S2 S2\n")
+        b = GrammarBuilder.seeded(g)
+        row = b.h(g.start, b.terminal("y"))
+        out = b.finish(b.v(row, row))
+        assert out.labels == ("S2", "S3", "S2_", "S3_", "S4")
+        text = emit_grammar(out)
+        assert "S3_ H S3 S2_" in text and "S4 V S3_ S3_" in text
+        back = parse_grammar(text)
+        assert (back.rules, back.start, back.labels) == (out.rules, out.start, out.labels)
+        assert emit_grammar(back) == text
 
     def test_example_tslp_text(self):
         t = example_tslp()
