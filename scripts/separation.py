@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""The plain-versus-holed size separation, printed over the spiral family.
+"""The sizes of a plain and a holed balancing route over the spiral family.
 
-A plain grammar of depth O(log N) for an N×N spiral needs Ω(g·N/log³N)
-symbols, while a grammar with holes balances it at O(g).  For each N the
-table gives the input size g, the size of ``rebalance_plain_2d``'s output
-(plain, logarithmic depth) over g, the lower bound's growth term N/log2³N
-and the ratio of the two, the size of ``balance_to_tslp``'s output (holed)
-over g, both output depths, and the rebalance's wall time.  The plain ratio
-grows with N and follows N/log³N, the holed one stays flat.
+The paper's lower bound says some N×N family needs Ω(g·N/log³N) symbols in
+any plain grammar of depth O(log N), while a grammar with holes balances it
+at O(g).  This script prints two upper-bound routes, not that bound.  For
+each N the table gives the input size g, the size of ``rebalance_plain_2d``'s
+output (plain, logarithmic depth) over g, the growth term N/log2³N and the
+ratio of the two, the size of ``balance_to_tslp``'s output (holed) over g,
+both output depths, and the rebalance's wall time.  The plain column is the
+size that pipeline builds, so its growth is the pipeline's overhead on this
+family; a smaller shallow plain grammar may exist, and the column is no
+evidence for the lower bound.  The holed column stays near 2.3·g.
 
 Usage: python3 scripts/separation.py [--exps 8 9 10 11 12 13 14]
 """

@@ -47,6 +47,12 @@ from .geometry import GeometryTable, compute_geometry, geometry_pass
 KEEP_SLACK = 6
 
 
+def _shallow(depth: int, area: int) -> bool:
+    """The keep test: depth ≤ ⌈log2 area⌉ + ``KEEP_SLACK``, in integers (a
+    terminal, of area 1 and depth 1, always passes)."""
+    return depth <= (area - 1).bit_length() + KEEP_SLACK
+
+
 @dataclass(frozen=True)
 class BalanceStats:
     """Measured sizes around one balancing run."""
@@ -157,7 +163,7 @@ def _plan(rules, geo: GeometryTable, start: int):
         if not m & FOLD:
             continue
         for c in (x, y):
-            if D[c] <= (H[c] * W[c] - 1).bit_length() + KEEP_SLACK:
+            if _shallow(D[c], H[c] * W[c]):
                 mark[c] |= COPY
             else:
                 mark[c] |= FOLD
@@ -267,9 +273,7 @@ def balance_to_tslp(
             input_size, inlined_size, input_size, input_depth, input_depth,
             area, 0, 0, kept)
 
-    # Kept: depth ≤ ⌈log2 area⌉ + KEEP_SLACK, in integers; a terminal, of
-    # area 1 and depth 1, always is.
-    if input_depth <= (area - 1).bit_length() + KEEP_SLACK:
+    if _shallow(input_depth, area):
         return unchanged(input_size)
 
     if any(r is not None and r.kind not in PLAIN_KINDS for r in g.rules):
@@ -397,7 +401,7 @@ def _fold_1d(
     depth passes the keep test or the fold would be deeper.
     """
     depth = geo.depths[start]
-    if depth <= (geo.area(start) - 1).bit_length() + KEEP_SLACK:
+    if _shallow(depth, geo.area(start)):
         return None
     b = GrammarBuilder(dedup=True)
     bal, _, _ = _fold(b, rules, _plan(rules, geo, start), *_flanks(b)[1:])

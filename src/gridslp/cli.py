@@ -309,7 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
     p.set_defaults(func=cmd_linearize)
 
-    p = sub.add_parser("rebalance", help="equivalent plain grammar, low depth")
+    p = sub.add_parser(
+        "rebalance",
+        help="equivalent plain grammar, low depth and never deeper "
+        "(shallow input comes back as it is)",
+    )
     p.add_argument("file")
     p.add_argument("--stats", action="store_true", help="print stats to stderr")
     _add_output(p)

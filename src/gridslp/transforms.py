@@ -119,14 +119,19 @@ def decompose_substring(
     """
     if geo is None:
         geo = compute_geometry(g)
-    rules = g.rules
-    W = geo.widths
-    length = W[g.start]
+    length = geo.widths[g.start]
     if not (1 <= i <= j <= length):
         raise OutOfBounds(f"range [{i},{j}] outside string of length {length}")
+    return SubstringDecomposition(
+        tuple(_cover(g.rules, geo.widths, g.start, i, j)), (i, j))
+
+
+def _cover(rules, W, start: int, i: int, j: int) -> list[int]:
+    """``decompose_substring``'s walk below ``start``, over bare rules and
+    widths, for an in-range ``i..j``."""
     cover: list[int] = []
     # (symbol, offset): the symbol derives S[offset + 1 .. offset + width].
-    stack = [(g.start, 0)]
+    stack = [(start, 0)]
     while stack:
         sym, off = stack.pop()
         if i <= off + 1 and off + W[sym] <= j:
@@ -138,7 +143,7 @@ def decompose_substring(
             stack.append((r.right, mid))
         if i <= mid:
             stack.append((r.left, off))
-    return SubstringDecomposition(tuple(cover), (i, j))
+    return cover
 
 
 def linearize_rows(g: Grammar2D, geo: GeometryTable | None = None) -> Grammar1D:
@@ -213,16 +218,22 @@ class RebalanceStats:
 def rebalance_plain_2d(
     g: Grammar2D, geo: GeometryTable | None = None
 ) -> tuple[Grammar2D, RebalanceStats]:
-    """Equivalent plain grammar of depth O(log area) for a wide input.
+    """Equivalent plain grammar of depth at most min(the input's depth,
+    O(log area)) for a wide input.
 
-    Pipeline: flatten to one row-major string, balance that 1D grammar, cut
+    An input already shallow for its size, depth ≤ ⌈log2 area⌉ +
+    ``KEEP_SLACK``, comes back as it is.  Any other goes through the
+    pipeline: flatten to one row-major string, balance that 1D grammar, cut
     it back into the N row substrings (each a short decomposition over the
     balanced grammar), and reassemble with balanced concatenation gadgets.
-    Requires N ≤ M — rotate first otherwise, or the size bound degrades.
-    Grammars with holes are ground-ified (contexts inlined) up front.
+    If the pipeline's output is deeper than the input, or as deep and
+    larger, the input comes back instead.  Requires N ≤ M — rotate first
+    otherwise, or the size bound degrades.  Grammars with holes are
+    ground-ified (contexts inlined) up front, and it is the inlined grammar
+    that comes back in their place.
     """
     # Deferred: balance builds on this module.
-    from .balance import _fold_1d, _inline_contexts
+    from .balance import _fold_1d, _inline_contexts, _shallow
 
     if any(r is not None and r.kind not in PLAIN_KINDS for r in g.rules):
         g, geo = _inline_contexts(g, geo)
@@ -233,6 +244,10 @@ def rebalance_plain_2d(
         raise ParameterError(
             f"input is {N}x{M}; rebalancing expects N ≤ M (rotate_cw first)"
         )
+    size, depth = g.size, geo.depths[g.start]
+    unchanged = g, RebalanceStats(N, M, size, depth, size, depth)
+    if _shallow(depth, N * M):
+        return unchanged
     # The row chains go into the builder holding the balanced string, so
     # its geometry carries over and only the chains are new.  A string
     # already shallow enough stays in the builder that linearized it.
@@ -243,19 +258,13 @@ def rebalance_plain_2d(
     if folded is not None:
         b, root = folded
         bal_geo = b.geometry()
-    bal = b.finish(root)
-    rows = []
-    for r in range(1, N + 1):
-        dec = decompose_substring(bal, (r - 1) * M + 1, r * M, bal_geo)
-        rows.append(b.balanced("H", list(dec.symbols)))
+    rules, W = b.rules, bal_geo.widths
+    rows = [b.balanced("H", _cover(rules, W, root, (r - 1) * M + 1, r * M))
+            for r in range(1, N + 1)]
     root = b.balanced("V", rows)
-    out = b.finish(root)
-    stats = RebalanceStats(
-        rows=N,
-        cols=M,
-        input_size=g.size,
-        input_depth=geo.depths[g.start],
-        output_size=out.size,
-        output_depth=b.depth(root),
-    )
-    return out, stats
+    out_depth = b.depth(root)
+    if out_depth <= depth:
+        out = b.finish(root)
+        if out_depth < depth or out.size <= size:
+            return out, RebalanceStats(N, M, size, depth, out.size, out_depth)
+    return unchanged

@@ -114,6 +114,28 @@ def full_dims(g):
     return geo.heights[g.start], geo.widths[g.start]
 
 
+def _quadtree(m: list[str], b: GrammarBuilder, x: int, y: int, n: int) -> int:
+    """Hash-consed quadtree of the n×n block of ``m`` at (x, y), 0-based."""
+    if n == 1:
+        return b.terminal(m[x][y])
+    k = n // 2
+    q = [_quadtree(m, b, x + dx, y + dy, k) for dx in (0, k) for dy in (0, k)]
+    return b.v(b.h(q[0], q[1]), b.h(q[2], q[3]))
+
+
+def glyph_quadtree():
+    """A seeded 64×64 matrix of 4×4 glyphs and its hash-consed quadtree
+    (depth 13, already shallow)."""
+    rng = random.Random(7)
+    glyphs = [["".join(rng.choice("ab") for _ in range(4)) for _ in range(4)]
+              for _ in range(5)]
+    tiles = [[rng.randrange(5) for _ in range(16)] for _ in range(16)]
+    m = ["".join(glyphs[tiles[i // 4][j // 4]][i % 4][j % 4] for j in range(64))
+         for i in range(64)]
+    b = GrammarBuilder(dedup=True)
+    return m, b.finish(_quadtree(m, b, 0, 0, 64))
+
+
 def random_tslp(seed: int, height: int | None = None, width: int | None = None):
     """A seeded random TSLP over all seven production kinds.
 

@@ -28,10 +28,16 @@ from gridslp import (
     rotate_cw,
     validate,
 )
-from gridslp.balance import _inline_contexts
+from gridslp.balance import _inline_contexts, _shallow
 from gridslp.grammar import PLAIN_KINDS, reachable_topo
 
-from conftest import caterpillar, example_tslp, random_tslp, sample_positions
+from conftest import (
+    caterpillar,
+    example_tslp,
+    glyph_quadtree,
+    random_tslp,
+    sample_positions,
+)
 
 
 class TestBalanceToTslp:
@@ -120,15 +126,6 @@ class TestBalanceToTslp:
             )
 
 
-def _quadtree(m: list[str], b: GrammarBuilder, x: int, y: int, n: int) -> int:
-    """Hash-consed quadtree of the n×n block of ``m`` at (x, y), 0-based."""
-    if n == 1:
-        return b.terminal(m[x][y])
-    k = n // 2
-    q = [_quadtree(m, b, x + dx, y + dy, k) for dx in (0, k) for dy in (0, k)]
-    return b.v(b.h(q[0], q[1]), b.h(q[2], q[3]))
-
-
 def _shape(g, sym: int, memo: dict) -> tuple:
     """The derivation below ``sym`` as nested tuples, ids left out."""
     if sym not in memo:
@@ -165,20 +162,8 @@ class TestDepthAware:
         for seed in range(300):
             self._check(random_tslp(seed), seed)
 
-    @staticmethod
-    def _glyph_quadtree():
-        """A seeded 64×64 matrix of 4×4 glyphs and its hash-consed quadtree."""
-        rng = random.Random(7)
-        glyphs = [["".join(rng.choice("ab") for _ in range(4)) for _ in range(4)]
-                  for _ in range(5)]
-        tiles = [[rng.randrange(5) for _ in range(16)] for _ in range(16)]
-        m = ["".join(glyphs[tiles[i // 4][j // 4]][i % 4][j % 4] for j in range(64))
-             for i in range(64)]
-        b = GrammarBuilder(dedup=True)
-        return m, b.finish(_quadtree(m, b, 0, 0, 64))
-
     def test_quadtree_keeps_its_depth(self):
-        m, g = self._glyph_quadtree()
+        m, g = glyph_quadtree()
         t, stats = balance_to_tslp(g)
         assert stats.input_depth == compute_geometry(g).depths[g.start] == 13
         assert stats.output_depth == stats.input_depth
@@ -189,9 +174,16 @@ class TestDepthAware:
     def test_shallow_linearization_is_not_copied(self, monkeypatch):
         """The rebalance keeps an already-shallow linearization in the
         builder that made it: it adds each linearized symbol once, plus the
-        N rows' chains."""
-        m, g = self._glyph_quadtree()
+        N rows' chains.  A vertical chain of 64 balanced rows of 64 is deep
+        in 2D, so the rebalance runs, but its row-major string is not."""
+        rng = random.Random(7)
+        m = ["".join(rng.choice("ab") for _ in range(64)) for _ in range(64)]
+        b = GrammarBuilder(dedup=True)
+        g = b.finish(b.chain("V", [
+            b.balanced("H", [b.terminal(c) for c in row]) for row in m]))
+        assert not _shallow(compute_geometry(g).depths[g.start], 64 * 64)
         lin = linearize_rows(g)
+        assert _shallow(compute_geometry(lin).depths[lin.start], 64 * 64)
         calls = []
         real = GrammarBuilder._add
 

@@ -201,6 +201,14 @@ class TestTransforms:
         out_g = parse_grammar(out)
         assert (expand(out_g) == expand(build_cnm(32, 64))).all()
 
+    def test_rebalance_keeps_shallow_input_text(self, run, tmp_path):
+        p = tmp_path / "cnm.slp"
+        text = emit_grammar(build_cnm(32, 64))
+        p.write_text(text)
+        code, out, err = run("rebalance", str(p))
+        assert code == 0
+        assert out == text
+
     def test_rebalance_tall_input_is_usage_error(self, run, tmp_path):
         p = tmp_path / "tall.slp"
         p.write_text(emit_grammar(build_cnm(64, 32)))

@@ -228,6 +228,6 @@ class TestBuilderGeometry:
         balance_to_tslp(random_tslp(3))
         out, _ = rebalance_plain_2d(g)
         # The rebalanced output is the last grammar finished; its builder
-        # first finished the balanced string the rows are cut from.
+        # finishes once, after the rows are cut from its balanced string.
         assert finished[-1][1] == out
         self._check(finished)

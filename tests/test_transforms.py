@@ -27,8 +27,9 @@ from gridslp import (
     rotate_cw,
     validate,
 )
+from gridslp.balance import _inline_contexts, _shallow
 
-from conftest import example_tslp, row_caterpillar
+from conftest import example_tslp, glyph_quadtree, random_tslp, row_caterpillar
 
 
 class TestRotate:
@@ -233,6 +234,85 @@ class TestRebalance:
         out, stats = rebalance_plain_2d(t)
         assert validate(out).ok
         assert expand(out).tolist() == [["0", "1"], ["0", "1"]]
+
+
+class TestRebalanceDepthAware:
+    """Shallow input comes back as it is, and no output is deeper than its
+    input, nor as deep and larger."""
+
+    def test_shallow_input_comes_back_as_it_is(self):
+        for g in (glyph_quadtree()[1], build_cnm(32, 64)):
+            out, stats = rebalance_plain_2d(g)
+            assert out.rules == g.rules
+            assert stats.output_size == stats.input_size == g.size
+            assert stats.output_depth == stats.input_depth
+
+    def test_shallow_input_builds_nothing(self, monkeypatch):
+        import gridslp.geometry as geometry
+
+        g = glyph_quadtree()[1]
+        geo = compute_geometry(g)
+        adds, passes = [], []
+        real_add, real_pass = GrammarBuilder._add, geometry.geometry_pass
+
+        def add(self, *args, **kwargs):
+            adds.append(1)
+            return real_add(self, *args, **kwargs)
+
+        def geometry_pass(*args, **kwargs):
+            passes.append(1)
+            return real_pass(*args, **kwargs)
+
+        monkeypatch.setattr(GrammarBuilder, "_add", add)
+        monkeypatch.setattr(geometry, "geometry_pass", geometry_pass)
+        rebalance_plain_2d(g, geo)
+        assert (len(adds), len(passes)) == (0, 0)
+
+    def test_equally_deep_and_larger_output_is_dropped(self):
+        """32 rows of 16 chained 1×2 blocks, joined by a balanced tree, fail
+        the keep test (depth 22 > 16); the pipeline's output is as deep and
+        larger, so the input comes back."""
+        rng = random.Random(0)
+        b = GrammarBuilder(dedup=True)
+        rows = [b.chain("H", [
+            b.h(b.terminal(rng.choice("ab")), b.terminal(rng.choice("ab")))
+            for _ in range(16)]) for _ in range(32)]
+        g = b.finish(b.balanced("V", rows))
+        geo = compute_geometry(g)
+        assert geo.depths[g.start] == 22
+        out, stats = rebalance_plain_2d(g, geo)
+        assert out.rules == g.rules
+        assert (stats.output_size, stats.output_depth) == (g.size, 22)
+
+    @staticmethod
+    def _check(g, name):
+        geo = compute_geometry(g)
+        n_rows, n_cols = geo.dims(g.start)
+        if n_rows > n_cols:
+            g = rotate_cw(_inline_contexts(g, geo)[0])
+        out, stats = rebalance_plain_2d(g)
+        depth = compute_geometry(out).depths[out.start]
+        assert depth == stats.output_depth <= stats.input_depth, name
+        assert out.size == stats.output_size, name
+        if g.text_kind == "SLP2D":
+            assert stats.input_depth == compute_geometry(g).depths[g.start], name
+        if depth == stats.input_depth:
+            assert stats.output_size <= stats.input_size, name
+        if _shallow(stats.input_depth, stats.rows * stats.cols):
+            assert stats.output_size <= stats.input_size, name
+        assert (expand(out) == expand(g)).all(), name
+
+    def test_never_deeper_on_corpus(self, small_corpus):
+        for name, g in small_corpus:
+            self._check(g, name)
+
+    def test_never_deeper_on_random_grammars(self):
+        for seed in range(60):
+            self._check(random_grammar(seed, 30 + seed, max_dim=24), seed)
+
+    def test_never_deeper_on_random_tslps(self):
+        for seed in range(300):
+            self._check(random_tslp(seed), seed)
 
 
 @settings(max_examples=30, deadline=None)
