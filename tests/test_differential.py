@@ -16,6 +16,7 @@ from gridslp import (
     Apply,
     Compose,
     CtxConcat,
+    GrammarBuilder,
     HConcat,
     HoleConcat,
     Terminal,
@@ -197,3 +198,21 @@ def test_linearize_and_rebalance_agree_with_the_painter():
             g, want = rotate_cw(g), np.rot90(want, -1)
         assert (expand(linearize_rows(g)) == want.reshape(1, -1)).all(), seed
         assert (expand(rebalance_plain_2d(g)[0]) == want).all(), seed
+
+
+def test_rebalance_pipeline_agrees_with_the_painter():
+    """All but three of these corpus grammars pass the keep test, so the
+    rebalance returns them as they are.  Chained 40 times side by side,
+    each fails it, and the pipeline's output must be shallower and equal."""
+    for seed in REBALANCE_SEEDS:
+        t = random_tslp(seed)
+        cells, _ = paint(t)
+        want = np.array(cells[t.start], dtype="<U1")
+        g, _ = _inline_contexts(t)
+        if want.shape[0] > want.shape[1]:
+            g, want = rotate_cw(g), np.rot90(want, -1)
+        b = GrammarBuilder.seeded(g)
+        deep = b.finish(b.chain("H", [g.start] * 40))
+        out, stats = rebalance_plain_2d(deep)
+        assert stats.output_depth < stats.input_depth, seed
+        assert (expand(out) == np.tile(want, (1, 40))).all(), seed
