@@ -23,7 +23,6 @@ from .bench import BenchReport, PathStats, bench_access
 from .fastaccess import (
     FastAccessIndex,
     FastParams,
-    PredecessorSet,
     access_fast,
     build_fast,
 )
@@ -84,77 +83,3 @@ from .transforms import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "access_plain",
-    "access_tslp",
-    "BalanceStats",
-    "balance_1d",
-    "balance_to_tslp",
-    "eliminate_contexts_1d",
-    "BenchReport",
-    "FastAccessIndex",
-    "FastParams",
-    "PathStats",
-    "PredecessorSet",
-    "access_fast",
-    "bench_access",
-    "build_fast",
-    "SpiralParams",
-    "build_bin",
-    "build_cnm",
-    "build_cnm_sequence",
-    "build_shiftbin",
-    "build_spiral",
-    "cnm_block_exponent",
-    "distinct_blocks",
-    "random_grammar",
-    "reference_bin",
-    "reference_cnm",
-    "reference_shiftbin",
-    "spiral_params",
-    "DIM_BOUND",
-    "GeometryTable",
-    "compute_geometry",
-    "geometry_pass",
-    "Apply",
-    "as_tslp",
-    "CONTEXT_KINDS",
-    "PLAIN_KINDS",
-    "AreaLimitExceeded",
-    "Compose",
-    "CtxConcat",
-    "DimensionMismatch",
-    "Grammar1D",
-    "Grammar2D",
-    "GrammarBuilder",
-    "GridSlpError",
-    "HConcat",
-    "HoleConcat",
-    "InternalHoleHit",
-    "NotOneDimensional",
-    "OutOfBounds",
-    "ParameterError",
-    "Terminal",
-    "Tslp2D",
-    "VConcat",
-    "ValidationReport",
-    "Violation",
-    "validate",
-    "expand",
-    "matrix_from_text",
-    "matrix_to_text",
-    "max_cells_default",
-    "FormatError",
-    "emit_grammar",
-    "parse_grammar",
-    "RebalanceStats",
-    "SubstringDecomposition",
-    "concat_gadget",
-    "decompose_substring",
-    "linearize_rows",
-    "margin_slp",
-    "rebalance_plain_2d",
-    "rotate_cw",
-    "__version__",
-]

@@ -149,6 +149,16 @@ class TestDepthAware:
         assert stats.output_depth <= stats.input_depth == geo.depths[g.start], name
         assert stats.output_depth == compute_geometry(t).depths[t.start], name
         assert (expand(t) == expand(g)).all(), name
+        return stats
+
+    def _check_chained(self, name, g):
+        """g chained 40 times side by side fails the keep test, which the
+        random corpora mostly pass as they are, so the balancer folds it."""
+        b = GrammarBuilder.seeded(g)
+        deep = b.finish(b.chain("H", [g.start] * 40))
+        geo = compute_geometry(deep)
+        assert not _shallow(geo.depths[deep.start], geo.area(deep.start)), name
+        assert self._check(deep, name).path_count > 0, name
 
     def test_never_deeper_on_corpus(self, small_corpus):
         for name, g in small_corpus:
@@ -161,6 +171,14 @@ class TestDepthAware:
     def test_never_deeper_on_random_tslps(self):
         for seed in range(300):
             self._check(random_tslp(seed), seed)
+
+    def test_never_deeper_on_chained_random_grammars(self):
+        for seed in range(60):
+            self._check_chained(seed, random_grammar(seed, 30 + seed, max_dim=24))
+
+    def test_never_deeper_on_chained_random_tslps(self):
+        for seed in range(300):
+            self._check_chained(seed, random_tslp(seed))
 
     def test_quadtree_keeps_its_depth(self):
         m, g = glyph_quadtree()

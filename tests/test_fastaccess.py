@@ -1,4 +1,5 @@
-"""Accelerated access: predecessor sets, unwinding, and the query loop."""
+"""Accelerated access: predecessor sets, unwinding, the array build against
+the scalar painter, and the query loop."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from gridslp import (
     FastParams,
+    GrammarBuilder,
     InternalHoleHit,
     OutOfBounds,
     ParameterError,
@@ -29,11 +31,13 @@ from gridslp import (
     compute_geometry,
     expand,
     random_grammar,
+    validate,
 )
-from gridslp.fastaccess import PredecessorSet, _unwind
+from gridslp import fastaccess
 from gridslp.grammar import reachable_topo
 
 from conftest import random_tslp, sample_positions
+from reference_index import PredecessorSet, _unwind, reference_build
 
 
 def _linear_pred(keys, x):
@@ -244,6 +248,84 @@ class TestIndexStructure:
         finally:
             tracemalloc.stop()
         assert idx.nbytes <= retained <= 1.5 * idx.nbytes, (idx.nbytes, retained)
+
+
+def _assert_same_index(t, eps):
+    """build_fast's grids, symbols and sizes equal the scalar painter's."""
+    got, want = build_fast(t, eps), reference_build(t, eps)
+    assert got.grids == want.grids
+    assert got.symbols == want.symbols
+    assert got.nbytes == want.nbytes
+    return got
+
+
+class TestReferencePainter:
+    """The array build against ``reference_build``, one symbol at a time."""
+
+    def test_build_matches_reference_painter(self, small_corpus, spiral_1024):
+        tslps = [balance_to_tslp(g)[0] for _, g in small_corpus]
+        tslps += [random_tslp(seed) for seed in range(120)]
+        tslps += [balance_to_tslp(random_grammar(seed, 50, max_dim=24))[0]
+                  for seed in range(40)]
+        tslps.append(balance_to_tslp(spiral_1024)[0])
+        for t in tslps:
+            for eps in (1.0, 3.0, 6.0):
+                _assert_same_index(t, eps)
+
+    def test_dimensions_near_the_bound(self):
+        """A (2^62 - 1) x 2^61 grammar: offsets and cut lines near 2^62 stay
+        exact, and the index answers as the descent does.  (At ε 6, K = 13
+        levels of its doubling chains make 17M cells, too many for a unit
+        test.)"""
+        b = GrammarBuilder()
+        a, c, d = b.terminal("a"), b.terminal("c"), b.terminal("d")
+        block = b.v(b.h(a, c), b.h(d, a))
+        rows = b.repeat("V", b.repeat("H", block, 1 << 60), (1 << 61) - 1)
+        g = b.finish(b.v(rows, b.repeat("H", b.h(c, d), 1 << 60)))
+        geo = compute_geometry(g)
+        h, w = geo.dims(g.start)
+        assert (h, w) == ((1 << 62) - 1, 1 << 61)
+        probes = [(1, 1), (1, w), (h, 1), (h, w), (h - 1, w - 1), (h - 2, w)]
+        probes += sample_positions(h, w, 40, seed=62)
+        for eps in (1.0, 3.0):
+            idx = _assert_same_index(g, eps)
+            for x, y in probes:
+                pattern = ("cd",) if x == h else ("ac", "da")
+                want = pattern[(x - 1) % len(pattern)][(y - 1) % 2]
+                assert access_fast(idx, x, y)[0] == want == access_tslp(g, x, y, geo)[0]
+
+    def test_unwinding_past_fifty_levels(self):
+        for seed in range(60):
+            t = random_tslp(seed, 8, 8)
+            for eps in (30.0, 60.0):
+                idx = _assert_same_index(t, eps)
+                assert idx.params.levels == (25 if eps == 30.0 else 51)
+
+    def test_one_by_one_start(self):
+        b = GrammarBuilder()
+        g = b.finish(b.terminal("z"))
+        for eps in (1.0, 3.0, 6.0):
+            idx = _assert_same_index(g, eps)
+            assert idx.grids == (((), (), [(-1, "z", 0)], 1),)
+            assert access_fast(idx, 1, 1) == ("z", 1)
+
+    def test_undefined_symbol_outside_the_derivation(self):
+        b = GrammarBuilder()
+        start = b.h(b.terminal("a"), b.terminal("b"))
+        g = b.finish(start)
+        g = replace(g, rules=g.rules + (None,), labels=g.labels + ("U",))
+        assert validate(g).ok
+        assert access_fast(_assert_same_index(g, 3.0), 1, 2) == ("b", 1)
+
+    def test_rounds_span_several_chunks(self, spiral_1024, monkeypatch):
+        """More landing symbols than one round builds, and any round size
+        gives the same index."""
+        t, _ = balance_to_tslp(spiral_1024)
+        assert len(_assert_same_index(t, 1.0).grids) > 2 * fastaccess.CHUNK
+        for chunk in (1, 2, 7):
+            monkeypatch.setattr(fastaccess, "CHUNK", chunk)
+            for seed in range(20):
+                _assert_same_index(random_tslp(seed), 3.0)
 
 
 class TestAccessFast:
