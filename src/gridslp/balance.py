@@ -19,16 +19,20 @@ contexts as holed symbols.  ``balance_1d``, the balanced plain 1D grammar
 the 2D rebalancing pipeline is built on, makes each context as the pair of
 plain strings left and right of its hole, so composing two contexts is two
 concatenations and applying one is at most two more, and no holed symbol is
-ever built.  ``eliminate_contexts_1d`` turns any height-1 grammar with holes
-into such flanks, and ``_inline_contexts`` flattens a 2D one to plain form
-before a fold.  Both eliminations follow the geometry table's ``layout``
-entries (child boxes, offsets and holes), not the production kinds, which
-only ``grammar`` and ``textio`` name.
+ever built.  The plan and the fold read the grammar as flat per-symbol
+child lists with the keep test computed once (``_Dag``): from a geometry
+table's entries, or from the rebalance's array linearization, which becomes
+productions only if it stays as it is.  ``eliminate_contexts_1d`` turns any
+height-1 grammar with holes into such flanks, and ``_inline_contexts``
+flattens a 2D one to plain form before a fold.  Both eliminations follow the
+geometry table's ``layout`` entries (child boxes, offsets and holes), not
+the production kinds, which only ``grammar`` and ``textio`` name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .grammar import (
     Grammar1D,
@@ -129,8 +133,74 @@ def _inline_contexts(
 # Marks of the shared plan: a node a fold decomposes, one copied verbatim.
 FOLD, COPY = 1, 2
 
+class _Dag(NamedTuple):
+    """A plain grammar as flat per-symbol lists, what ``_plan`` and
+    ``_fold`` read.
 
-def _plan(rules, geo: GeometryTable, start: int):
+    ``left[z]`` and ``right[z]`` are a concat's first and second child (top
+    and bottom for a vertical one), ``-1`` for a terminal; ``op[z]`` is the
+    concat's axis, ``"H"`` or ``"V"``, or the terminal's character.
+    ``area[z]`` is the expansion's area and ``keep[z]`` its keep test.
+    """
+
+    left: list
+    right: list
+    op: list
+    area: list
+    keep: list
+
+
+def _dag(left, right, op, area, depths) -> _Dag:
+    """A ``_Dag`` from its lists and the symbols' depths (``None`` for a
+    symbol without geometry), running the keep test on Python ints: a 2D
+    area reaches 2**124."""
+    keep = [d is not None and _shallow(d, a) for d, a in zip(depths, area)]
+    return _Dag(left, right, op, area, keep)
+
+
+def _dag_of(geo: GeometryTable) -> _Dag:
+    """The ``_Dag`` of a plain grammar, read off its geometry table's
+    ``layout`` entries (a second child offset by columns sits beside the
+    first)."""
+    n = len(geo.entries)
+    left, right, op = [-1] * n, [-1] * n, [None] * n
+    for z, e in enumerate(geo.entries):
+        if e.__class__ is str:
+            op[z] = e
+        elif e is not None:
+            left[z], right[z], op[z] = e[0], e[5], "H" if e[7] else "V"
+    area = [h * w if h is not None else 0 for h, w in zip(geo.heights, geo.widths)]
+    return _dag(left, right, op, area, geo.depths)
+
+
+def _post_order(left, right, start: int) -> list[int]:
+    """``reachable_topo`` over a ``_Dag``'s child lists: the same depth-first
+    post-order (second child's subtree first), which decides ``_plan``'s
+    canonical heavy parents."""
+    order: list[int] = []
+    seen = bytearray(len(left))
+    # ~sym (negative) marks a symbol whose children are done.
+    stack = [start]
+    while stack:
+        z = stack.pop()
+        if z < 0:
+            order.append(~z)
+            continue
+        if seen[z]:
+            continue
+        seen[z] = 1
+        stack.append(~z)
+        x = left[z]
+        if x >= 0:
+            if not seen[x]:
+                stack.append(x)
+            y = right[z]
+            if not seen[y]:
+                stack.append(y)
+    return order
+
+
+def _plan(dag: _Dag, start: int):
     """The top-down pass every fold shares: marks, splits and requests.
 
     A child of a folded node is folded (FOLD) unless it is kept, and then
@@ -141,38 +211,31 @@ def _plan(rules, geo: GeometryTable, start: int):
     last one met here); a second such parent, or a light one, requests the
     node's own fold, as does being the start.
     """
-    H, W, D = geo.heights, geo.widths, geo.depths
-    order = reachable_topo(rules, start)
-    mark = bytearray(len(rules))
+    left, right, op, area, keep = dag
+    order = _post_order(left, right, start)
+    mark = bytearray(len(left))
     mark[start] = FOLD
     split: dict[int, tuple[int, int, str, str, int]] = {}
     canon: dict[int, int] = {}
     requested: set[int] = {start}
     for z in reversed(order):
         m = mark[z]
-        if not m:
+        x = left[z]
+        if not m or x < 0:
             continue
-        r = rules[z]
-        k = r.kind
-        if k == "term":
-            continue
-        x, y = (r.left, r.right) if k == "h" else (r.top, r.bottom)
+        y = right[z]
         if m & COPY:
             mark[x] |= COPY
             mark[y] |= COPY
         if not m & FOLD:
             continue
-        for c in (x, y):
-            if _shallow(D[c], H[c] * W[c]):
-                mark[c] |= COPY
-            else:
-                mark[c] |= FOLD
-        axis = "H" if k == "h" else "V"
-        if H[y] * W[y] > H[x] * W[x]:
+        mark[x] |= COPY if keep[x] else FOLD
+        mark[y] |= COPY if keep[y] else FOLD
+        if area[y] > area[x]:
             heavy, light, side = y, x, "second"
         else:
             heavy, light, side = x, y, "first"
-        split[z] = (heavy, light, axis, side, H[light] * W[light])
+        split[z] = (heavy, light, op[z], side, area[light])
         if mark[light] & FOLD:
             requested.add(light)
         if mark[heavy] & FOLD:
@@ -182,7 +245,7 @@ def _plan(rules, geo: GeometryTable, start: int):
     return order, mark, split, canon, requested
 
 
-def _fold(b: GrammarBuilder, rules, plan, hole, compose, apply):
+def _fold(b: GrammarBuilder, dag: _Dag, plan, hole, compose, apply):
     """Run ``plan`` into ``b`` with one context algebra.
 
     ``hole(axis, side, ground, heavy)`` makes the context of a folded node
@@ -196,6 +259,7 @@ def _fold(b: GrammarBuilder, rules, plan, hole, compose, apply):
     that no symbol reaches.  Returns the folded (requested) and copied
     symbols and the number of heavy paths.
     """
+    left, right, op = dag.left, dag.right, dag.op
     order, mark, split, canon, requested = plan
     copy: dict[int, int] = {}
     bal: dict[int, int] = {}
@@ -204,13 +268,13 @@ def _fold(b: GrammarBuilder, rules, plan, hole, compose, apply):
     for z in order:
         m = mark[z]
         if m & COPY:
-            r = rules[z]
-            if r.kind == "term":
-                copy[z] = b.terminal(r.char)
-            elif r.kind == "h":
-                copy[z] = b.h(copy[r.left], copy[r.right])
+            x = left[z]
+            if x < 0:
+                copy[z] = b.terminal(op[z])
+            elif op[z] == "H":
+                copy[z] = b.h(copy[x], copy[right[z]])
             else:
-                copy[z] = b.v(copy[r.top], copy[r.bottom])
+                copy[z] = b.v(copy[x], copy[right[z]])
         if not m & FOLD:
             continue
         heavy, light, axis, side, weight = split[z]
@@ -281,10 +345,11 @@ def balance_to_tslp(
     inlined_size = g.size
 
     H, W = geo.heights, geo.widths
-    plan = _plan(g.rules, geo, g.start)
+    dag = _dag_of(geo)
+    plan = _plan(dag, g.start)
     b = GrammarBuilder(dedup=True)
     bal, copy, path_count = _fold(
-        b, g.rules, plan,
+        b, dag, plan,
         lambda axis, side, ground, heavy: b.hole_concat(
             axis, side, ground, H[heavy], W[heavy]),
         b.compose, b.apply)
@@ -386,24 +451,24 @@ def balance_1d(g: Grammar1D) -> Grammar1D:
         )
     if any(r is not None and r.kind not in PLAIN_KINDS for r in g.rules):
         g, geo = _inline_contexts(g, geo)
-    folded = _fold_1d(g.rules, g.start, geo)
+    folded = _fold_1d(_dag_of(geo), g.start, geo.depths[g.start])
     return g if folded is None else folded[0].finish(folded[1])
 
 
 def _fold_1d(
-    rules, start: int, geo: GeometryTable
+    dag: _Dag, start: int, depth: int
 ) -> tuple[GrammarBuilder, int] | None:
-    """The balanced form of a plain height-1 grammar, built in a new
-    builder, with its root; ``None`` where the input should stay as it is.
+    """The balanced form of a plain height-1 grammar whose start is
+    ``depth`` deep, built in a new builder, with its root; ``None`` where the
+    input should stay as it is.
 
     The fold runs ``balance_to_tslp``'s plan with flank pairs (``_flanks``)
     for contexts, so no holed symbol is ever made.  The input stays when its
-    depth passes the keep test or the fold would be deeper.
+    start passes the keep test or the fold would be deeper.
     """
-    depth = geo.depths[start]
-    if _shallow(depth, geo.area(start)):
+    if dag.keep[start]:
         return None
     b = GrammarBuilder(dedup=True)
-    bal, _, _ = _fold(b, rules, _plan(rules, geo, start), *_flanks(b)[1:])
+    bal, _, _ = _fold(b, dag, _plan(dag, start), *_flanks(b)[1:])
     root = bal[start]
     return None if b.depth(root) > depth else (b, root)

@@ -5,12 +5,22 @@ matrix: balanced concatenation gadgets, clockwise rotation by production
 rewriting, margin extraction, substring decomposition inside 1D grammars, row
 linearization of a 2D grammar, and the full rebalancing pipeline that chains
 them (linearize, balance the 1D string, reassemble rows with gadgets).
+
+The linearization runs on numpy arrays, one round per input depth, and
+hands its row-major string on as flat per-symbol lists, in the ids a
+deduplicating builder would have given it; the rebalance folds those lists
+directly, and only a string already shallow enough to stay (or one the fold
+would deepen) is loaded into a builder, to carry the row chains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
+import numpy as np
+
+from .balance import _Dag, _dag, _fold_1d, _inline_contexts, _shallow
 from .grammar import (
     Grammar1D,
     Grammar2D,
@@ -19,6 +29,7 @@ from .grammar import (
     OutOfBounds,
     PLAIN_KINDS,
     ParameterError,
+    Terminal,
     VConcat,
     reachable_topo,
 )
@@ -149,58 +160,210 @@ def _cover(rules, W, start: int, i: int, j: int) -> list[int]:
 def linearize_rows(g: Grammar2D, geo: GeometryTable | None = None) -> Grammar1D:
     """A 1D grammar deriving the row-major flattening of exp(g).
 
-    Every reachable symbol gets the list of its row strings, bottom-up: a
+    Every reachable symbol gets the array of its row strings, bottom-up: a
     terminal is its own row, a vertical concat lists its top child's rows
     then its bottom child's, and a horizontal concat joins its children's
     rows pairwise.  So only terminals and horizontal concats materialize (at
-    most one symbol per row of each input symbol).  The lists hold as many
+    most one symbol per row of each input symbol).  The arrays hold as many
     ids in all as the reachable symbols have rows, at most |g|·N, but each is
     dropped once its last parent has read it.  The start symbol's N row
-    strings are then joined with a balanced gadget.
+    strings are then joined with a balanced gadget.  The row pairs are
+    made on numpy arrays, one round per input depth (``_linearize``), yet
+    the ids come out as a deduplicating ``GrammarBuilder`` making one ``h``
+    call per row pair would give them.
     """
     if geo is None:
         geo = compute_geometry(g)
-    b = GrammarBuilder(dedup=True)
-    return b.finish(_linearize(b, g, geo))
+    return _linearize(g, geo).grammar()
 
 
-def _linearize(b: GrammarBuilder, g: Grammar2D, geo: GeometryTable) -> int:
-    """Add ``linearize_rows(g)``'s symbols to ``b``; returns its root."""
+#: A row pair is hash-consed on one int64 key, ``left << PAIR_BITS | right``,
+#: which is exact while every id is below ``2**PAIR_BITS``; past that the
+#: linearization raises ``OverflowError``.
+PAIR_BITS = 31
+
+
+class _String(NamedTuple):
+    """A linearization as flat per-symbol lists, ids in builder order:
+    children (``-1`` for a terminal, whose character ``chars`` maps), widths
+    and depths, and the root."""
+
+    left: list
+    right: list
+    chars: dict
+    widths: list
+    depths: list
+    root: int
+
+    def grammar(self) -> Grammar1D:
+        """The string as a grammar, what ``linearize_rows`` returns."""
+        chars = self.chars
+        return Grammar2D(tuple(
+            HConcat(x, y) if x >= 0 else Terminal(chars[z])
+            for z, (x, y) in enumerate(zip(self.left, self.right))), self.root)
+
+    def builder(self) -> GrammarBuilder:
+        """A deduplicating builder holding the string's symbols, ids kept."""
+        b = GrammarBuilder(dedup=True)
+        for z, (x, y) in enumerate(zip(self.left, self.right)):
+            b.h(x, y) if x >= 0 else b.terminal(self.chars[z])
+        return b
+
+    def dag(self) -> _Dag:
+        """The string as ``balance``'s fold reads it."""
+        op = ["H"] * len(self.left)
+        for z, c in self.chars.items():
+            op[z] = c
+        return _dag(self.left, self.right, op, self.widths, self.depths)
+
+
+def _check_pair_bits(n: int) -> None:
+    """Ids below ``n`` fit the packed pair key, or ``OverflowError``."""
+    if n > 1 << PAIR_BITS:
+        raise OverflowError(f"{n} symbols overflow the {PAIR_BITS}-bit pair key")
+
+
+def _room(cols: np.ndarray, rows: int) -> np.ndarray:
+    """``cols``, doubled in length until it has ``rows`` rows."""
+    while len(cols) < rows:
+        cols = np.concatenate((cols, np.empty_like(cols)))
+    return cols
+
+
+def _linearize(g: Grammar2D, geo: GeometryTable) -> _String:
+    """``linearize_rows(g)`` as flat lists.
+
+    The input symbols go in rounds of equal depth, so each round reads
+    only row arrays of earlier rounds.  A round pairs all its horizontal
+    concats' rows in one numpy pass: the packed pair keys are uniqued,
+    looked up in the pair index, and the unseen ones become symbols whose
+    widths and depths are gathered from their children's.  Each symbol
+    also keeps the first moment the one-call-at-a-time builder would have
+    asked for it (terminals and row pairs counted in ``reachable_topo``
+    order), and sorting by that moment gives the builder's ids.  The
+    balanced join of the start's rows, about N pairs, runs one at a time.
+    """
     N, M = geo.dims(g.start)
     if N * M > (1 << 62):
         raise OverflowError(f"flattened length {N}*{M} exceeds 2**62")
-    rules = g.rules
+    rules, D = g.rules, geo.depths
     order = reachable_topo(rules, g.start)
     kids: dict[int, tuple[int, int]] = {}
     parents = dict.fromkeys(order, 0)
+    levels: dict[int, list[int]] = {}
+    # The builder's first h (or terminal) call for each input symbol.
+    when: dict[int, int] = {}
+    calls = 0
     for sym in order:
         r = rules[sym]
+        when[sym] = calls
         if r.kind == "h" or r.kind == "v":
             kids[sym] = xy = (r.left, r.right) if r.kind == "h" else (r.top, r.bottom)
             for c in xy:
                 parents[c] += 1
-        elif r.kind != "term":
-            raise ParameterError("linearization is defined for plain grammars only")
-    h = b.h
-    rows: dict[int, list[int]] = {}
-    for sym in order:
-        r = rules[sym]
-        if r.kind == "term":
-            rows[sym] = [b.terminal(r.char)]
-            continue
-        x, y = kids[sym]
-        if r.kind == "v":
-            rows[sym] = rows[x] + rows[y]
+            if r.kind == "h":
+                calls += geo.heights[sym]
+        elif r.kind == "term":
+            calls += 1
         else:
-            rows[sym] = [h(a, c) for a, c in zip(rows[x], rows[y])]
-        # Drop a child's list once its last parent has read it, so the live
-        # lists stay near the output's size (a tall vertical chain would
+            raise ParameterError("linearization is defined for plain grammars only")
+        levels.setdefault(D[sym], []).append(sym)
+    # Per symbol: left, right, width, depth, first call; n rows in use.
+    cols = np.empty((1024, 5), dtype=np.int64)
+    n = 0
+    # A packed row pair -> its symbol, and a character -> its terminal.
+    index: dict[int, int] = {}
+    terms: dict[str, int] = {}
+    rows: dict[int, np.ndarray] = {}
+    for d in sorted(levels):
+        hs = []
+        for sym in levels[d]:
+            r = rules[sym]
+            if r.kind == "h":
+                hs.append(sym)
+            elif r.kind == "v":
+                x, y = kids[sym]
+                rows[sym] = np.concatenate((rows[x], rows[y]))
+            else:
+                t = terms.get(r.char)
+                if t is None:
+                    cols = _room(cols, n + 1)
+                    t = terms[r.char] = n
+                    cols[t] = (-1, -1, 1, 1, when[sym])
+                    n += 1
+                rows[sym] = np.array([t], dtype=np.int64)
+        if hs:
+            _check_pair_bits(n)
+            firsts = np.concatenate([rows[kids[z][0]] for z in hs])
+            keys = firsts << PAIR_BITS | np.concatenate([rows[kids[z][1]] for z in hs])
+            heights = np.array([geo.heights[z] for z in hs])
+            starts = np.cumsum(heights) - heights
+            # The call that pairs row i of z is when[z] + i.
+            moment = np.repeat(np.array([when[z] for z in hs]) - starts, heights)
+            moment += np.arange(len(keys))
+            uniq, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+            moment = moment[first]
+            ids = np.array([index.get(k, -1) for k in uniq.tolist()], dtype=np.int64)
+            new = ids < 0
+            seen = ids[~new]
+            cols[seen, 4] = np.minimum(cols[seen, 4], moment[~new])
+            fresh = uniq[new]
+            k = len(fresh)
+            ids[new] = np.arange(n, n + k)
+            index.update(zip(fresh.tolist(), range(n, n + k)))
+            cols = _room(cols, n + k)
+            fl, fr = fresh >> PAIR_BITS, fresh & ((1 << PAIR_BITS) - 1)
+            block = cols[n:n + k]
+            block[:, 0], block[:, 1] = fl, fr
+            block[:, 2] = cols[fl, 2] + cols[fr, 2]
+            block[:, 3] = np.maximum(cols[fl, 3], cols[fr, 3]) + 1
+            block[:, 4] = moment[new]
+            n += k
+            flat = ids[inv]
+            for z, i, h in zip(hs, starts.tolist(), heights.tolist()):
+                rows[z] = flat[i:i + h]
+        # Drop a child's array once its last parent has read it, so the live
+        # arrays stay near the output's size (a tall vertical chain would
         # otherwise hold N(N+1)/2 ids).
-        for c in (x, y):
-            parents[c] -= 1
-            if not parents[c]:
-                del rows[c]
-    return b.balanced("H", rows[g.start])
+        for sym in levels[d]:
+            for c in kids.get(sym, ()):
+                parents[c] -= 1
+                if not parents[c]:
+                    del rows[c]
+
+    def join(lo: int, hi: int) -> int:
+        # GrammarBuilder.balanced's tree, one deduplicated pair at a time,
+        # each call after every row pair's.
+        nonlocal cols, n, calls
+        if hi - lo == 1:
+            return parts[lo]
+        mid = lo + (hi - lo + 1) // 2
+        a, c = join(lo, mid), join(mid, hi)
+        _check_pair_bits(n)
+        key = a << PAIR_BITS | c
+        z = index.get(key)
+        if z is None:
+            cols = _room(cols, n + 1)
+            z = index[key] = n
+            cols[z] = (a, c, cols[a, 2] + cols[c, 2],
+                       max(cols[a, 3], cols[c, 3]) + 1, calls)
+            n += 1
+            calls += 1
+        return z
+
+    parts = rows.pop(g.start).tolist()
+    root = join(0, len(parts))
+    # Renumber in call order.
+    cols = cols[:n]
+    perm = np.argsort(cols[:, 4])
+    rank = np.empty(n, dtype=np.int64)
+    rank[perm] = np.arange(n)
+    cols = cols[perm]
+    inner = cols[:, 0] >= 0
+    cols[inner, :2] = rank[cols[inner, :2]]
+    left, right, widths, depths, _ = cols.T.tolist()
+    chars = {int(rank[t]): c for c, t in terms.items()}
+    return _String(left, right, chars, widths, depths, int(rank[root]))
 
 
 @dataclass(frozen=True)
@@ -232,9 +395,6 @@ def rebalance_plain_2d(
     ground-ified (contexts inlined) up front, and it is the inlined grammar
     that comes back in their place.
     """
-    # Deferred: balance builds on this module.
-    from .balance import _fold_1d, _inline_contexts, _shallow
-
     if any(r is not None and r.kind not in PLAIN_KINDS for r in g.rules):
         g, geo = _inline_contexts(g, geo)
     elif geo is None:
@@ -248,16 +408,15 @@ def rebalance_plain_2d(
     unchanged = g, RebalanceStats(N, M, size, depth, size, depth)
     if _shallow(depth, N * M):
         return unchanged
-    # The row chains go into the builder holding the balanced string, so
-    # its geometry carries over and only the chains are new.  A string
-    # already shallow enough stays in the builder that linearized it.
-    b = GrammarBuilder(dedup=True)
-    root = _linearize(b, g, geo)
+    # A string already shallow (checked before its keep list is made) or
+    # one the fold would deepen is loaded into a builder as it is; the row
+    # chains go on top.
+    lin = _linearize(g, geo)
+    depth_1d = lin.depths[lin.root]
+    folded = None if _shallow(depth_1d, N * M) else _fold_1d(
+        lin.dag(), lin.root, depth_1d)
+    b, root = (lin.builder(), lin.root) if folded is None else folded
     bal_geo = b.geometry()
-    folded = _fold_1d(b.rules, root, bal_geo)
-    if folded is not None:
-        b, root = folded
-        bal_geo = b.geometry()
     rules, W = b.rules, bal_geo.widths
     rows = [b.balanced("H", _cover(rules, W, root, (r - 1) * M + 1, r * M))
             for r in range(1, N + 1)]

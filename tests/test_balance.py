@@ -189,11 +189,12 @@ class TestDepthAware:
         assert t.rules == g.rules
         assert expand(t).tolist() == [list(row) for row in m]
 
-    def test_shallow_linearization_is_not_copied(self, monkeypatch):
-        """The rebalance keeps an already-shallow linearization in the
-        builder that made it: it adds each linearized symbol once, plus the
-        N rows' chains.  A vertical chain of 64 balanced rows of 64 is deep
-        in 2D, so the rebalance runs, but its row-major string is not."""
+    def test_shallow_linearization_is_not_copied(self):
+        """The rebalance keeps an already-shallow linearization as the
+        output's first symbols, ids unchanged, and adds each linearized
+        symbol once, plus at most the N rows' chains.  A vertical chain of
+        64 balanced rows of 64 is deep in 2D, so the rebalance runs, but its
+        row-major string is not."""
         rng = random.Random(7)
         m = ["".join(rng.choice("ab") for _ in range(64)) for _ in range(64)]
         b = GrammarBuilder(dedup=True)
@@ -202,16 +203,9 @@ class TestDepthAware:
         assert not _shallow(compute_geometry(g).depths[g.start], 64 * 64)
         lin = linearize_rows(g)
         assert _shallow(compute_geometry(lin).depths[lin.start], 64 * 64)
-        calls = []
-        real = GrammarBuilder._add
-
-        def counted(self, *args, **kwargs):
-            calls.append(1)
-            return real(self, *args, **kwargs)
-
-        monkeypatch.setattr(GrammarBuilder, "_add", counted)
         out, stats = rebalance_plain_2d(g)
-        assert len(calls) <= lin.symbols + stats.rows
+        assert out.rules[:lin.symbols] == lin.rules
+        assert out.symbols <= lin.symbols + stats.rows
         assert expand(out).tolist() == [list(row) for row in m]
 
     def test_deep_corner_keeps_its_shallow_block(self):

@@ -16,6 +16,7 @@ from gridslp import (
     OutOfBounds,
     ParameterError,
     build_cnm,
+    build_spiral,
     compute_geometry,
     concat_gadget,
     decompose_substring,
@@ -223,6 +224,16 @@ class TestRebalance:
         out, stats = rebalance_plain_2d(g, geo)
         assert (expand(out) == expand(g)).all()
         assert stats.output_depth <= 4 * math.log2(64) + 4
+
+    @pytest.mark.parametrize("n,size,depth", [(256, 2068, 28), (1024, 7635, 32)])
+    def test_spiral_sizes_do_not_grow(self, n, size, depth):
+        """Today's sizes as upper bounds.  The fold walks the string in
+        ``reachable_topo``'s depth-first order, not in id order, and that
+        order picks each node's canonical heavy parent: in id order the
+        4096² spiral's output grows from 28,733 to 28,769 symbols."""
+        out, stats = rebalance_plain_2d(build_spiral(n))
+        assert stats.output_size == out.size <= size
+        assert stats.output_depth <= depth
 
     def test_requires_wide_input(self):
         g = build_cnm(64, 32)  # 64 rows x 32 cols
