@@ -33,8 +33,9 @@ def main() -> None:
     idx = build_fast(t, 3.0)
     report = bench_access(t, idx, args.queries, args.seed)
     print(f"\n{'path':>6} {'mean_visits':>12} {'max_visits':>11} {'ns/query':>10}")
-    for p in report.paths:
-        print(f"{p.path:>6} {p.mean_visits:>12.2f} {p.max_visits:>11} {p.nanos_per_query:>10.0f}")
+    for p in report["paths"]:
+        print(f"{p['path']:>6} {p['meanVisits']:>12.2f} {p['maxVisits']:>11} "
+              f"{p['nanosPerQuery']:>10.0f}")
 
     print(f"\n{'eps':>5} {'levels':>7} {'grids':>7} {'cells':>9} {'bytes':>10} {'build_s':>8} {'mean_visits':>12}")
     for eps in args.epsilons:
@@ -42,9 +43,9 @@ def main() -> None:
         idx = build_fast(t, eps)
         build_s = time.perf_counter() - t0
         report = bench_access(t, idx, args.queries, args.seed)
-        fast = next(p for p in report.paths if p.path == "fast")
+        fast = next(p for p in report["paths"] if p["path"] == "fast")
         print(f"{eps:>5.1f} {idx.params.levels:>7} {len(idx.grids):>7} {idx.total_cells:>9} "
-              f"{idx.nbytes:>10} {build_s:>8.3f} {fast.mean_visits:>12.2f}")
+              f"{idx.nbytes:>10} {build_s:>8.3f} {fast['meanVisits']:>12.2f}")
 
 
 if __name__ == "__main__":

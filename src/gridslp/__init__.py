@@ -13,13 +13,8 @@ grid index with predecessor lookups.
 """
 
 from .access import access_plain, access_tslp
-from .balance import (
-    BalanceStats,
-    balance_1d,
-    balance_to_tslp,
-    eliminate_contexts_1d,
-)
-from .bench import BenchReport, PathStats, bench_access
+from .balance import BalanceStats, balance_1d, balance_to_tslp
+from .bench import bench_access
 from .fastaccess import (
     FastAccessIndex,
     FastParams,
@@ -34,11 +29,7 @@ from .gadgets import (
     build_shiftbin,
     build_spiral,
     cnm_block_exponent,
-    distinct_blocks,
     random_grammar,
-    reference_bin,
-    reference_cnm,
-    reference_shiftbin,
     spiral_params,
 )
 from .geometry import GeometryTable, compute_geometry, geometry_pass
@@ -73,7 +64,6 @@ from .matrix import expand, matrix_from_text, matrix_to_text, max_cells_default
 from .textio import FormatError, emit_grammar, parse_grammar
 from .transforms import (
     RebalanceStats,
-    SubstringDecomposition,
     concat_gadget,
     decompose_substring,
     linearize_rows,

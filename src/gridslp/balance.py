@@ -22,11 +22,10 @@ concatenations and applying one is at most two more, and no holed symbol is
 ever built.  The plan and the fold read the grammar as flat per-symbol
 child lists with the keep test computed once (``_Dag``): from a geometry
 table's entries, or from the rebalance's array linearization, which becomes
-productions only if it stays as it is.  ``eliminate_contexts_1d`` turns any
-height-1 grammar with holes into such flanks, and ``_inline_contexts``
-flattens a 2D one to plain form before a fold.  Both eliminations follow the
-geometry table's ``layout`` entries (child boxes, offsets and holes), not
-the production kinds, which only ``grammar`` and ``textio`` name.
+productions only if it stays as it is.  Holed input is first flattened to
+plain form (``_plain``, by ``_inline_contexts``), which follows the geometry
+table's ``layout`` entries (child boxes, offsets and holes), not the
+production kinds, which only ``grammar`` and ``textio`` name.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .grammar import (
     as_tslp,
     reachable_topo,
 )
-from .geometry import GeometryTable, compute_geometry, geometry_pass
+from .geometry import GeometryTable, compute_geometry
 
 # A symbol of depth ≤ ⌈log2 area⌉ + KEEP_SLACK is already as shallow as a
 # fold could make it, up to a constant, and is copied verbatim.
@@ -71,9 +70,15 @@ class BalanceStats:
     request_count: int
     kept_count: int  # input symbols copied into the output verbatim
 
-    @property
-    def size_ratio(self) -> float:
-        return self.output_size / max(1, self.input_size)
+
+def _plain(
+    g: Grammar2D, geo: GeometryTable | None = None
+) -> tuple[Grammar2D, GeometryTable]:
+    """``g`` and its geometry table, with its contexts inlined first
+    (``_inline_contexts``) if any rule has a hole."""
+    if any(r is not None and r.kind not in PLAIN_KINDS for r in g.rules):
+        return _inline_contexts(g, geo)
+    return g, compute_geometry(g) if geo is None else geo
 
 
 def _inline_contexts(
@@ -340,8 +345,7 @@ def balance_to_tslp(
     if _shallow(input_depth, area):
         return unchanged(input_size)
 
-    if any(r is not None and r.kind not in PLAIN_KINDS for r in g.rules):
-        g, geo = _inline_contexts(g, geo)
+    g, geo = _plain(g, geo)
     inlined_size = g.size
 
     H, W = geo.heights, geo.widths
@@ -373,7 +377,7 @@ def balance_to_tslp(
 
 
 def _flanks(b: GrammarBuilder):
-    """The 1D context algebra over ``b``: ``(cat, hole, compose, apply)``.
+    """The 1D context algebra over ``b``: ``(hole, compose, apply)``.
 
     A one-dimensional context is a string with one hole, so it is the pair
     of plain strings left and right of the hole, ``None`` where empty.
@@ -388,7 +392,7 @@ def _flanks(b: GrammarBuilder):
             return x
         return h(x, y)
 
-    def hole(axis: str, side: str, ground: int, heavy: int | None = None):
+    def hole(axis: str, side: str, ground: int, heavy: int | None):
         return (None, ground) if side == "first" else (ground, None)
 
     def compose(outer, inner):
@@ -397,45 +401,7 @@ def _flanks(b: GrammarBuilder):
     def apply(ctx, fill: int) -> int:
         return cat(cat(ctx[0], fill), ctx[1])
 
-    return cat, hole, compose, apply
-
-
-def eliminate_contexts_1d(t: Tslp2D) -> Grammar1D:
-    """Replace every context of a height-1 grammar by its two hole flanks.
-
-    A one-dimensional context is a string with one hole, so it splits into
-    the plain string left of the hole and the one right of it (either may be
-    empty); applications become at most two concatenations.  Follows the
-    ``layout`` entries: a second child as wide as the symbol is a context
-    whose hole box 1 fills, and otherwise box 1 is a ground beside the hole,
-    a context or a ground.  Every child's frame fits inside its parent's,
-    so a start one row tall has no vertical production; a taller one is
-    rejected.  Only the symbols the start reaches are laid out and walked.
-    """
-    order = reachable_topo(t.rules, t.start)
-    H, W, HOLE, _, E = geometry_pass(t, order=order)
-    if H[t.start] != 1:
-        raise NotOneDimensional(f"expansion is {H[t.start]} rows tall, expected 1")
-    b = GrammarBuilder(dedup=True)
-    _, hole, compose, apply = _flanks(b)
-    # A ground symbol's id, a context's flank pair.
-    out: dict[int, int | tuple[int | None, int | None]] = {}
-    for sym in order:
-        e = E[sym]
-        if e.__class__ is str:
-            out[sym] = b.terminal(e)
-            continue
-        c1, _, y1, _, _, c2, _, _ = e
-        if c2 is not None and W[c2] == W[sym]:
-            out[sym] = (apply if HOLE[c1] is None else compose)(out[c2], out[c1])
-            continue
-        # Box 1 is a ground beside a hole, which c2 (a context or a ground)
-        # fills when present; the hole is second iff box 1 is at (0, 0).
-        ctx = hole("H", "second" if y1 == 0 else "first", out[c1])
-        if c2 is not None:
-            ctx = (apply if HOLE[c2] is None else compose)(ctx, out[c2])
-        out[sym] = ctx
-    return b.finish(out[t.start])
+    return hole, compose, apply
 
 
 def balance_1d(g: Grammar1D) -> Grammar1D:
@@ -449,8 +415,7 @@ def balance_1d(g: Grammar1D) -> Grammar1D:
         raise NotOneDimensional(
             f"expansion is {geo.heights[g.start]} rows tall, expected 1"
         )
-    if any(r is not None and r.kind not in PLAIN_KINDS for r in g.rules):
-        g, geo = _inline_contexts(g, geo)
+    g, geo = _plain(g, geo)
     folded = _fold_1d(_dag_of(geo), g.start, geo.depths[g.start])
     return g if folded is None else folded[0].finish(folded[1])
 
@@ -469,6 +434,6 @@ def _fold_1d(
     if dag.keep[start]:
         return None
     b = GrammarBuilder(dedup=True)
-    bal, _, _ = _fold(b, dag, _plan(dag, start), *_flanks(b)[1:])
+    bal, _, _ = _fold(b, dag, _plan(dag, start), *_flanks(b))
     root = bal[start]
     return None if b.depth(root) > depth else (b, root)

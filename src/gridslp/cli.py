@@ -36,7 +36,7 @@ from .grammar import (
     Tslp2D,
     validate,
 )
-from .matrix import expand, matrix_to_text, max_cells_default
+from .matrix import DEFAULT_MAX_CELLS, expand, matrix_to_text, max_cells_default
 from .textio import FormatError, emit_grammar, parse_grammar
 from .transforms import linearize_rows, margin_slp, rebalance_plain_2d, rotate_cw
 
@@ -203,6 +203,8 @@ def cmd_margins(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise ParameterError(f"--samples must be at least 1, got {args.samples}")
     a, geo_a = _load(args.file)
     b, geo_b = _load(args.against)
     dims_a, dims_b = geo_a.dims(a.start), geo_b.dims(b.start)
@@ -241,7 +243,7 @@ def cmd_bench(args) -> int:
     g, geo = _load(args.file)
     idx = build_fast(g, epsilon=args.epsilon, geo=geo)
     report = bench_access(g, idx, args.queries, args.seed)
-    _write_text(report.to_json(), args.output)
+    _write_text(json.dumps(report, indent=2), args.output)
     return 0
 
 
@@ -284,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-cells",
         type=int,
         default=None,
-        help=f"area cap (default {max_cells_default()}, env GRIDSLP_MAX_CELLS)",
+        help=f"area cap (default {DEFAULT_MAX_CELLS}, or env GRIDSLP_MAX_CELLS)",
     )
     _add_output(p)
     p.set_defaults(func=cmd_expand)

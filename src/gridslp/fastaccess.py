@@ -58,8 +58,8 @@ class FastParams:
 
     @classmethod
     def from_area(cls, area: int, epsilon: float) -> "FastParams":
-        if epsilon <= 0:
-            raise ParameterError(f"epsilon must be positive, got {epsilon}")
+        if not (math.isfinite(epsilon) and epsilon > 0):
+            raise ParameterError(f"epsilon must be finite and positive, got {epsilon}")
         if area <= 2:
             k = 1
         else:

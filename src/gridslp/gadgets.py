@@ -5,10 +5,10 @@ all n-bit words between ``$`` markers; ``ShiftBin`` repeats it in
 progressively shifted column blocks so middle rows contain many distinct
 words; the ``C`` matrices stack shifted copies into two offset vertical
 strips; the spiral nests rotated ``C`` strips around a shrinking square.
-Every construction comes in two independent forms: a ``reference_*`` oracle
-that fills a numpy matrix cell-by-cell straight from the definition, and a
-``build_*`` grammar whose expansion must match it — the test suites compare
-the two, so neither borrows from the other.
+Each ``build_*`` grammar is checked against an independent oracle that
+fills a numpy matrix cell by cell straight from the definition; the oracles
+live with the tests (``tests/reference_gadgets.py``), so neither borrows
+from the other.
 
 ``random_grammar`` generates seeded, dimension-bounded plain grammars for
 fuzzing the generic machinery.
@@ -21,38 +21,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .grammar import Grammar2D, GrammarBuilder, ParameterError, topo_all
 from .transforms import rotate_cw
-
-# ---------------------------------------------------------------------------
-# Reference oracles (no grammar machinery)
-
-
-def reference_bin(n: int) -> np.ndarray:
-    """The 2^n x (n+2) matrix whose row i is the (i-1)-th n-bit word in $..$."""
-    rows = 1 << n
-    out = np.empty((rows, n + 2), dtype="<U1")
-    for i in range(rows):
-        word = format(i, f"0{n}b") if n else ""
-        out[i, :] = list(f"${word}$")
-    return out
-
-
-def reference_shiftbin(n: int) -> np.ndarray:
-    """The 2N x N(n+2) matrix of N copies of Bin, copy j shifted down j rows.
-
-    N = 2^n.  Copy j occupies rows j+1..j+N of column block j; every other
-    cell is '0'.
-    """
-    N = 1 << n
-    blk = n + 2
-    out = np.full((2 * N, N * blk), "0", dtype="<U1")
-    bin_mat = reference_bin(n)
-    for j in range(N):
-        out[j : j + N, j * blk : (j + 1) * blk] = bin_mat
-    return out
 
 
 def cnm_block_exponent(M: int) -> int:
@@ -63,37 +33,6 @@ def cnm_block_exponent(M: int) -> int:
     while (1 << (m + 1)) * (m + 3) <= M // 2:
         m += 1
     return m
-
-
-def reference_cnm(N: int, M: int) -> np.ndarray:
-    """The N x M matrix with two offset strips of stacked ShiftBin copies.
-
-    Left strip (columns 1..W, W = M'(m+2)): ⌊N/(2M')⌋ ShiftBin copies stacked
-    from the top.  Right strip (columns W+1..2W): M' zero rows, then
-    ⌊(N−M')/(2M')⌋ copies.  Everything else is '0'.
-    """
-    m = cnm_block_exponent(M)
-    mp = 1 << m
-    sb = reference_shiftbin(m)
-    W = mp * (m + 2)
-    out = np.full((N, M), "0", dtype="<U1")
-    for i in range(N // (2 * mp)):
-        out[2 * mp * i : 2 * mp * (i + 1), 0:W] = sb
-    for i in range((N - mp) // (2 * mp)):
-        out[mp + 2 * mp * i : mp + 2 * mp * (i + 1), W : 2 * W] = sb
-    return out
-
-
-def distinct_blocks(row: str, n: int) -> int:
-    """Number of distinct n-bit words b such that ``$b$`` occurs in ``row``."""
-    words = set()
-    bits = {"0", "1"}
-    for i in range(max(0, len(row) - n - 1)):
-        if row[i] == "$" and row[i + n + 1] == "$":
-            middle = row[i + 1 : i + n + 1]
-            if all(ch in bits for ch in middle):
-                words.add(middle)
-    return len(words)
 
 
 # ---------------------------------------------------------------------------

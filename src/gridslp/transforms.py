@@ -7,27 +7,26 @@ linearization of a 2D grammar, and the full rebalancing pipeline that chains
 them (linearize, balance the 1D string, reassemble rows with gadgets).
 
 The linearization runs on numpy arrays, one round per input depth, and
-hands its row-major string on as flat per-symbol lists, in the ids a
-deduplicating builder would have given it; the rebalance folds those lists
-directly, and only a string already shallow enough to stay (or one the fold
-would deepen) is loaded into a builder, to carry the row chains.
+hands its row-major string on as the fold's flat form (``balance._Dag``), in
+the ids a deduplicating builder would have given it; the rebalance folds
+that directly, and only a string already shallow enough to stay (or one the
+fold would deepen) becomes a grammar, loaded with ``GrammarBuilder.seeded``
+to carry the row chains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .balance import _Dag, _dag, _fold_1d, _inline_contexts, _shallow
+from .balance import _Dag, _dag, _fold_1d, _plain, _shallow
 from .grammar import (
     Grammar1D,
     Grammar2D,
     GrammarBuilder,
     HConcat,
     OutOfBounds,
-    PLAIN_KINDS,
     ParameterError,
     Terminal,
     VConcat,
@@ -108,18 +107,11 @@ def margin_slp(g: Grammar2D, side: str) -> Grammar1D:
     return b.finish(out[g.start])
 
 
-@dataclass(frozen=True)
-class SubstringDecomposition:
-    """Symbols whose expansions concatenate to one substring of a 1D string."""
-
-    symbols: tuple[int, ...]
-    source_range: tuple[int, int]
-
-
 def decompose_substring(
     g: Grammar1D, i: int, j: int, geo: GeometryTable | None = None
-) -> SubstringDecomposition:
-    """Cover S[i..j] by at most 2·depth + 2 whole-symbol expansions.
+) -> tuple[int, ...]:
+    """The symbols whose expansions concatenate to S[i..j], at most
+    2·depth + 2 of them.
 
     One walk from the start symbol: a symbol whose expansion lies inside the
     range is taken whole, and any other has its children that overlap the
@@ -133,8 +125,7 @@ def decompose_substring(
     length = geo.widths[g.start]
     if not (1 <= i <= j <= length):
         raise OutOfBounds(f"range [{i},{j}] outside string of length {length}")
-    return SubstringDecomposition(
-        tuple(_cover(g.rules, geo.widths, g.start, i, j)), (i, j))
+    return tuple(_cover(g.rules, geo.widths, g.start, i, j))
 
 
 def _cover(rules, W, start: int, i: int, j: int) -> list[int]:
@@ -174,47 +165,21 @@ def linearize_rows(g: Grammar2D, geo: GeometryTable | None = None) -> Grammar1D:
     """
     if geo is None:
         geo = compute_geometry(g)
-    return _linearize(g, geo).grammar()
+    dag, root, _ = _linearize(g, geo)
+    return _string(dag, root)
+
+
+def _string(dag: _Dag, root: int) -> Grammar1D:
+    """A linearization's ``_Dag`` as the grammar ``linearize_rows`` returns."""
+    return Grammar2D(tuple(
+        HConcat(x, y) if x >= 0 else Terminal(c)
+        for x, y, c in zip(dag.left, dag.right, dag.op)), root)
 
 
 #: A row pair is hash-consed on one int64 key, ``left << PAIR_BITS | right``,
 #: which is exact while every id is below ``2**PAIR_BITS``; past that the
 #: linearization raises ``OverflowError``.
 PAIR_BITS = 31
-
-
-class _String(NamedTuple):
-    """A linearization as flat per-symbol lists, ids in builder order:
-    children (``-1`` for a terminal, whose character ``chars`` maps), widths
-    and depths, and the root."""
-
-    left: list
-    right: list
-    chars: dict
-    widths: list
-    depths: list
-    root: int
-
-    def grammar(self) -> Grammar1D:
-        """The string as a grammar, what ``linearize_rows`` returns."""
-        chars = self.chars
-        return Grammar2D(tuple(
-            HConcat(x, y) if x >= 0 else Terminal(chars[z])
-            for z, (x, y) in enumerate(zip(self.left, self.right))), self.root)
-
-    def builder(self) -> GrammarBuilder:
-        """A deduplicating builder holding the string's symbols, ids kept."""
-        b = GrammarBuilder(dedup=True)
-        for z, (x, y) in enumerate(zip(self.left, self.right)):
-            b.h(x, y) if x >= 0 else b.terminal(self.chars[z])
-        return b
-
-    def dag(self) -> _Dag:
-        """The string as ``balance``'s fold reads it."""
-        op = ["H"] * len(self.left)
-        for z, c in self.chars.items():
-            op[z] = c
-        return _dag(self.left, self.right, op, self.widths, self.depths)
 
 
 def _check_pair_bits(n: int) -> None:
@@ -230,8 +195,10 @@ def _room(cols: np.ndarray, rows: int) -> np.ndarray:
     return cols
 
 
-def _linearize(g: Grammar2D, geo: GeometryTable) -> _String:
-    """``linearize_rows(g)`` as flat lists.
+def _linearize(g: Grammar2D, geo: GeometryTable) -> tuple[_Dag, int, int]:
+    """``linearize_rows(g)`` as the ``_Dag`` the fold reads (``op`` is a
+    terminal's character or ``"H"``, ``area`` the widths), its root and the
+    root's depth.
 
     The input symbols go in rounds of equal depth, so each round reads
     only row arrays of earlier rounds.  A round pairs all its horizontal
@@ -362,8 +329,11 @@ def _linearize(g: Grammar2D, geo: GeometryTable) -> _String:
     inner = cols[:, 0] >= 0
     cols[inner, :2] = rank[cols[inner, :2]]
     left, right, widths, depths, _ = cols.T.tolist()
-    chars = {int(rank[t]): c for c, t in terms.items()}
-    return _String(left, right, chars, widths, depths, int(rank[root]))
+    op = ["H"] * n
+    for c, t in terms.items():
+        op[rank[t]] = c
+    root = int(rank[root])
+    return _dag(left, right, op, widths, depths), root, depths[root]
 
 
 @dataclass(frozen=True)
@@ -395,10 +365,7 @@ def rebalance_plain_2d(
     ground-ified (contexts inlined) up front, and it is the inlined grammar
     that comes back in their place.
     """
-    if any(r is not None and r.kind not in PLAIN_KINDS for r in g.rules):
-        g, geo = _inline_contexts(g, geo)
-    elif geo is None:
-        geo = compute_geometry(g)
+    g, geo = _plain(g, geo)
     N, M = geo.dims(g.start)
     if N > M:
         raise ParameterError(
@@ -408,16 +375,15 @@ def rebalance_plain_2d(
     unchanged = g, RebalanceStats(N, M, size, depth, size, depth)
     if _shallow(depth, N * M):
         return unchanged
-    # A string already shallow (checked before its keep list is made) or
-    # one the fold would deepen is loaded into a builder as it is; the row
-    # chains go on top.
-    lin = _linearize(g, geo)
-    depth_1d = lin.depths[lin.root]
-    folded = None if _shallow(depth_1d, N * M) else _fold_1d(
-        lin.dag(), lin.root, depth_1d)
-    b, root = (lin.builder(), lin.root) if folded is None else folded
-    bal_geo = b.geometry()
-    rules, W = b.rules, bal_geo.widths
+    # A string already shallow or one the fold would deepen is loaded into a
+    # builder as it is; the row chains go on top.
+    dag, root, depth_1d = _linearize(g, geo)
+    folded = _fold_1d(dag, root, depth_1d)
+    if folded is None:
+        b = GrammarBuilder.seeded(_string(dag, root))
+    else:
+        b, root = folded
+    rules, W = b.rules, b.geometry().widths
     rows = [b.balanced("H", _cover(rules, W, root, (r - 1) * M + 1, r * M))
             for r in range(1, N + 1)]
     root = b.balanced("V", rows)

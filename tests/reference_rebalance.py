@@ -164,7 +164,7 @@ def _fold_1d(rules, start: int, geo: GeometryTable):
     if _shallow(depth, geo.area(start)):
         return None
     b = GrammarBuilder(dedup=True)
-    bal, _, _ = _fold(b, rules, _plan(rules, geo, start), *_flanks(b)[1:])
+    bal, _, _ = _fold(b, rules, _plan(rules, geo, start), *_flanks(b))
     root = bal[start]
     return None if b.depth(root) > depth else (b, root)
 

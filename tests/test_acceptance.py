@@ -35,9 +35,10 @@ from gridslp import (
     rebalance_plain_2d,
     validate,
 )
-from gridslp.gadgets import distinct_blocks, reference_bin, reference_cnm, reference_shiftbin
 
 from conftest import caterpillar
+from reference_gadgets import (
+    distinct_blocks, reference_bin, reference_cnm, reference_shiftbin)
 from reference_index import PredecessorSet
 
 SAMPLE_CAP = 10_000

@@ -20,7 +20,6 @@ from gridslp import (
     build_cnm,
     build_spiral,
     compute_geometry,
-    eliminate_contexts_1d,
     expand,
     linearize_rows,
     random_grammar,
@@ -38,6 +37,7 @@ from conftest import (
     random_tslp,
     sample_positions,
 )
+from reference_balance import eliminate_contexts_1d
 
 
 class TestBalanceToTslp:

@@ -16,6 +16,7 @@ from gridslp import (
     parse_grammar,
 )
 from gridslp.cli import main
+from gridslp.matrix import DEFAULT_MAX_CELLS
 
 from conftest import example_tslp
 
@@ -290,6 +291,19 @@ class TestVerify:
         assert code == 0
         assert "sampled" in out
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sample_count_below_one_is_usage_error(self, run, tmp_path, samples):
+        """Zero samples would report "equal" without comparing a cell."""
+        a = tmp_path / "a.slp"
+        a.write_text(emit_grammar(build_cnm(32, 32)))
+        code, out, err = run(
+            "verify", str(a), "--against", str(a), "--max-cells", 100,
+            "--samples", samples,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--samples" in err
+
 
 class TestBench:
     def test_json_report(self, run, tmp_path):
@@ -300,3 +314,51 @@ class TestBench:
         d = json.loads(out)
         assert d["queries"] == 32
         assert [p["path"] for p in d["paths"]] == ["tslp", "fast"]
+
+    def test_json_key_order(self, run, shiftbin_file):
+        code, out, err = run("bench", shiftbin_file, "--queries", 4)
+        assert code == 0
+        d = json.loads(out)
+        assert list(d) == ["queries", "seed", "height", "width", "paths"]
+        for p in d["paths"]:
+            assert list(p) == ["path", "meanVisits", "maxVisits", "nanosPerQuery"]
+
+    @pytest.mark.parametrize("queries", [0, -3])
+    def test_query_count_below_one_is_usage_error(self, run, shiftbin_file, queries):
+        code, out, err = run("bench", shiftbin_file, "--queries", queries)
+        assert code == 2
+        assert out == ""
+        assert "queries" in err
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "0", "-1"])
+    def test_unusable_epsilon_is_usage_error(self, run, shiftbin_file, epsilon):
+        for argv in (("bench", shiftbin_file, "--queries", 4),
+                     ("access", shiftbin_file, 1, 1, "--fast")):
+            code, out, err = run(*argv, f"--epsilon={epsilon}")
+            assert code == 2, argv
+            assert "epsilon must be finite and positive" in err, argv
+
+
+class TestMaxCellsEnvironment:
+    """A bad ``GRIDSLP_MAX_CELLS`` matters only to commands that read it."""
+
+    def test_other_commands_ignore_it(self, run, monkeypatch, shiftbin_file):
+        monkeypatch.setenv("GRIDSLP_MAX_CELLS", "abc")
+        code, out, err = run("stats", shiftbin_file)
+        assert code == 0
+        assert json.loads(out)["height"] == 8
+
+    def test_expand_reports_it(self, run, monkeypatch, shiftbin_file):
+        monkeypatch.setenv("GRIDSLP_MAX_CELLS", "abc")
+        code, out, err = run("expand", shiftbin_file)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "GRIDSLP_MAX_CELLS" in err
+        assert "Traceback" not in err
+
+    def test_help_names_the_default_without_reading_it(self, monkeypatch, capsys):
+        monkeypatch.setenv("GRIDSLP_MAX_CELLS", "abc")
+        with pytest.raises(SystemExit) as exit_:
+            main(["expand", "--help"])
+        assert exit_.value.code == 0
+        assert f"default {DEFAULT_MAX_CELLS}" in " ".join(capsys.readouterr().out.split())

@@ -26,7 +26,6 @@ from gridslp import (
     balance_to_tslp,
     build_fast,
     compute_geometry,
-    eliminate_contexts_1d,
     emit_grammar,
     expand,
     linearize_rows,
@@ -38,6 +37,7 @@ from gridslp import (
 from gridslp.balance import _inline_contexts
 
 from conftest import random_tslp
+from reference_balance import eliminate_contexts_1d
 
 SEEDS = range(300)
 HEIGHT_ONE_SEEDS = range(40)

@@ -105,6 +105,11 @@ class TestFastParams:
         with pytest.raises(ParameterError):
             FastParams.from_area(100, -1.5)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_epsilon(self, epsilon):
+        with pytest.raises(ParameterError):
+            FastParams.from_area(100, epsilon)
+
 
 def _region_area(region):
     _, x1, y1, x2, y2, hole = region
@@ -394,8 +399,7 @@ class TestBench:
         g = build_spiral(256)
         t, _ = balance_to_tslp(g)
         idx = build_fast(t)
-        report = bench_access(t, idx, queries=64, seed=3)
-        d = report.to_dict()
+        d = bench_access(t, idx, queries=64, seed=3)
         assert d["queries"] == 64
         assert d["seed"] == 3
         assert (d["height"], d["width"]) == (256, 256)
@@ -404,11 +408,17 @@ class TestBench:
         for p in d["paths"]:
             assert p["meanVisits"] <= p["maxVisits"]
             assert p["nanosPerQuery"] > 0
-        json.loads(report.to_json())
+        assert json.loads(json.dumps(d)) == d
 
     def test_plain_path_included_for_plain_grammars(self):
         """A plain grammar's descent is the tslp row: one function, one row."""
         g = build_spiral(256)
         idx = build_fast(g)
         report = bench_access(g, idx, queries=32, seed=4)
-        assert [p.path for p in report.paths] == ["tslp", "fast"]
+        assert [p["path"] for p in report["paths"]] == ["tslp", "fast"]
+
+    @pytest.mark.parametrize("queries", [0, -3])
+    def test_rejects_query_counts_below_one(self, queries):
+        g = build_shiftbin(2)
+        with pytest.raises(ParameterError):
+            bench_access(g, build_fast(g), queries=queries, seed=0)

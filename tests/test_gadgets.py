@@ -16,16 +16,15 @@ from gridslp import (
     build_spiral,
     cnm_block_exponent,
     compute_geometry,
-    distinct_blocks,
     expand,
     random_grammar,
-    reference_bin,
-    reference_cnm,
-    reference_shiftbin,
     rotate_cw,
     spiral_params,
     validate,
 )
+
+from reference_gadgets import (
+    distinct_blocks, reference_bin, reference_cnm, reference_shiftbin)
 
 
 class TestBin:

@@ -14,11 +14,10 @@ from gridslp import (
     matrix_from_text,
     matrix_to_text,
     max_cells_default,
-    reference_bin,
-    reference_shiftbin,
 )
 
 from conftest import example_tslp
+from reference_gadgets import reference_bin, reference_shiftbin
 
 
 def test_expand_matches_reference_small():

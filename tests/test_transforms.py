@@ -108,7 +108,7 @@ class TestDecompose:
             i = rng.randint(1, len(text))
             j = rng.randint(i, len(text))
             d = decompose_substring(g, i, j, geo)
-            got = "".join("".join(expand(g, s)[0]) for s in d.symbols)
+            got = "".join("".join(expand(g, s)[0]) for s in d)
             assert got == text[i - 1 : j], (i, j)
 
     def test_piece_count_bounded_by_depth(self):
@@ -121,14 +121,14 @@ class TestDecompose:
             i = rng.randint(1, n)
             j = rng.randint(i, n)
             d = decompose_substring(g, i, j, geo)
-            assert len(d.symbols) <= 2 * depth, (i, j)
+            assert len(d) <= 2 * depth, (i, j)
 
     def test_whole_range_is_start(self):
         g = self._one_d(links=50)
         geo = compute_geometry(g)
         n = geo.widths[g.start]
         d = decompose_substring(g, 1, n, geo)
-        assert d.symbols == (g.start,)
+        assert d == (g.start,)
 
     def test_out_of_bounds(self):
         g = self._one_d(links=10)
