@@ -28,7 +28,7 @@ from .gadgets import (
     build_spiral,
     random_grammar,
 )
-from .geometry import GeometryTable
+from .geometry import GeometryTable, compute_geometry
 from .grammar import (
     Grammar2D,
     GridSlpError,
@@ -67,12 +67,12 @@ def _write_text(text: str, path: str | None) -> None:
 
 
 def _load(path: str) -> tuple[Grammar2D, GeometryTable]:
-    """The grammar in ``path`` and the geometry its validation computed."""
+    """The grammar in ``path`` and its geometry table."""
     g = parse_grammar(_read_text(path))
     report = validate(g)
     if not report.ok:
         raise _Fail(1, f"{path}: invalid grammar\n{report}")
-    return g, report.geometry
+    return g, compute_geometry(g)
 
 
 def _require(args, *names) -> None:

@@ -99,6 +99,14 @@ def geometry_pass(g: Grammar2D, on_error=None, order=None):
 
 
 def compute_geometry(g: Grammar2D) -> GeometryTable:
-    """Geometry of every defined symbol of a validated grammar."""
-    H, W, HOLE, D, E = geometry_pass(g, on_error=None)
-    return GeometryTable(tuple(H), tuple(W), tuple(HOLE), tuple(D), tuple(E))
+    """Geometry of every defined symbol of a validated grammar.
+
+    Computed once per grammar object: the table is kept on ``g`` (as
+    :func:`~gridslp.grammar.validate` keeps the one it computes) and
+    returned again on later calls.
+    """
+    geo = g._geometry
+    if geo is None:
+        geo = GeometryTable(*map(tuple, geometry_pass(g)))
+        object.__setattr__(g, "_geometry", geo)
+    return geo

@@ -321,6 +321,11 @@ class Grammar2D:
     rules: tuple[Production | None, ...]
     start: int
     labels: tuple[str, ...] = field(default=())
+    # The geometry table, once ``validate`` or ``compute_geometry`` has
+    # computed it in full; never a caller's table.
+    _geometry: GeometryTable | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if not self.labels:
@@ -406,9 +411,20 @@ def reachable_topo(rules, start: int) -> list[int]:
     return _post_order(rules, (start,))
 
 
-def topo_all(rules) -> list[int]:
-    """Every defined symbol in dependency order (children before parents)."""
-    return _post_order(rules, range(len(rules)))
+def topo_all(rules, on_cycle=None) -> list[int]:
+    """Every defined symbol in dependency order (children before parents).
+
+    When every reference points to a lower id, as in every emitted file and
+    every builder-made grammar, that is id order, which is also what the
+    depth-first walk would return; otherwise the walk runs, and reports
+    cycles to ``on_cycle`` as :func:`_post_order` does.
+    """
+    for sym, r in enumerate(rules):
+        if r is not None:
+            for c in children(r):
+                if c >= sym:
+                    return _post_order(rules, range(len(rules)), on_cycle)
+    return [sym for sym, r in enumerate(rules) if r is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -430,15 +446,9 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Every violation found; for a sound grammar, also its geometry.
-
-    ``geometry`` is the table the validation pass computed, so a caller that
-    validates untrusted input need not compute it again.  It is ``None``
-    whenever there are violations.
-    """
+    """Every violation found."""
 
     violations: tuple[Violation, ...]
-    geometry: GeometryTable | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -459,7 +469,8 @@ def validate(g: Grammar2D, hole_marker: str = "#") -> ValidationReport:
     hole geometry (hole strictly inside a nonempty frame), start symbol ground,
     dimension overflow beyond 2**62, and — for TSLPs — that ``hole_marker``
     does not occur as a terminal character (it must stay reserved for
-    materializing unfilled holes).
+    materializing unfilled holes).  A grammar with no violations keeps the
+    geometry table the checks computed, for :func:`compute_geometry`.
     """
     is_tslp = isinstance(g, Tslp2D)
     rules = g.rules
@@ -494,9 +505,8 @@ def validate(g: Grammar2D, hole_marker: str = "#") -> ValidationReport:
     if rules[g.start] is None:
         bad("undefined", g.start, "start symbol has no production")
 
-    order = _post_order(
-        sound, range(n),
-        lambda c: bad("cycle", c, "symbol participates in a reference cycle"),
+    order = topo_all(
+        sound, lambda c: bad("cycle", c, "symbol participates in a reference cycle")
     )
     if out:
         # Geometry is meaningless below a broken reference structure.
@@ -523,7 +533,8 @@ def validate(g: Grammar2D, hole_marker: str = "#") -> ValidationReport:
 
     if out:
         return ValidationReport(tuple(out))
-    return ValidationReport((), GeometryTable(*map(tuple, tables)))
+    object.__setattr__(g, "_geometry", GeometryTable(*map(tuple, tables)))
+    return ValidationReport(())
 
 
 # ---------------------------------------------------------------------------

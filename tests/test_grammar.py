@@ -15,23 +15,43 @@ from gridslp import (
     Compose,
     CtxConcat,
     DimensionMismatch,
+    GeometryTable,
     Grammar2D,
     GrammarBuilder,
+    GridSlpError,
     HConcat,
     HoleConcat,
     ParameterError,
     Terminal,
     Tslp2D,
     VConcat,
+    access_tslp,
     as_tslp,
+    balance_to_tslp,
+    build_fast,
     compute_geometry,
     concat_gadget,
     expand,
+    geometry_pass,
+    parse_grammar,
     validate,
 )
-from gridslp.grammar import children, reachable_topo, rule_size, topo_all
+from gridslp import grammar
+from gridslp.grammar import (
+    _post_order,
+    children,
+    reachable_topo,
+    rule_size,
+    topo_all,
+)
 
 from conftest import example_tslp, random_tslp
+
+
+def _fresh_geometry(g):
+    """``g``'s geometry table, computed without reading or filling the
+    grammar's own."""
+    return GeometryTable(*map(tuple, geometry_pass(g)))
 
 
 class TestBuilder:
@@ -230,7 +250,8 @@ class TestValidate:
         for name, g in small_corpus:
             rep = validate(g)
             assert rep.ok, f"{name}: {rep}"
-            assert rep.geometry == compute_geometry(g), name
+            # The table validation kept equals one computed afresh.
+            assert compute_geometry(g) == _fresh_geometry(g), name
 
     def test_undefined_symbol_reported(self):
         g = Grammar2D(rules=(HConcat(1, 2), Terminal("x"), None), start=0)
@@ -251,7 +272,10 @@ class TestValidate:
         )
         rep = validate(g)
         assert any(v.code == "dimension" for v in rep.violations)
-        assert rep.geometry is None
+        # No table is kept for a grammar with violations, and computing
+        # one still raises.
+        with pytest.raises(GridSlpError):
+            compute_geometry(g)
 
     def test_plain_grammar_rejects_context_kinds(self):
         g = Grammar2D(
@@ -328,5 +352,125 @@ def test_only_grammar_and_textio_name_holed_kinds():
         if path.name not in KIND_MODULES
         for i, line in enumerate(path.read_text().splitlines(), 1)
         if HOLED_KIND_NAMES.search(line)
+    ]
+    assert not hits, "\n".join(hits)
+
+
+class TestGeometryCache:
+    TEXT = "SLP2D v1\nstart T\nA T 0\nB T 1\nC H A B\nT V C C\n"
+
+    def test_computed_once(self):
+        g = parse_grammar(self.TEXT)
+        assert compute_geometry(g) is compute_geometry(g)
+        assert compute_geometry(g) == _fresh_geometry(g)
+
+    def test_validate_keeps_its_table(self, monkeypatch):
+        g = parse_grammar(self.TEXT)
+        assert validate(g).ok
+        calls = []
+        monkeypatch.setattr(
+            "gridslp.geometry.geometry_pass", lambda *a, **k: calls.append(1)
+        )
+        geo = compute_geometry(g)
+        assert calls == [] and compute_geometry(g) is geo
+        assert geo == _fresh_geometry(parse_grammar(self.TEXT))
+
+    def test_callers_table_is_never_kept(self):
+        """Each call reads the table it is given and leaves the grammar's
+        own unset, so a later compute_geometry makes a new one."""
+        calls = [
+            lambda t, geo: build_fast(t, 3.0, geo),
+            lambda t, geo: access_tslp(t, 1, 2, geo=geo),
+            lambda t, geo: expand(t, geo=geo),
+            lambda t, geo: balance_to_tslp(t, geo),
+        ]
+        for call in calls:
+            for t in (parse_grammar(self.TEXT), example_tslp()):
+                geo = _fresh_geometry(t)
+                call(t, geo)
+                assert compute_geometry(t) is not geo
+                assert compute_geometry(t) == geo
+
+    def test_cache_is_invisible(self):
+        cached, plain = parse_grammar(self.TEXT), parse_grammar(self.TEXT)
+        compute_geometry(cached)
+        assert cached == plain
+        assert hash(cached) == hash(plain)
+        assert repr(cached) == repr(plain)
+
+    def test_partial_pass_is_not_kept(self):
+        g = parse_grammar(self.TEXT)
+        geometry_pass(g, order=[0])
+        assert compute_geometry(g) == _fresh_geometry(g)
+
+
+class TestIdOrder:
+    """Where every reference points to a lower id, the walks use id order."""
+
+    def test_topo_all_is_the_depth_first_order(self, small_corpus, spiral_1024):
+        for name, g in small_corpus + [("spiral_1024", spiral_1024)]:
+            assert topo_all(g.rules) == _post_order(
+                g.rules, range(g.symbols)), name
+
+    def test_forward_reference_takes_the_walk(self, monkeypatch):
+        walks = []
+
+        def counted(*args, **kwargs):
+            walks.append(1)
+            return _post_order(*args, **kwargs)
+
+        monkeypatch.setattr(grammar, "_post_order", counted)
+        back = parse_grammar(TestGeometryCache.TEXT)
+        fwd = parse_grammar(
+            "SLP2D v1\nstart T\nT V C C\nC H A B\nA T 0\nB T 1\n")
+        assert validate(back).ok and walks == []
+        assert validate(fwd).ok and walks == [1]
+        geo = compute_geometry(fwd)
+        assert geo == _fresh_geometry(fwd)
+        # The same symbols, listed in the reverse order.
+        assert [geo.dims(s) for s in range(4)] == [
+            compute_geometry(back).dims(s) for s in (3, 2, 0, 1)]
+        assert (expand(fwd) == expand(back)).all()
+
+    #: Violations as (code, symbol, message), in the order validate reports
+    #: them; the depth-first walk of earlier versions gave the same lists.
+    MALFORMED = {
+        "SLP2D v1\nstart S\nA T x\nS H A B\n": [
+            ("undefined", 1, "reference to undefined symbol B")],
+        "SLP2D v1\nstart S\nA T x\nS H S A\n": [
+            ("cycle", 1, "symbol participates in a reference cycle")],
+        "SLP2D v1\nstart S\nS H P P\nP H S S\n": [
+            ("cycle", 0, "symbol participates in a reference cycle")] * 2,
+        "SLP2D v1\nstart S\nA T x\nB V A A\nC H A B\nD H B A\nS V C D\n": [
+            ("dimension", 2, "h-concat heights differ: 1 vs 2"),
+            ("dimension", 3, "h-concat heights differ: 2 vs 1")],
+        "SLP2D v1\nstart S\nS V C D\nC H A B\nD H B A\nB V A A\nA T x\n": [
+            ("dimension", 2, "h-concat heights differ: 2 vs 1"),
+            ("dimension", 1, "h-concat heights differ: 1 vs 2")],
+        "TSLP2D v1\nstart S\nX T #\nK HH L X 1 1\nS A K X\n": [
+            ("marker", 0, "terminal uses the hole marker '#'; pick a "
+             "different marker or alphabet")],
+    }
+
+    def test_violation_lists_unchanged(self):
+        for text, want in self.MALFORMED.items():
+            g = parse_grammar(text)
+            got = [(v.code, v.symbol, v.message) for v in validate(g).violations]
+            assert got == want, text
+        g = Grammar2D(rules=(Terminal("x"), None, HConcat(0, 1)), start=2)
+        assert [(v.code, v.symbol) for v in validate(g).violations] == [
+            ("undefined", 2)]
+
+
+def test_only_grammar_and_geometry_name_the_cache():
+    """The kept table is written only where a full table is computed:
+    ``validate`` and ``compute_geometry``."""
+    src = Path(__file__).resolve().parent.parent / "src" / "gridslp"
+    hits = [
+        f"{path.name}:{i}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        if path.name not in ("grammar.py", "geometry.py")
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\b_geometry\b", line)
     ]
     assert not hits, "\n".join(hits)
