@@ -12,13 +12,10 @@ size that pipeline builds, so its growth is the pipeline's overhead on this
 family; a smaller shallow plain grammar may exist, and the column is no
 evidence for the lower bound.  The holed column stays near 2.3·g.
 
-The plain output also carries symbols its start does not reach: pieces of
-the balanced row-major string that no row cover uses.  The ``reach`` column
-is the size of the reachable part alone (``reachable_topo``).  On the
-spiral, 738 of 1,035 symbols are reachable at N = 256, 2,714 of 3,819 at
-1024, and 9,913 of 14,368 at 4096, where the reachable size is 19,823 of
-28,733.  Pruning them would change the output, so it is left for the
-construction that replaces this route.
+The plain route folds the spiral's N row strings as the roots of one
+1D plan and stacks the balanced rows, so every output symbol is reachable
+from its start.  Its size and depth are 1,370 / 26 at N = 256, 5,089 / 30
+at 1024 and 18,195 / 34 at 4096.
 
 Usage: python3 scripts/separation.py [--exps 8 9 10 11 12 13 14]
 """
@@ -33,7 +30,6 @@ from gridslp import (
     compute_geometry,
     rebalance_plain_2d,
 )
-from gridslp.grammar import reachable_topo, rule_size
 
 
 def main() -> None:
@@ -42,7 +38,7 @@ def main() -> None:
     args = ap.parse_args()
 
     print(
-        f"{'N':>6} {'g':>6} {'plain':>7} {'reach':>7} {'plain/g':>8} {'N/log3N':>8} "
+        f"{'N':>6} {'g':>6} {'plain':>7} {'plain/g':>8} {'N/log3N':>8} "
         f"{'ratio':>6} {'tslp':>6} {'tslp/g':>7} {'depths':>7} {'rebal_s':>8}"
     )
     for exp in args.exps:
@@ -50,14 +46,13 @@ def main() -> None:
         g = build_spiral(n)
         geo = compute_geometry(g)
         t0 = time.perf_counter()
-        out, plain = rebalance_plain_2d(g, geo)
+        _, plain = rebalance_plain_2d(g, geo)
         secs = time.perf_counter() - t0
-        reach = sum(rule_size(out.rules[z]) for z in reachable_topo(out.rules, out.start))
         _, tslp = balance_to_tslp(g, geo)
         growth = n / exp ** 3
         per_g = plain.output_size / g.size
         print(
-            f"{n:>6} {g.size:>6} {plain.output_size:>7} {reach:>7} {per_g:>8.2f} "
+            f"{n:>6} {g.size:>6} {plain.output_size:>7} {per_g:>8.2f} "
             f"{growth:>8.2f} {per_g / growth:>6.2f} {tslp.output_size:>6} "
             f"{tslp.output_size / g.size:>7.2f} "
             f"{plain.output_depth:>3}/{tslp.output_depth:<3} {secs:>8.3f}"

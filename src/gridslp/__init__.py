@@ -64,8 +64,6 @@ from .matrix import expand, matrix_from_text, matrix_to_text, max_cells_default
 from .textio import FormatError, emit_grammar, parse_grammar
 from .transforms import (
     RebalanceStats,
-    concat_gadget,
-    decompose_substring,
     linearize_rows,
     margin_slp,
     rebalance_plain_2d,

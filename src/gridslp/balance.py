@@ -15,17 +15,19 @@ depth, the input is returned instead.
 
 One plan (``_plan``: the marks, heavy/light splits and requested nodes) and
 one fold (``_fold``) serve two context algebras.  ``balance_to_tslp`` makes
-contexts as holed symbols.  ``balance_1d``, the balanced plain 1D grammar
-the 2D rebalancing pipeline is built on, makes each context as the pair of
-plain strings left and right of its hole, so composing two contexts is two
-concatenations and applying one is at most two more, and no holed symbol is
-ever built.  The plan and the fold read the grammar as flat per-symbol
-child lists with the keep test computed once (``_Dag``): from a geometry
-table's entries, or from the rebalance's array linearization, which becomes
-productions only if it stays as it is.  Holed input is first flattened to
-plain form (``_plain``, by ``_inline_contexts``), which follows the geometry
-table's ``layout`` entries (child boxes, offsets and holes), not the
-production kinds, which only ``grammar`` and ``textio`` name.
+contexts as holed symbols.  The plain 1D route (``_fold_1d``) makes each
+context as the pair of plain strings left and right of its hole, so
+composing two contexts is two concatenations and applying one is at most
+two more, and no holed symbol is ever built.  A plan may have many roots,
+walked in one post-order with one shared ``seen``: ``balance_1d`` folds one
+string, and the 2D rebalance folds a grammar's N linearized rows at once,
+copying each row that passes the keep test.  The plan and the fold read the
+grammar as flat per-symbol child lists with the keep test computed once
+(``_Dag``): from a geometry table's entries, or from the rebalance's array
+linearization, which never becomes productions.  Holed input is first
+flattened to plain form (``_plain``, by ``_inline_contexts``), which follows
+the geometry table's ``layout`` entries (child boxes, offsets and holes),
+not the production kinds, which only ``grammar`` and ``textio`` name.
 """
 
 from __future__ import annotations
@@ -178,14 +180,16 @@ def _dag_of(geo: GeometryTable) -> _Dag:
     return _dag(left, right, op, area, geo.depths)
 
 
-def _post_order(left, right, start: int) -> list[int]:
-    """``reachable_topo`` over a ``_Dag``'s child lists: the same depth-first
+def _post_order(left, right, starts: list[int]) -> list[int]:
+    """``reachable_topo`` over a ``_Dag``'s child lists, from each of
+    ``starts`` in turn with one shared ``seen``: the same depth-first
     post-order (second child's subtree first), which decides ``_plan``'s
     canonical heavy parents."""
     order: list[int] = []
     seen = bytearray(len(left))
-    # ~sym (negative) marks a symbol whose children are done.
-    stack = [start]
+    # ~sym (negative) marks a symbol whose children are done; the starts are
+    # popped first to last, each after all below the one before it.
+    stack = starts[::-1]
     while stack:
         z = stack.pop()
         if z < 0:
@@ -205,24 +209,30 @@ def _post_order(left, right, start: int) -> list[int]:
     return order
 
 
-def _plan(dag: _Dag, start: int):
+def _plan(dag: _Dag, starts: list[int]):
     """The top-down pass every fold shares: marks, splits and requests.
 
-    A child of a folded node is folded (FOLD) unless it is kept, and then
-    it is copied, as is all below a copied node (COPY).  Each folded node
-    is split into (heavy child, light child, axis, hole side of the heavy
-    child, light child's area).  The canonical heavy parent of a folded
-    node is its earliest parent in ``order`` whose heavy child it is (the
-    last one met here); a second such parent, or a light one, requests the
-    node's own fold, as does being the start.
+    Each start is copied (COPY) if it passes the keep test and folded
+    (FOLD) otherwise.  A child of a folded node is folded unless it is
+    kept, and then it is copied, as is all below a copied node.  Each
+    folded node is split into (heavy child, light child, axis, hole side of
+    the heavy child, light child's area).  The canonical heavy parent of a
+    folded node is its earliest parent in ``order`` whose heavy child it is
+    (the last one met here); a second such parent, or a light one, requests
+    the node's own fold, as does being a folded start.
     """
     left, right, op, area, keep = dag
-    order = _post_order(left, right, start)
+    order = _post_order(left, right, starts)
     mark = bytearray(len(left))
-    mark[start] = FOLD
+    requested: set[int] = set()
+    for s in starts:
+        if keep[s]:
+            mark[s] |= COPY
+        else:
+            mark[s] |= FOLD
+            requested.add(s)
     split: dict[int, tuple[int, int, str, str, int]] = {}
     canon: dict[int, int] = {}
-    requested: set[int] = {start}
     for z in reversed(order):
         m = mark[z]
         x = left[z]
@@ -350,7 +360,10 @@ def balance_to_tslp(
 
     H, W = geo.heights, geo.widths
     dag = _dag_of(geo)
-    plan = _plan(dag, g.start)
+    # The input failed the keep test, so its start is folded even where
+    # inlining its contexts made it pass.
+    dag.keep[g.start] = False
+    plan = _plan(dag, [g.start])
     b = GrammarBuilder(dedup=True)
     bal, copy, path_count = _fold(
         b, dag, plan,
@@ -416,24 +429,21 @@ def balance_1d(g: Grammar1D) -> Grammar1D:
             f"expansion is {geo.heights[g.start]} rows tall, expected 1"
         )
     g, geo = _plain(g, geo)
-    folded = _fold_1d(_dag_of(geo), g.start, geo.depths[g.start])
-    return g if folded is None else folded[0].finish(folded[1])
+    dag = _dag_of(geo)
+    if dag.keep[g.start]:
+        return g
+    b, (root,) = _fold_1d(dag, [g.start])
+    return g if b.depth(root) > geo.depths[g.start] else b.finish(root)
 
 
-def _fold_1d(
-    dag: _Dag, start: int, depth: int
-) -> tuple[GrammarBuilder, int] | None:
-    """The balanced form of a plain height-1 grammar whose start is
-    ``depth`` deep, built in a new builder, with its root; ``None`` where the
-    input should stay as it is.
+def _fold_1d(dag: _Dag, starts: list[int]) -> tuple[GrammarBuilder, list[int]]:
+    """The balanced forms of plain height-1 symbols ``starts``, built in one
+    new builder: the fold of each start that fails the keep test, the copy
+    of each that passes it.
 
     The fold runs ``balance_to_tslp``'s plan with flank pairs (``_flanks``)
-    for contexts, so no holed symbol is ever made.  The input stays when its
-    start passes the keep test or the fold would be deeper.
+    for contexts, so no holed symbol is ever made.
     """
-    if dag.keep[start]:
-        return None
     b = GrammarBuilder(dedup=True)
-    bal, _, _ = _fold(b, dag, _plan(dag, start), *_flanks(b))
-    root = bal[start]
-    return None if b.depth(root) > depth else (b, root)
+    bal, copy, _ = _fold(b, dag, _plan(dag, starts), *_flanks(b))
+    return b, [bal[s] if s in bal else copy[s] for s in starts]

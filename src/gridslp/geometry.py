@@ -58,10 +58,11 @@ def geometry_pass(g: Grammar2D, on_error=None, order=None):
 
     With ``on_error`` (a callback ``(code, symbol, message)``) every violation
     is reported and the offending symbol's geometry is left undefined so one
-    pass can surface all problems; without it the first inconsistency raises.
-    Assumes references are in range and acyclic.  ``order`` lists the
-    symbols to lay out, children first (default ``topo_all`` of the rules);
-    the others' geometry stays undefined.
+    pass can surface all problems; without it the first inconsistency raises,
+    a reference to an undefined symbol or one on a cycle included.  With
+    ``on_error``, references are assumed in range and acyclic.  ``order``
+    lists the symbols to lay out, children first (default ``topo_all`` of
+    the rules); the others' geometry stays undefined.
     """
     rules = g.rules
     n = len(rules)
@@ -84,6 +85,10 @@ def geometry_pass(g: Grammar2D, on_error=None, order=None):
         for c in children(r):
             d = D[c]
             if d is None:
+                if on_error is None:
+                    raise GridSlpError(
+                        f"symbol {g.labels[sym]}: reference to symbol {c}, "
+                        "which is undefined or on a cycle")
                 break  # cascade from a reported child failure
             if d > below:
                 below = d
@@ -103,7 +108,9 @@ def compute_geometry(g: Grammar2D) -> GeometryTable:
 
     Computed once per grammar object: the table is kept on ``g`` (as
     :func:`~gridslp.grammar.validate` keeps the one it computes) and
-    returned again on later calls.
+    returned again on later calls.  A grammar with a cycle, or a reference
+    to an undefined symbol, raises :class:`~gridslp.grammar.GridSlpError`
+    and keeps nothing.
     """
     geo = g._geometry
     if geo is None:

@@ -1,17 +1,17 @@
 """Structure-preserving transforms on plain grammars.
 
 The workhorses here rearrange derivations without ever materializing the
-matrix: balanced concatenation gadgets, clockwise rotation by production
-rewriting, margin extraction, substring decomposition inside 1D grammars, row
-linearization of a 2D grammar, and the full rebalancing pipeline that chains
-them (linearize, balance the 1D string, reassemble rows with gadgets).
+matrix: clockwise rotation by production rewriting, margin extraction, row
+linearization of a 2D grammar, and the rebalancing pipeline built on it
+(linearize the rows, balance each row, stack the rows).
 
 The linearization runs on numpy arrays, one round per input depth, and
-hands its row-major string on as the fold's flat form (``balance._Dag``), in
-the ids a deduplicating builder would have given it; the rebalance folds
-that directly, and only a string already shallow enough to stay (or one the
-fold would deepen) becomes a grammar, loaded with ``GrammarBuilder.seeded``
-to carry the row chains.
+hands its row symbols on as the fold's flat form (``balance._Dag``), in the
+ids a deduplicating builder would have given them.  ``linearize_rows``
+joins the start's rows into one row-major string; the rebalance instead
+folds the N rows as the roots of one plan (``balance._fold_1d``), which is
+the O(g·N) upper-bound route: every row is a 1D string over at most g·N
+row symbols in all, balanced to depth O(log M).
 """
 
 from __future__ import annotations
@@ -26,27 +26,12 @@ from .grammar import (
     Grammar2D,
     GrammarBuilder,
     HConcat,
-    OutOfBounds,
     ParameterError,
     Terminal,
     VConcat,
     reachable_topo,
 )
 from .geometry import GeometryTable, compute_geometry
-
-
-def concat_gadget(
-    g: Grammar2D, parts: list[int], axis: str
-) -> tuple[Grammar2D, int]:
-    """Extend ``g`` with a balanced binary tree concatenating ``parts``.
-
-    Adds at most ``len(parts) - 1`` new symbols (hash-consed, so repeated
-    subtrees are shared) and increases depth over the parts by at most
-    ceil(log2 k).  Returns the extended grammar and the tree's root.
-    """
-    b = GrammarBuilder.seeded(g)
-    root = b.balanced(axis, list(parts))
-    return b.finish(root), root
 
 
 def rotate_cw(g: Grammar2D) -> Grammar2D:
@@ -107,47 +92,6 @@ def margin_slp(g: Grammar2D, side: str) -> Grammar1D:
     return b.finish(out[g.start])
 
 
-def decompose_substring(
-    g: Grammar1D, i: int, j: int, geo: GeometryTable | None = None
-) -> tuple[int, ...]:
-    """The symbols whose expansions concatenate to S[i..j], at most
-    2·depth + 2 of them.
-
-    One walk from the start symbol: a symbol whose expansion lies inside the
-    range is taken whole, and any other has its children that overlap the
-    range visited, left before right.  So the cover is the range's maximal
-    symbols in order: below the lowest symbol containing the range, a suffix
-    of its left child and a prefix of its right child, each at most one
-    symbol per level.
-    """
-    if geo is None:
-        geo = compute_geometry(g)
-    length = geo.widths[g.start]
-    if not (1 <= i <= j <= length):
-        raise OutOfBounds(f"range [{i},{j}] outside string of length {length}")
-    return tuple(_cover(g.rules, geo.widths, g.start, i, j))
-
-
-def _cover(rules, W, start: int, i: int, j: int) -> list[int]:
-    """``decompose_substring``'s walk below ``start``, over bare rules and
-    widths, for an in-range ``i..j``."""
-    cover: list[int] = []
-    # (symbol, offset): the symbol derives S[offset + 1 .. offset + width].
-    stack = [(start, 0)]
-    while stack:
-        sym, off = stack.pop()
-        if i <= off + 1 and off + W[sym] <= j:
-            cover.append(sym)
-            continue
-        r = rules[sym]
-        mid = off + W[r.left]
-        if j > mid:
-            stack.append((r.right, mid))
-        if i <= mid:
-            stack.append((r.left, off))
-    return cover
-
-
 def linearize_rows(g: Grammar2D, geo: GeometryTable | None = None) -> Grammar1D:
     """A 1D grammar deriving the row-major flattening of exp(g).
 
@@ -161,19 +105,31 @@ def linearize_rows(g: Grammar2D, geo: GeometryTable | None = None) -> Grammar1D:
     strings are then joined with a balanced gadget.  The row pairs are
     made on numpy arrays, one round per input depth (``_linearize``), yet
     the ids come out as a deduplicating ``GrammarBuilder`` making one ``h``
-    call per row pair would give them.
+    call per row pair would give them; so do the join's, each new pair
+    taking the next id.
     """
     if geo is None:
         geo = compute_geometry(g)
-    dag, root, _ = _linearize(g, geo)
-    return _string(dag, root)
+    dag, parts = _linearize(g, geo)
+    rules = [HConcat(x, y) if x >= 0 else Terminal(c)
+             for x, y, c in zip(dag.left, dag.right, dag.op)]
+    index = {(x, y): z for z, (x, y) in enumerate(zip(dag.left, dag.right))
+             if x >= 0}
 
+    def join(lo: int, hi: int) -> int:
+        # GrammarBuilder.balanced's tree, one deduplicated pair at a time.
+        if hi - lo == 1:
+            return parts[lo]
+        mid = lo + (hi - lo + 1) // 2
+        key = join(lo, mid), join(mid, hi)
+        z = index.get(key)
+        if z is None:
+            z = index[key] = len(rules)
+            rules.append(HConcat(*key))
+        return z
 
-def _string(dag: _Dag, root: int) -> Grammar1D:
-    """A linearization's ``_Dag`` as the grammar ``linearize_rows`` returns."""
-    return Grammar2D(tuple(
-        HConcat(x, y) if x >= 0 else Terminal(c)
-        for x, y, c in zip(dag.left, dag.right, dag.op)), root)
+    root = join(0, len(parts))
+    return Grammar2D(tuple(rules), root)
 
 
 #: A row pair is hash-consed on one int64 key, ``left << PAIR_BITS | right``,
@@ -195,10 +151,10 @@ def _room(cols: np.ndarray, rows: int) -> np.ndarray:
     return cols
 
 
-def _linearize(g: Grammar2D, geo: GeometryTable) -> tuple[_Dag, int, int]:
-    """``linearize_rows(g)`` as the ``_Dag`` the fold reads (``op`` is a
-    terminal's character or ``"H"``, ``area`` the widths), its root and the
-    root's depth.
+def _linearize(g: Grammar2D, geo: GeometryTable) -> tuple[_Dag, list[int]]:
+    """The row pairs of ``linearize_rows(g)`` as the ``_Dag`` the fold reads
+    (``op`` is a terminal's character or ``"H"``, ``area`` the widths), and
+    the start's N row symbols, top to bottom.
 
     The input symbols go in rounds of equal depth, so each round reads
     only row arrays of earlier rounds.  A round pairs all its horizontal
@@ -207,8 +163,7 @@ def _linearize(g: Grammar2D, geo: GeometryTable) -> tuple[_Dag, int, int]:
     widths and depths are gathered from their children's.  Each symbol
     also keeps the first moment the one-call-at-a-time builder would have
     asked for it (terminals and row pairs counted in ``reachable_topo``
-    order), and sorting by that moment gives the builder's ids.  The
-    balanced join of the start's rows, about N pairs, runs one at a time.
+    order), and sorting by that moment gives the builder's ids.
     """
     N, M = geo.dims(g.start)
     if N * M > (1 << 62):
@@ -298,28 +253,6 @@ def _linearize(g: Grammar2D, geo: GeometryTable) -> tuple[_Dag, int, int]:
                 if not parents[c]:
                     del rows[c]
 
-    def join(lo: int, hi: int) -> int:
-        # GrammarBuilder.balanced's tree, one deduplicated pair at a time,
-        # each call after every row pair's.
-        nonlocal cols, n, calls
-        if hi - lo == 1:
-            return parts[lo]
-        mid = lo + (hi - lo + 1) // 2
-        a, c = join(lo, mid), join(mid, hi)
-        _check_pair_bits(n)
-        key = a << PAIR_BITS | c
-        z = index.get(key)
-        if z is None:
-            cols = _room(cols, n + 1)
-            z = index[key] = n
-            cols[z] = (a, c, cols[a, 2] + cols[c, 2],
-                       max(cols[a, 3], cols[c, 3]) + 1, calls)
-            n += 1
-            calls += 1
-        return z
-
-    parts = rows.pop(g.start).tolist()
-    root = join(0, len(parts))
     # Renumber in call order.
     cols = cols[:n]
     perm = np.argsort(cols[:, 4])
@@ -332,8 +265,7 @@ def _linearize(g: Grammar2D, geo: GeometryTable) -> tuple[_Dag, int, int]:
     op = ["H"] * n
     for c, t in terms.items():
         op[rank[t]] = c
-    root = int(rank[root])
-    return _dag(left, right, op, widths, depths), root, depths[root]
+    return _dag(left, right, op, widths, depths), rank[rows[g.start]].tolist()
 
 
 @dataclass(frozen=True)
@@ -356,14 +288,13 @@ def rebalance_plain_2d(
 
     An input already shallow for its size, depth ≤ ⌈log2 area⌉ +
     ``KEEP_SLACK``, comes back as it is.  Any other goes through the
-    pipeline: flatten to one row-major string, balance that 1D grammar, cut
-    it back into the N row substrings (each a short decomposition over the
-    balanced grammar), and reassemble with balanced concatenation gadgets.
-    If the pipeline's output is deeper than the input, or as deep and
-    larger, the input comes back instead.  Requires N ≤ M — rotate first
-    otherwise, or the size bound degrades.  Grammars with holes are
-    ground-ified (contexts inlined) up front, and it is the inlined grammar
-    that comes back in their place.
+    pipeline: linearize the rows, fold all N row symbols in one 1D plan
+    (each row that already passes the keep test is copied), and stack the
+    balanced rows with a balanced vertical gadget.  If the pipeline's output
+    is deeper than the input, or as deep and larger, the input comes back
+    instead.  Requires N ≤ M — rotate first otherwise, or the size bound
+    degrades.  Grammars with holes are ground-ified (contexts inlined) up
+    front, and it is the inlined grammar that comes back in their place.
     """
     g, geo = _plain(g, geo)
     N, M = geo.dims(g.start)
@@ -375,17 +306,7 @@ def rebalance_plain_2d(
     unchanged = g, RebalanceStats(N, M, size, depth, size, depth)
     if _shallow(depth, N * M):
         return unchanged
-    # A string already shallow or one the fold would deepen is loaded into a
-    # builder as it is; the row chains go on top.
-    dag, root, depth_1d = _linearize(g, geo)
-    folded = _fold_1d(dag, root, depth_1d)
-    if folded is None:
-        b = GrammarBuilder.seeded(_string(dag, root))
-    else:
-        b, root = folded
-    rules, W = b.rules, b.geometry().widths
-    rows = [b.balanced("H", _cover(rules, W, root, (r - 1) * M + 1, r * M))
-            for r in range(1, N + 1)]
+    b, rows = _fold_1d(*_linearize(g, geo))
     root = b.balanced("V", rows)
     out_depth = b.depth(root)
     if out_depth <= depth:

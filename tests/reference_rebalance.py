@@ -2,11 +2,12 @@
 
 ``linearize_rows`` here adds each row pair to a deduplicating
 ``GrammarBuilder`` one ``h`` call at a time, and ``_plan`` and ``_fold`` read
-each symbol's children from its production.  ``rebalance_plain_2d``,
+each symbol's children from its production.  ``rebalance_plain_2d`` (the
+start's row symbols folded as the roots of one plan, then stacked),
 ``balance_1d`` and ``balance_to_tslp`` are the library's routes run through
-them.  The library builds the row-major string on arrays and folds over
-flat child lists; the tests require its grammars, stats and emitted text to
-equal these.
+them.  The library builds the rows on arrays and folds over flat child
+lists; the tests require its grammars, stats and emitted text to equal
+these.
 """
 
 from __future__ import annotations
@@ -23,19 +24,19 @@ from gridslp import (
 )
 from gridslp.balance import COPY, FOLD, _flanks, _inline_contexts, _shallow
 from gridslp.geometry import GeometryTable
-from gridslp.grammar import PLAIN_KINDS, reachable_topo
-from gridslp.transforms import _cover
+from gridslp.grammar import PLAIN_KINDS, _post_order, reachable_topo
 
 
 def linearize_rows(g: Grammar2D, geo: GeometryTable | None = None) -> Grammar1D:
     if geo is None:
         geo = compute_geometry(g)
     b = GrammarBuilder(dedup=True)
-    return b.finish(_linearize(b, g, geo))
+    return b.finish(b.balanced("H", _rows(b, g, geo)))
 
 
-def _linearize(b: GrammarBuilder, g: Grammar2D, geo: GeometryTable) -> int:
-    """Add ``linearize_rows(g)``'s symbols to ``b``; returns its root."""
+def _rows(b: GrammarBuilder, g: Grammar2D, geo: GeometryTable) -> list[int]:
+    """Add the row pairs of ``linearize_rows(g)`` to ``b``; returns the
+    start's row symbols."""
     N, M = geo.dims(g.start)
     if N * M > (1 << 62):
         raise OverflowError(f"flattened length {N}*{M} exceeds 2**62")
@@ -67,17 +68,22 @@ def _linearize(b: GrammarBuilder, g: Grammar2D, geo: GeometryTable) -> int:
             parents[c] -= 1
             if not parents[c]:
                 del rows[c]
-    return b.balanced("H", rows[g.start])
+    return rows[g.start]
 
 
-def _plan(rules, geo: GeometryTable, start: int):
+def _plan(rules, geo: GeometryTable, starts: list[int]):
     H, W, D = geo.heights, geo.widths, geo.depths
-    order = reachable_topo(rules, start)
+    order = _post_order(rules, starts)
     mark = bytearray(len(rules))
-    mark[start] = FOLD
+    requested: set[int] = set()
+    for s in starts:
+        if _shallow(D[s], H[s] * W[s]):
+            mark[s] |= COPY
+        else:
+            mark[s] |= FOLD
+            requested.add(s)
     split: dict[int, tuple[int, int, str, str, int]] = {}
     canon: dict[int, int] = {}
-    requested: set[int] = {start}
     for z in reversed(order):
         m = mark[z]
         if not m:
@@ -164,7 +170,7 @@ def _fold_1d(rules, start: int, geo: GeometryTable):
     if _shallow(depth, geo.area(start)):
         return None
     b = GrammarBuilder(dedup=True)
-    bal, _, _ = _fold(b, rules, _plan(rules, geo, start), *_flanks(b))
+    bal, _, _ = _fold(b, rules, _plan(rules, geo, [start]), *_flanks(b))
     root = bal[start]
     return None if b.depth(root) > depth else (b, root)
 
@@ -187,7 +193,7 @@ def balance_to_tslp(g: Grammar2D) -> tuple[Tslp2D, BalanceStats]:
     if any(r is not None and r.kind not in PLAIN_KINDS for r in g.rules):
         g, geo = _inline_contexts(g, geo)
     H, W = geo.heights, geo.widths
-    plan = _plan(g.rules, geo, g.start)
+    plan = _plan(g.rules, geo, [g.start])
     b = GrammarBuilder(dedup=True)
     bal, copy, path_count = _fold(
         b, g.rules, plan,
@@ -213,21 +219,15 @@ def rebalance_plain_2d(g: Grammar2D) -> tuple[Grammar2D, RebalanceStats]:
     unchanged = g, RebalanceStats(N, M, size, depth, size, depth)
     if _shallow(depth, N * M):
         return unchanged
+    lin = GrammarBuilder(dedup=True)
+    rows = _rows(lin, g, geo)
     b = GrammarBuilder(dedup=True)
-    root = _linearize(b, g, geo)
-    bal_geo = b.geometry()
-    folded = _fold_1d(b.rules, root, bal_geo)
-    if folded is not None:
-        b, root = folded
-        bal_geo = b.geometry()
-    rules, W = b.rules, bal_geo.widths
-    rows = [b.balanced("H", _cover(rules, W, root, (r - 1) * M + 1, r * M))
-            for r in range(1, N + 1)]
-    root = b.balanced("V", rows)
+    bal, copy, _ = _fold(b, lin.rules, _plan(lin.rules, lin.geometry(), rows),
+                         *_flanks(b))
+    root = b.balanced("V", [bal[s] if s in bal else copy[s] for s in rows])
     out_depth = b.depth(root)
     if out_depth <= depth:
         out = b.finish(root)
         if out_depth < depth or out.size <= size:
             return out, RebalanceStats(N, M, size, depth, out.size, out_depth)
     return unchanged
-

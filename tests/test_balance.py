@@ -29,6 +29,7 @@ from gridslp import (
 )
 from gridslp.balance import _inline_contexts, _shallow
 from gridslp.grammar import PLAIN_KINDS, reachable_topo
+from gridslp.transforms import _linearize
 
 from conftest import (
     caterpillar,
@@ -189,23 +190,23 @@ class TestDepthAware:
         assert t.rules == g.rules
         assert expand(t).tolist() == [list(row) for row in m]
 
-    def test_shallow_linearization_is_not_copied(self):
-        """The rebalance keeps an already-shallow linearization as the
-        output's first symbols, ids unchanged, and adds each linearized
-        symbol once, plus at most the N rows' chains.  A vertical chain of
-        64 balanced rows of 64 is deep in 2D, so the rebalance runs, but its
-        row-major string is not."""
+    def test_shallow_rows_are_copied(self):
+        """A vertical chain of 64 balanced rows of 64 is deep in 2D, so the
+        rebalance runs, but each of its rows passes the keep test: the fold
+        copies every linearized row symbol once, and the rows are stacked
+        by 63 vertical joins, at the rows' depth 7 plus 6."""
         rng = random.Random(7)
         m = ["".join(rng.choice("ab") for _ in range(64)) for _ in range(64)]
         b = GrammarBuilder(dedup=True)
         g = b.finish(b.chain("V", [
             b.balanced("H", [b.terminal(c) for c in row]) for row in m]))
-        assert not _shallow(compute_geometry(g).depths[g.start], 64 * 64)
-        lin = linearize_rows(g)
-        assert _shallow(compute_geometry(lin).depths[lin.start], 64 * 64)
+        geo = compute_geometry(g)
+        assert not _shallow(geo.depths[g.start], 64 * 64)
+        dag, rows = _linearize(g, geo)
+        assert all(dag.keep[r] for r in rows)
         out, stats = rebalance_plain_2d(g)
-        assert out.rules[:lin.symbols] == lin.rules
-        assert out.symbols <= lin.symbols + stats.rows
+        assert out.symbols == len(dag.left) + 63
+        assert (stats.output_size, stats.output_depth) == (g.size, 13) == (1528, 13)
         assert expand(out).tolist() == [list(row) for row in m]
 
     def test_deep_corner_keeps_its_shallow_block(self):

@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 from gridslp import (
     DimensionMismatch,
+    Grammar2D,
     GrammarBuilder,
+    GridSlpError,
+    HConcat,
+    Terminal,
     balance_to_tslp,
     build_cnm,
     build_cnm_sequence,
@@ -178,6 +182,21 @@ class TestAgainstExpansion:
 GEOMETRY_FIELDS = ("heights", "widths", "holes", "depths", "entries")
 
 
+class TestBrokenReferences:
+    """An unvalidated grammar whose references are broken raises, and
+    keeps no table a later call would read."""
+
+    @pytest.mark.parametrize("g", [
+        Grammar2D((HConcat(1, 1), HConcat(0, 0)), 0),
+        Grammar2D((Terminal("a"), HConcat(0, 2), None), 1),
+    ], ids=["cycle", "undefined-child"])
+    def test_raises_and_caches_nothing(self, g):
+        for _ in range(2):
+            with pytest.raises(GridSlpError, match="undefined or on a cycle"):
+                compute_geometry(g)
+            assert g._geometry is None
+
+
 class TestBuilderGeometry:
     """A builder's own geometry equals a fresh pass over what it finished."""
 
@@ -228,6 +247,6 @@ class TestBuilderGeometry:
         balance_to_tslp(random_tslp(3))
         out, _ = rebalance_plain_2d(g)
         # The rebalanced output is the last grammar finished; its builder
-        # finishes once, after the rows are cut from its balanced string.
+        # finishes once, after the balanced rows are stacked.
         assert finished[-1][1] == out
         self._check(finished)

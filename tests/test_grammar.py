@@ -30,7 +30,6 @@ from gridslp import (
     balance_to_tslp,
     build_fast,
     compute_geometry,
-    concat_gadget,
     expand,
     geometry_pass,
     parse_grammar,
@@ -180,7 +179,8 @@ class TestBuilder:
             lambda b, x, axis: b.chain(axis, [x, x]),
             lambda b, x, axis: b.repeat(axis, x, 3),
             lambda b, x, axis: b.balanced(axis, [x, x, x]),
-            lambda b, x, axis: concat_gadget(b.finish(x), [x, x], axis),
+            lambda b, x, axis: GrammarBuilder.seeded(b.finish(x)).balanced(
+                axis, [x, x]),
         ],
         ids=["chain", "repeat", "balanced", "concat_gadget"],
     )

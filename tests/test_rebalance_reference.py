@@ -97,6 +97,18 @@ def test_shallow_string_fallback():
     _assert_same_rebalance(g)
 
 
+def test_every_output_symbol_is_reachable():
+    """The N rows are the fold's only roots, so the rebalance's output holds
+    no symbol its start does not reach."""
+    grammars = [build_spiral(n, c) for n, c in SPIRALS]
+    grammars += [_chained(_wide(random_tslp(seed))) for seed in range(150)]
+    grammars += [_chained(_wide(random_grammar(seed, 50, max_dim=24)))
+                 for seed in range(40)]
+    for i, g in enumerate(grammars):
+        out, _ = rebalance_plain_2d(g)
+        assert len(reachable_topo(out.rules, out.start)) == out.symbols, i
+
+
 def test_balance_to_tslp_on_chained_grammars():
     for seed in range(20):
         g = _chained(random_grammar(seed, 50, max_dim=24))
@@ -107,7 +119,7 @@ def test_post_order_is_reachable_topo():
     for seed in range(40):
         g = _chained(_wide(random_tslp(seed)), 3)
         dag = _dag_of(compute_geometry(g))
-        assert _post_order(dag.left, dag.right, g.start) == reachable_topo(
+        assert _post_order(dag.left, dag.right, [g.start]) == reachable_topo(
             g.rules, g.start)
 
 
@@ -123,18 +135,6 @@ class TestPairKeyBound:
         monkeypatch.setattr(transforms, "PAIR_BITS", 3)
         with pytest.raises(OverflowError, match="pair key"):
             linearize_rows(g)
-
-    def test_join_checks_the_bound_too(self, monkeypatch):
-        # A column of terminals has no horizontal concat: the only pairs
-        # are the balanced join's, of its rows.
-        b = GrammarBuilder(dedup=True)
-        g = b.finish(b.chain("V", [b.terminal(c) for c in "abcdefgh"]))
-        want = ref.linearize_rows(g)
-        monkeypatch.setattr(transforms, "PAIR_BITS", 2)
-        with pytest.raises(OverflowError, match="pair key"):
-            linearize_rows(g)
-        monkeypatch.setattr(transforms, "PAIR_BITS", (want.symbols - 1).bit_length())
-        assert linearize_rows(g) == want
 
 
 def test_keep_list_is_exact_to_2_124():

@@ -13,13 +13,10 @@ from hypothesis import strategies as st
 
 from gridslp import (
     GrammarBuilder,
-    OutOfBounds,
     ParameterError,
     build_cnm,
     build_spiral,
     compute_geometry,
-    concat_gadget,
-    decompose_substring,
     expand,
     linearize_rows,
     margin_slp,
@@ -28,7 +25,9 @@ from gridslp import (
     rotate_cw,
     validate,
 )
+from gridslp import transforms
 from gridslp.balance import _inline_contexts, _shallow
+from gridslp.grammar import reachable_topo
 
 from conftest import example_tslp, glyph_quadtree, random_tslp, row_caterpillar
 
@@ -88,57 +87,6 @@ class TestMargins:
             margin_slp(g, "up")
 
 
-class TestDecompose:
-    def _one_d(self, seed=9, links=200):
-        rng = random.Random(seed)
-        b = GrammarBuilder(dedup=False)
-        terms = [b.terminal(c) for c in "abc01"]
-        s = terms[0]
-        for _ in range(links):
-            t = terms[rng.randrange(5)]
-            s = b.h(s, t) if rng.random() < 0.5 else b.h(t, s)
-        return b.finish(s)
-
-    def test_slices_reassemble(self):
-        g = self._one_d()
-        geo = compute_geometry(g)
-        text = "".join(expand(g)[0])
-        rng = random.Random(17)
-        for _ in range(120):
-            i = rng.randint(1, len(text))
-            j = rng.randint(i, len(text))
-            d = decompose_substring(g, i, j, geo)
-            got = "".join("".join(expand(g, s)[0]) for s in d)
-            assert got == text[i - 1 : j], (i, j)
-
-    def test_piece_count_bounded_by_depth(self):
-        g = self._one_d(seed=3, links=300)
-        geo = compute_geometry(g)
-        n = geo.widths[g.start]
-        depth = geo.depths[g.start]
-        rng = random.Random(23)
-        for _ in range(60):
-            i = rng.randint(1, n)
-            j = rng.randint(i, n)
-            d = decompose_substring(g, i, j, geo)
-            assert len(d) <= 2 * depth, (i, j)
-
-    def test_whole_range_is_start(self):
-        g = self._one_d(links=50)
-        geo = compute_geometry(g)
-        n = geo.widths[g.start]
-        d = decompose_substring(g, 1, n, geo)
-        assert d == (g.start,)
-
-    def test_out_of_bounds(self):
-        g = self._one_d(links=10)
-        geo = compute_geometry(g)
-        with pytest.raises(OutOfBounds):
-            decompose_substring(g, 0, 3, geo)
-        with pytest.raises(OutOfBounds):
-            decompose_substring(g, 2, 200, geo)
-
-
 class TestLinearize:
     def test_row_major_flattening(self, small_corpus):
         for name, g in small_corpus:
@@ -183,10 +131,15 @@ class TestLinearize:
 
 
 class TestConcatGadget:
+    """``GrammarBuilder.balanced`` on a seeded builder: a balanced
+    concatenation gadget over an existing grammar's symbols."""
+
     def test_h_and_v(self):
         g = random_grammar(8, 20, max_dim=10)
         for axis, stack in (("H", np.hstack), ("V", np.vstack)):
-            g2, root = concat_gadget(g, [g.start] * 7, axis)
+            b = GrammarBuilder.seeded(g)
+            root = b.balanced(axis, [g.start] * 7)
+            g2 = b.finish(root)
             assert validate(g2).ok
             assert (expand(g2, root) == stack([expand(g)] * 7)).all()
 
@@ -195,8 +148,9 @@ class TestConcatGadget:
         x = b.terminal("x")
         g = b.finish(x)
         for k in (1, 2, 3, 15, 64, 257):
-            g2, root = concat_gadget(g, [0] * k, "H")
-            geo = compute_geometry(g2)
+            b = GrammarBuilder.seeded(g)
+            root = b.balanced("H", [0] * k)
+            geo = compute_geometry(b.finish(root))
             assert geo.widths[root] == k
             # depth of the chain above the parts is ceil(log2 k) + 1
             assert geo.depths[root] <= math.ceil(math.log2(max(2, k))) + 1
@@ -225,15 +179,17 @@ class TestRebalance:
         assert (expand(out) == expand(g)).all()
         assert stats.output_depth <= 4 * math.log2(64) + 4
 
-    @pytest.mark.parametrize("n,size,depth", [(256, 2068, 28), (1024, 7635, 32)])
+    @pytest.mark.parametrize("n,size,depth", [(256, 1370, 26), (1024, 5089, 30)])
     def test_spiral_sizes_do_not_grow(self, n, size, depth):
-        """Today's sizes as upper bounds.  The fold walks the string in
-        ``reachable_topo``'s depth-first order, not in id order, and that
-        order picks each node's canonical heavy parent: in id order the
-        4096² spiral's output grows from 28,733 to 28,769 symbols."""
+        """The row fold's sizes and depths as upper bounds, with every
+        output symbol reachable.  The fold walks the rows in
+        ``reachable_topo``'s depth-first order, one row after the other, not
+        in id order, and that order picks each node's canonical heavy
+        parent."""
         out, stats = rebalance_plain_2d(build_spiral(n))
         assert stats.output_size == out.size <= size
         assert stats.output_depth <= depth
+        assert len(reachable_topo(out.rules, out.start)) == out.symbols
 
     def test_requires_wide_input(self):
         g = build_cnm(64, 32)  # 64 rows x 32 cols
@@ -279,10 +235,12 @@ class TestRebalanceDepthAware:
         rebalance_plain_2d(g, geo)
         assert (len(adds), len(passes)) == (0, 0)
 
-    def test_equally_deep_and_larger_output_is_dropped(self):
+    def test_equally_deep_and_larger_output_is_dropped(self, monkeypatch):
         """32 rows of 16 chained 1×2 blocks, joined by a balanced tree, fail
-        the keep test (depth 22 > 16); the pipeline's output is as deep and
-        larger, so the input comes back."""
+        the keep test (depth 22 > 16), and the row fold makes them size 786
+        at depth 17.  The guard is reached with the fold replaced: one that
+        only copies the rows comes out as deep and as large as the input and
+        is taken; with one symbol more, the input comes back."""
         rng = random.Random(0)
         b = GrammarBuilder(dedup=True)
         rows = [b.chain("H", [
@@ -290,10 +248,30 @@ class TestRebalanceDepthAware:
             for _ in range(16)]) for _ in range(32)]
         g = b.finish(b.balanced("V", rows))
         geo = compute_geometry(g)
-        assert geo.depths[g.start] == 22
+        assert (g.size, geo.depths[g.start]) == (978, 22)
         out, stats = rebalance_plain_2d(g, geo)
-        assert out.rules == g.rules
-        assert (stats.output_size, stats.output_depth) == (g.size, 22)
+        assert (stats.output_size, stats.output_depth) == (out.size, 17) == (786, 17)
+        assert (expand(out) == expand(g)).all()
+
+        fold = transforms._fold_1d
+
+        def copy_rows(dag, starts):
+            return fold(dag._replace(keep=[True] * len(dag.keep)), starts)
+
+        def one_symbol_more(dag, starts):
+            b, rows = copy_rows(dag, starts)
+            b.terminal("z")
+            return b, rows
+
+        monkeypatch.setattr(transforms, "_fold_1d", copy_rows)
+        out, stats = rebalance_plain_2d(g, geo)
+        assert out is not g
+        assert (stats.output_size, stats.output_depth) == (out.size, 22) == (978, 22)
+        assert (expand(out) == expand(g)).all()
+        monkeypatch.setattr(transforms, "_fold_1d", one_symbol_more)
+        out, stats = rebalance_plain_2d(g, geo)
+        assert out is g
+        assert (stats.output_size, stats.output_depth) == (978, 22)
 
     @staticmethod
     def _check(g, name):
