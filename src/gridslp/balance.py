@@ -24,7 +24,12 @@ string, and the 2D rebalance folds a grammar's N linearized rows at once,
 copying each row that passes the keep test.  The plan and the fold read the
 grammar as flat per-symbol child lists with the keep test computed once
 (``_Dag``): from a geometry table's entries, or from the rebalance's array
-linearization, which never becomes productions.  Holed input is first
+linearization, which never becomes productions.  The plan marks the
+symbols in one scalar pass over the reversed post-order and derives the
+rest as whole numpy arrays: the splits, the requests, and each folded
+node's canonical heavy parent, its folded heavy parent of lowest post-order
+rank, through which the fold continues the node's heavy path.  The fold
+reads them as flat per-symbol lists.  Holed input is first
 flattened to plain form (``_plain``, by ``_inline_contexts``), which follows
 the geometry table's ``layout`` entries (child boxes, offsets and holes),
 not the production kinds, which only ``grammar`` and ``textio`` name.
@@ -34,6 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .grammar import (
     Grammar1D,
@@ -157,18 +164,18 @@ class _Dag(NamedTuple):
     keep: list
 
 
-def _dag(left, right, op, area, depths) -> _Dag:
-    """A ``_Dag`` from its lists and the symbols' depths (``None`` for a
-    symbol without geometry), running the keep test on Python ints: a 2D
-    area reaches 2**124."""
-    keep = [d is not None and _shallow(d, a) for d, a in zip(depths, area)]
-    return _Dag(left, right, op, area, keep)
+def _keep(depth: np.ndarray, area: np.ndarray) -> np.ndarray:
+    """The keep test over int64 arrays of areas below 2**63: ``_shallow``
+    holds iff area - 1 ≥ 2**(depth - KEEP_SLACK - 1), in integer shifts."""
+    k = depth - (KEEP_SLACK + 1)
+    return (k < 0) | ((area - 1) >> np.clip(k, 0, 63) > 0)
 
 
 def _dag_of(geo: GeometryTable) -> _Dag:
     """The ``_Dag`` of a plain grammar, read off its geometry table's
     ``layout`` entries (a second child offset by columns sits beside the
-    first)."""
+    first), with the keep test run on Python ints: a 2D area reaches
+    2**124."""
     n = len(geo.entries)
     left, right, op = [-1] * n, [-1] * n, [None] * n
     for z, e in enumerate(geo.entries):
@@ -177,7 +184,8 @@ def _dag_of(geo: GeometryTable) -> _Dag:
         elif e is not None:
             left[z], right[z], op[z] = e[0], e[5], "H" if e[7] else "V"
     area = [h * w if h is not None else 0 for h, w in zip(geo.heights, geo.widths)]
-    return _dag(left, right, op, area, geo.depths)
+    keep = [d is not None and _shallow(d, a) for d, a in zip(geo.depths, area)]
+    return _Dag(left, right, op, area, keep)
 
 
 def _post_order(left, right, starts: list[int]) -> list[int]:
@@ -209,58 +217,97 @@ def _post_order(left, right, starts: list[int]) -> list[int]:
     return order
 
 
-def _plan(dag: _Dag, starts: list[int]):
+class _Plan(NamedTuple):
+    """What ``_plan`` hands ``_fold``, as flat per-symbol lists.
+
+    ``order`` is the post-order of the symbols below the starts and
+    ``mark[z]`` the FOLD and COPY bits of each.  A folded node ``z`` has its
+    heavier child ``heavy[z]``, its lighter child ``light[z]`` and the heavy
+    child's side ``side[z]`` (``"first"`` or ``"second"``); other symbols
+    hold ``-1`` and ``None``.  ``canon[h]`` is the canonical heavy parent of
+    a folded ``h``, ``-1`` if it is no folded node's heavy child, and
+    ``requested[z]`` says whether ``z``'s fold is built as its own symbol.
+    """
+
+    order: list
+    mark: bytearray
+    heavy: list
+    light: list
+    side: list
+    canon: list
+    requested: list
+
+
+#: ``_Plan.side`` by whether the heavy child is the second.
+_SIDES = np.array(["first", "second"], dtype=object)
+
+
+def _plan(dag: _Dag, starts: list[int]) -> _Plan:
     """The top-down pass every fold shares: marks, splits and requests.
 
     Each start is copied (COPY) if it passes the keep test and folded
     (FOLD) otherwise.  A child of a folded node is folded unless it is
-    kept, and then it is copied, as is all below a copied node.  Each
-    folded node is split into (heavy child, light child, axis, hole side of
-    the heavy child, light child's area).  The canonical heavy parent of a
-    folded node is its earliest parent in ``order`` whose heavy child it is
-    (the last one met here); a second such parent, or a light one, requests
-    the node's own fold, as does being a folded start.
+    kept, and then it is copied, as is all below a copied node.  The marks
+    take one scalar pass over the reversed post-order; the rest is whole
+    arrays over the folded nodes.  Each is split into its heavy child, the
+    one of larger area (the first on a tie), and its light child.  The
+    canonical heavy parent of a folded node is its folded parent of lowest
+    post-order rank whose heavy child it is; a second such parent, or a
+    light one, requests the node's own fold, as does being a folded start.
     """
-    left, right, op, area, keep = dag
+    left, right, _, area, keep = dag
+    n = len(left)
     order = _post_order(left, right, starts)
-    mark = bytearray(len(left))
-    requested: set[int] = set()
+    # What a child of a folded node becomes.
+    kid = [COPY if k else FOLD for k in keep]
+    mark = bytearray(n)
     for s in starts:
-        if keep[s]:
-            mark[s] |= COPY
-        else:
-            mark[s] |= FOLD
-            requested.add(s)
-    split: dict[int, tuple[int, int, str, str, int]] = {}
-    canon: dict[int, int] = {}
+        mark[s] = kid[s]
     for z in reversed(order):
-        m = mark[z]
         x = left[z]
-        if not m or x < 0:
+        if x < 0:
             continue
         y = right[z]
-        if m & COPY:
-            mark[x] |= COPY
-            mark[y] |= COPY
-        if not m & FOLD:
-            continue
-        mark[x] |= COPY if keep[x] else FOLD
-        mark[y] |= COPY if keep[y] else FOLD
-        if area[y] > area[x]:
-            heavy, light, side = y, x, "second"
+        m = mark[z]
+        c = m & COPY
+        if m & FOLD:
+            mark[x] |= kid[x] | c
+            mark[y] |= kid[y] | c
         else:
-            heavy, light, side = x, y, "first"
-        split[z] = (heavy, light, op[z], side, area[light])
-        if mark[light] & FOLD:
-            requested.add(light)
-        if mark[heavy] & FOLD:
-            if heavy in canon:
-                requested.add(heavy)
-            canon[heavy] = z
-    return order, mark, split, canon, requested
+            mark[x] |= c
+            mark[y] |= c
+
+    folded = np.frombuffer(mark, dtype=np.uint8) & FOLD > 0
+    post = np.fromiter(order, np.int64, len(order))
+    L = np.fromiter(left, np.int64, n)
+    z = post[folded[post] & (L[post] >= 0)]  # the folded nodes, in post-order
+    x, y = L[z], np.fromiter(right, np.int64, n)[z]
+    try:
+        A = np.fromiter(area, np.int64, n)
+    except OverflowError:  # a 2D area reaches 2**124
+        A = np.array(area, dtype=object)
+    second = A[y] > A[x]
+    hv, lt = np.where(second, y, x), np.where(second, x, y)
+    # Rows: heavy, light, canon, requested.
+    out = np.full((4, n), -1)
+    out[0, z], out[1, z] = hv, lt
+    # A folded heavy child's canon is its first such parent in post-order,
+    # and a second one requests it.
+    on_path = folded[hv]
+    first = np.full(n, len(z))
+    np.minimum.at(first, hv[on_path], np.flatnonzero(on_path))
+    out[2] = np.append(z, -1)[first]
+    req = out[3]
+    req[:] = np.bincount(hv[on_path], minlength=n) > 1
+    req[lt[folded[lt]]] = 1
+    req[starts] |= folded[starts]
+    side = np.full(n, None)
+    side[z] = _SIDES[second.view(np.uint8)]
+    heavy, light, canon, requested = out.tolist()
+    return _Plan(order, mark, heavy, light, side.tolist(), canon, requested)
 
 
-def _fold(b: GrammarBuilder, dag: _Dag, plan, hole, compose, apply):
+def _fold(b: GrammarBuilder, dag: _Dag, plan: _Plan, hole, compose, apply):
     """Run ``plan`` into ``b`` with one context algebra.
 
     ``hole(axis, side, ground, heavy)`` makes the context of a folded node
@@ -271,13 +318,14 @@ def _fold(b: GrammarBuilder, dag: _Dag, plan, hole, compose, apply):
     counter; ``acc`` is the composition of that entry with everything below
     it and is made only when a requested node reads the spine (``None``
     until then), so consecutive snapshots share structure and none is built
-    that no symbol reaches.  Returns the folded (requested) and copied
-    symbols and the number of heavy paths.
+    that no symbol reaches.  A path continues through each node's canonical
+    heavy parent.  Returns, per symbol, its fold (requested nodes) and its
+    copy (copied nodes), ``None`` elsewhere, and the number of heavy paths.
     """
-    left, right, op = dag.left, dag.right, dag.op
-    order, mark, split, canon, requested = plan
-    copy: dict[int, int] = {}
-    bal: dict[int, int] = {}
+    left, right, op, area = dag.left, dag.right, dag.op, dag.area
+    order, mark, heavy, light, side, canon, requested = plan
+    copy: list = [None] * len(left)
+    bal: list = [None] * len(left)
     state: dict[int, tuple[list, int]] = {}
     path_count = 0
     for z in order:
@@ -292,23 +340,24 @@ def _fold(b: GrammarBuilder, dag: _Dag, plan, hole, compose, apply):
                 copy[z] = b.v(copy[x], copy[right[z]])
         if not m & FOLD:
             continue
-        heavy, light, axis, side, weight = split[z]
-        ctx = hole(axis, side, bal[light] if mark[light] & FOLD else copy[light], heavy)
-        if not mark[heavy] & FOLD:
+        h, lt = heavy[z], light[z]
+        weight = area[lt]
+        ctx = hole(op[z], side[z], bal[lt] if mark[lt] & FOLD else copy[lt], h)
+        if not mark[h] & FOLD:
             spine: list = []
-            fill = copy[heavy]
+            fill = copy[h]
             path_count += 1
-        elif canon[heavy] == z:
-            spine, fill = state.pop(heavy)
+        elif canon[h] == z:
+            spine, fill = state.pop(h)
         else:
-            spine, fill = [], bal[heavy]
+            spine, fill = [], bal[h]
             path_count += 1
         while spine and spine[-1][1].bit_length() <= weight.bit_length():
             inner, w2, _ = spine.pop()
             ctx = compose(ctx, inner)
             weight += w2
         spine.append([ctx, weight, None if spine else ctx])
-        if z in requested:
+        if requested[z]:
             i = len(spine) - 1
             while spine[i][2] is None:
                 i -= 1
@@ -316,7 +365,7 @@ def _fold(b: GrammarBuilder, dag: _Dag, plan, hole, compose, apply):
             for e in spine[i + 1:]:
                 acc = e[2] = compose(e[0], acc)
             bal[z] = apply(acc, fill)
-        if z in canon:
+        if canon[z] >= 0:
             state[z] = (spine, fill)
     return bal, copy, path_count
 
@@ -383,8 +432,8 @@ def balance_to_tslp(
         output_depth=output_depth,
         area=area,
         path_count=path_count,
-        request_count=len(plan[4]),
-        kept_count=len(copy),
+        request_count=sum(plan.requested),
+        kept_count=len(copy) - copy.count(None),
     )
     return out, stats
 
@@ -409,7 +458,11 @@ def _flanks(b: GrammarBuilder):
         return (None, ground) if side == "first" else (ground, None)
 
     def compose(outer, inner):
-        return cat(outer[0], inner[0]), cat(inner[1], outer[1])
+        # cat, twice, inline: the fold composes about once per node.
+        x, y = outer[0], inner[0]
+        u, v = inner[1], outer[1]
+        return (y if x is None else x if y is None else h(x, y),
+                v if u is None else u if v is None else h(u, v))
 
     def apply(ctx, fill: int) -> int:
         return cat(cat(ctx[0], fill), ctx[1])
@@ -446,4 +499,4 @@ def _fold_1d(dag: _Dag, starts: list[int]) -> tuple[GrammarBuilder, list[int]]:
     """
     b = GrammarBuilder(dedup=True)
     bal, copy, _ = _fold(b, dag, _plan(dag, starts), *_flanks(b))
-    return b, [bal[s] if s in bal else copy[s] for s in starts]
+    return b, [copy[s] if bal[s] is None else bal[s] for s in starts]

@@ -59,10 +59,11 @@ def geometry_pass(g: Grammar2D, on_error=None, order=None):
     With ``on_error`` (a callback ``(code, symbol, message)``) every violation
     is reported and the offending symbol's geometry is left undefined so one
     pass can surface all problems; without it the first inconsistency raises,
-    a reference to an undefined symbol or one on a cycle included.  With
-    ``on_error``, references are assumed in range and acyclic.  ``order``
-    lists the symbols to lay out, children first (default ``topo_all`` of
-    the rules); the others' geometry stays undefined.
+    a reference to an undefined symbol, one past the last rule or one on a
+    cycle included.  With ``on_error``, references are assumed in range and
+    acyclic.  ``order`` lists the symbols to lay out, children first
+    (default ``topo_all`` of the rules); the others' geometry stays
+    undefined.
     """
     rules = g.rules
     n = len(rules)
@@ -79,7 +80,16 @@ def geometry_pass(g: Grammar2D, on_error=None, order=None):
             raise GridSlpError(f"symbol {g.labels[sym]}: {msg}")
         on_error(code, sym, msg)
 
-    for sym in topo_all(rules) if order is None else order:
+    if order is None:
+        try:
+            order = topo_all(rules)
+        except IndexError:  # its walk met a reference past the last rule
+            sym, c = next((s, c) for s, r in enumerate(rules) if r is not None
+                          for c in children(r) if c >= n)
+            raise GridSlpError(
+                f"symbol {g.labels[sym]}: reference to symbol {c}, which is "
+                "undefined or on a cycle") from None
+    for sym in order:
         r = rules[sym]
         below = 0
         for c in children(r):

@@ -378,7 +378,8 @@ def _post_order(rules, roots, on_cycle=None) -> list[int]:
     Iterative, so derivations deeper than the recursion limit are fine;
     assumes in-range references (run :func:`validate` first on untrusted
     input).  A reference back to a symbol still being expanded closes a
-    cycle; ``on_cycle(sym)`` is called with that symbol, if given.
+    cycle; ``on_cycle(sym)`` is called with that symbol, if given, once per
+    such reference.
     """
     order: list[int] = []
     # 0 unseen, 1 expanding (on the current path), 2 done.
@@ -463,9 +464,10 @@ class ValidationReport:
 def validate(g: Grammar2D, hole_marker: str = "#") -> ValidationReport:
     """Check structural soundness of ``g`` and report every violation found.
 
-    Checks: references in range and defined, global acyclicity, kind
-    discipline (plain grammars use only terminal/concat productions; TSLP
-    operands have the required ground/context kinds), dimension compatibility,
+    Checks: references in range and defined, global acyclicity (each
+    symbol closing a cycle reported once), kind discipline (plain grammars
+    use only terminal/concat productions; TSLP operands have the required
+    ground/context kinds), dimension compatibility,
     hole geometry (hole strictly inside a nonempty frame), start symbol ground,
     dimension overflow beyond 2**62, and — for TSLPs — that ``hole_marker``
     does not occur as a terminal character (it must stay reserved for
@@ -505,9 +507,14 @@ def validate(g: Grammar2D, hole_marker: str = "#") -> ValidationReport:
     if rules[g.start] is None:
         bad("undefined", g.start, "start symbol has no production")
 
-    order = topo_all(
-        sound, lambda c: bad("cycle", c, "symbol participates in a reference cycle")
-    )
+    cyclic: set[int] = set()
+
+    def cycle(c: int):
+        if c not in cyclic:
+            cyclic.add(c)
+            bad("cycle", c, "symbol participates in a reference cycle")
+
+    order = topo_all(sound, cycle)
     if out:
         # Geometry is meaningless below a broken reference structure.
         return ValidationReport(tuple(out))

@@ -5,7 +5,8 @@ matrix: clockwise rotation by production rewriting, margin extraction, row
 linearization of a 2D grammar, and the rebalancing pipeline built on it
 (linearize the rows, balance each row, stack the rows).
 
-The linearization runs on numpy arrays, one round per input depth, and
+The linearization runs on numpy arrays, one round per input depth, which
+looks its row pairs up in one sorted array of the pairs made so far, and
 hands its row symbols on as the fold's flat form (``balance._Dag``), in the
 ids a deduplicating builder would have given them.  ``linearize_rows``
 joins the start's rows into one row-major string; the rebalance instead
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import _Dag, _dag, _fold_1d, _plain, _shallow
+from .balance import _Dag, _fold_1d, _keep, _plain, _shallow
 from .grammar import (
     Grammar1D,
     Grammar2D,
@@ -159,11 +160,13 @@ def _linearize(g: Grammar2D, geo: GeometryTable) -> tuple[_Dag, list[int]]:
     The input symbols go in rounds of equal depth, so each round reads
     only row arrays of earlier rounds.  A round pairs all its horizontal
     concats' rows in one numpy pass: the packed pair keys are uniqued,
-    looked up in the pair index, and the unseen ones become symbols whose
-    widths and depths are gathered from their children's.  Each symbol
-    also keeps the first moment the one-call-at-a-time builder would have
-    asked for it (terminals and row pairs counted in ``reachable_topo``
-    order), and sorting by that moment gives the builder's ids.
+    looked up in the sorted pair index by ``searchsorted``, and the unseen
+    ones become symbols whose widths and depths are gathered from their
+    children's; merging them into the index copies it once per round.
+    Each symbol also keeps the first moment the one-call-at-a-time builder
+    would have asked for it (terminals and row pairs counted in
+    ``reachable_topo`` order), and sorting by that moment gives the
+    builder's ids.
     """
     N, M = geo.dims(g.start)
     if N * M > (1 << 62):
@@ -193,8 +196,10 @@ def _linearize(g: Grammar2D, geo: GeometryTable) -> tuple[_Dag, list[int]]:
     # Per symbol: left, right, width, depth, first call; n rows in use.
     cols = np.empty((1024, 5), dtype=np.int64)
     n = 0
-    # A packed row pair -> its symbol, and a character -> its terminal.
-    index: dict[int, int] = {}
+    # The packed row pairs made so far, sorted, and their symbols, ending in
+    # a sentinel; a character -> its terminal.
+    pair_keys = np.array([np.iinfo(np.int64).max])
+    pair_ids = np.array([-1])
     terms: dict[str, int] = {}
     rows: dict[int, np.ndarray] = {}
     for d in sorted(levels):
@@ -219,20 +224,34 @@ def _linearize(g: Grammar2D, geo: GeometryTable) -> tuple[_Dag, list[int]]:
             firsts = np.concatenate([rows[kids[z][0]] for z in hs])
             keys = firsts << PAIR_BITS | np.concatenate([rows[kids[z][1]] for z in hs])
             heights = np.array([geo.heights[z] for z in hs])
-            starts = np.cumsum(heights) - heights
-            # The call that pairs row i of z is when[z] + i.
-            moment = np.repeat(np.array([when[z] for z in hs]) - starts, heights)
+            starts = heights.cumsum() - heights
+            # The call that pairs row i of z is when[z] + i, so the calls
+            # rise along ``keys``.
+            moment = (np.array([when[z] for z in hs]) - starts).repeat(heights)
             moment += np.arange(len(keys))
-            uniq, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-            moment = moment[first]
-            ids = np.array([index.get(k, -1) for k in uniq.tolist()], dtype=np.int64)
-            new = ids < 0
-            seen = ids[~new]
-            cols[seen, 4] = np.minimum(cols[seen, 4], moment[~new])
+            # The distinct keys, each at its first occurrence, so its first
+            # call: a stable sort keeps equal keys in order.
+            by_key = keys.argsort(kind="stable")
+            keys = keys[by_key]
+            head = np.empty(len(keys), dtype=bool)
+            head[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=head[1:])
+            uniq, moment = keys[head], moment[by_key[head]]
+            # The sentinel key is above every pair, so ``at`` stays in range.
+            at = pair_keys.searchsorted(uniq)
+            ids = pair_ids[at]
+            new = pair_keys[at] != uniq
             fresh = uniq[new]
             k = len(fresh)
             ids[new] = np.arange(n, n + k)
-            index.update(zip(fresh.tolist(), range(n, n + k)))
+            # Merge the fresh pairs in: one copy of the index.
+            dest = at[new] + np.arange(k)
+            rest = np.ones(len(pair_keys) + k, dtype=bool)
+            rest[dest] = False
+            merged_keys, merged_ids = np.empty((2, len(rest)), dtype=np.int64)
+            merged_keys[dest], merged_ids[dest] = fresh, ids[new]
+            merged_keys[rest], merged_ids[rest] = pair_keys, pair_ids
+            pair_keys, pair_ids = merged_keys, merged_ids
             cols = _room(cols, n + k)
             fl, fr = fresh >> PAIR_BITS, fresh & ((1 << PAIR_BITS) - 1)
             block = cols[n:n + k]
@@ -240,8 +259,11 @@ def _linearize(g: Grammar2D, geo: GeometryTable) -> tuple[_Dag, list[int]]:
             block[:, 2] = cols[fl, 2] + cols[fr, 2]
             block[:, 3] = np.maximum(cols[fl, 3], cols[fr, 3]) + 1
             block[:, 4] = moment[new]
+            # A pair met again keeps its earliest call.
+            cols[ids, 4] = np.minimum(cols[ids, 4], moment)
             n += k
-            flat = ids[inv]
+            flat = np.empty(len(keys), dtype=np.int64)
+            flat[by_key] = ids[head.cumsum() - 1]
             for z, i, h in zip(hs, starts.tolist(), heights.tolist()):
                 rows[z] = flat[i:i + h]
         # Drop a child's array once its last parent has read it, so the live
@@ -261,11 +283,12 @@ def _linearize(g: Grammar2D, geo: GeometryTable) -> tuple[_Dag, list[int]]:
     cols = cols[perm]
     inner = cols[:, 0] >= 0
     cols[inner, :2] = rank[cols[inner, :2]]
-    left, right, widths, depths, _ = cols.T.tolist()
+    keep = _keep(cols[:, 3], cols[:, 2]).tolist()
+    left, right, widths, _, _ = cols.T.tolist()
     op = ["H"] * n
     for c, t in terms.items():
         op[rank[t]] = c
-    return _dag(left, right, op, widths, depths), rank[rows[g.start]].tolist()
+    return _Dag(left, right, op, widths, keep), rank[rows[g.start]].tolist()
 
 
 @dataclass(frozen=True)

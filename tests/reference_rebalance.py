@@ -6,8 +6,8 @@ each symbol's children from its production.  ``rebalance_plain_2d`` (the
 start's row symbols folded as the roots of one plan, then stacked),
 ``balance_1d`` and ``balance_to_tslp`` are the library's routes run through
 them.  The library builds the rows on arrays and folds over flat child
-lists; the tests require its grammars, stats and emitted text to equal
-these.
+lists; the tests require its grammars, stats, emitted text and plans
+(marks, splits, canonical heavy parents and requests) to equal these.
 """
 
 from __future__ import annotations

@@ -189,7 +189,8 @@ class TestBrokenReferences:
     @pytest.mark.parametrize("g", [
         Grammar2D((HConcat(1, 1), HConcat(0, 0)), 0),
         Grammar2D((Terminal("a"), HConcat(0, 2), None), 1),
-    ], ids=["cycle", "undefined-child"])
+        Grammar2D((Terminal("a"), HConcat(0, 5)), 1),
+    ], ids=["cycle", "undefined-child", "out-of-range-child"])
     def test_raises_and_caches_nothing(self, g):
         for _ in range(2):
             with pytest.raises(GridSlpError, match="undefined or on a cycle"):

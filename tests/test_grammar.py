@@ -433,14 +433,15 @@ class TestIdOrder:
         assert (expand(fwd) == expand(back)).all()
 
     #: Violations as (code, symbol, message), in the order validate reports
-    #: them; the depth-first walk of earlier versions gave the same lists.
+    #: them; the depth-first walk of earlier versions gave the same lists,
+    #: except that it reported a cycle symbol once per back reference.
     MALFORMED = {
         "SLP2D v1\nstart S\nA T x\nS H A B\n": [
             ("undefined", 1, "reference to undefined symbol B")],
         "SLP2D v1\nstart S\nA T x\nS H S A\n": [
             ("cycle", 1, "symbol participates in a reference cycle")],
         "SLP2D v1\nstart S\nS H P P\nP H S S\n": [
-            ("cycle", 0, "symbol participates in a reference cycle")] * 2,
+            ("cycle", 0, "symbol participates in a reference cycle")],
         "SLP2D v1\nstart S\nA T x\nB V A A\nC H A B\nD H B A\nS V C D\n": [
             ("dimension", 2, "h-concat heights differ: 1 vs 2"),
             ("dimension", 3, "h-concat heights differ: 2 vs 1")],

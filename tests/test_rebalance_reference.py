@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from gridslp import (
@@ -21,7 +22,7 @@ from gridslp import (
 )
 from gridslp import transforms
 from gridslp.balance import (
-    KEEP_SLACK, _dag_of, _inline_contexts, _post_order, _shallow)
+    KEEP_SLACK, _dag_of, _inline_contexts, _keep, _plan, _post_order, _shallow)
 from gridslp.geometry import GeometryTable
 from gridslp.grammar import reachable_topo
 
@@ -115,6 +116,76 @@ def test_balance_to_tslp_on_chained_grammars():
         assert balance_to_tslp(g) == ref.balance_to_tslp(g), seed
 
 
+def _plan_as_reference(plan, dag):
+    """The library's plan in the reference's form: order, marks, splits
+    (heavy, light, axis, side, light area), canon and requested."""
+    split = {z: (plan.heavy[z], plan.light[z], dag.op[z], plan.side[z],
+                 dag.area[plan.light[z]])
+             for z in plan.order if plan.heavy[z] >= 0}
+    canon = {h: z for h, z in enumerate(plan.canon) if z >= 0}
+    requested = {z for z, r in enumerate(plan.requested) if r}
+    return plan.order, plan.mark, split, canon, requested
+
+
+def _assert_same_plans(g):
+    """The plan over ``g``'s own symbols (``balance_to_tslp``'s) and over
+    its linearized rows (the rebalance's, where the rebalance takes ``g``:
+    no taller than wide, and at most 2**62 cells) equal the scalar
+    references'."""
+    geo = compute_geometry(g)
+    dag = _dag_of(geo)
+    assert _plan_as_reference(_plan(dag, [g.start]), dag) == ref._plan(
+        g.rules, geo, [g.start])
+    h, w = geo.dims(g.start)
+    if h > w or h * w > 1 << 62:
+        return
+    dag, rows = transforms._linearize(g, geo)
+    lin = GrammarBuilder(dedup=True)
+    assert ref._rows(lin, g, geo) == rows
+    assert _plan_as_reference(_plan(dag, rows), dag) == ref._plan(
+        lin.rules, lin.geometry(), rows)
+
+
+@pytest.mark.parametrize("family", ["differential", "chained-differential",
+                                    "chained-random", "spirals"])
+def test_plan_matches_reference(family):
+    if family == "differential":
+        grammars = [_inline_contexts(random_tslp(seed))[0] for seed in range(150)]
+    elif family == "chained-differential":
+        grammars = [_chained(_wide(random_tslp(seed))) for seed in range(150)]
+    elif family == "chained-random":
+        grammars = [_chained(_wide(random_grammar(seed, 50, max_dim=24)))
+                    for seed in range(40)]
+    else:
+        grammars = [build_spiral(n, c) for n, c in SPIRALS]
+    for g in grammars:
+        _assert_same_plans(g)
+
+
+def _wide_tall_rows():
+    """100 equal rows stacked, each ``big + 20 a`` beside ``big + 21 a``
+    with ``big`` 2**60 a's: the rows and the stack fail the keep test, the
+    stack's area passes 2**63, and a row's two halves differ in area by 1,
+    below a float's resolution there."""
+    b = GrammarBuilder(dedup=True)
+    a = b.terminal("a")
+    big = b.repeat("H", a, 1 << 60)
+    left, right = b.chain("H", [big] + [a] * 20), b.chain("H", [big] + [a] * 21)
+    row = b.h(left, right)
+    return b.finish(b.chain("V", [row] * 100)), row, left, right
+
+
+def test_plan_is_exact_past_int64_areas():
+    g, row, left, right = _wide_tall_rows()
+    geo = compute_geometry(g)
+    assert geo.area(g.start) > 1 << 63
+    assert not _shallow(geo.depths[g.start], geo.area(g.start))
+    _assert_same_plans(g)
+    plan = _plan(_dag_of(geo), [g.start])
+    assert (plan.heavy[row], plan.light[row], plan.side[row]) == (right, left, "second")
+    assert balance_to_tslp(g) == ref.balance_to_tslp(g)
+
+
 def test_post_order_is_reachable_topo():
     for seed in range(40):
         g = _chained(_wide(random_tslp(seed)), 3)
@@ -151,6 +222,10 @@ def test_keep_list_is_exact_to_2_124():
     keep = _dag_of(geo).keep
     assert keep == [_shallow(d, a) for d, a in pairs]
     assert any(keep) and not all(keep)
+    # The linearization's array test, on the areas below 2**62 it meets.
+    fits = [(d, a) for d, a in pairs if a < 1 << 62]
+    depth, area = np.array(fits).T
+    assert _keep(depth, area).tolist() == [_shallow(d, a) for d, a in fits]
     side = 1 << 62
     geo = GeometryTable((side, side), (side, side), (None, None), (130, 131), ("a", "a"))
     assert _dag_of(geo).keep == [True, False]
