@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .grammar import Grammar2D, GrammarBuilder, ParameterError, topo_all
+from .grammar import Grammar2D, GrammarBuilder, ParameterError
 from .transforms import rotate_cw
 
 
@@ -115,41 +115,11 @@ def build_shiftbin(n: int) -> Grammar2D:
 # The C matrices and their extension sequence
 
 
-def _cnm_into(b: GrammarBuilder, N: int, M: int) -> int:
-    m = cnm_block_exponent(M)
-    mp = 1 << m
-    W = mp * (m + 2)
-    if N < mp:
-        raise ParameterError(f"C matrix needs height ≥ M'={mp}, got {N}")
-    sb = _shiftbin_into(b, m)
-    zero = b.terminal("0")
-    wide = M - W
-    # The right strip widened with the trailing zeros (columns 2W+1..M), so
-    # the whole matrix is exactly two columns of stacked blocks.
-    wsb = b.h(sb, _zero_rect(b, zero, 2 * mp, M - 2 * W)) if M > 2 * W else sb
-    k_left = N // (2 * mp)
-    pad_left = N - 2 * mp * k_left
-    k_right = (N - mp) // (2 * mp)
-    pad_right = (N - mp) - 2 * mp * k_right
-
-    left = b.chain("V", [
-        b.repeat("V", sb, k_left) if k_left else None,
-        _zero_rect(b, zero, pad_left, W) if pad_left else None,
-    ])
-    right = b.chain("V", [
-        _zero_rect(b, zero, mp, wide),
-        b.repeat("V", wsb, k_right) if k_right else None,
-        _zero_rect(b, zero, pad_right, wide) if pad_right else None,
-    ])
-    return b.h(left, right)
-
-
 def build_cnm(N: int, M: int) -> Grammar2D:
     """Grammar of O(log N + log M) symbols deriving the N x M C matrix."""
     if M < 8:
         raise ParameterError(f"C matrix width must be ≥ 8, got {M}")
-    b = GrammarBuilder(dedup=True)
-    return b.finish(_cnm_into(b, N, M))
+    return build_cnm_sequence(N, M, 1 << cnm_block_exponent(M), 0)[0]
 
 
 def build_cnm_sequence(
@@ -169,12 +139,12 @@ def build_cnm_sequence(
     W = mp * (m + 2)
     if b_step <= 0 or b_step % mp:
         raise ParameterError(f"step {b_step} is not a positive multiple of M'={mp}")
+    if N < mp:
+        raise ParameterError(f"C matrix needs height ≥ M'={mp}, got {N}")
     if b_step > N:
         raise ParameterError(f"step {b_step} exceeds the base height {N}")
     if k < 0:
         raise ParameterError(f"sequence length k must be ≥ 0, got {k}")
-    if N < mp:
-        raise ParameterError(f"C matrix needs height ≥ M'={mp}, got {N}")
 
     b = GrammarBuilder(dedup=True)
     sb = _shiftbin_into(b, m)
@@ -188,8 +158,9 @@ def build_cnm_sequence(
     # alternates between two padding patterns, so two chains interleave.
     stride = 1 if b_step % (2 * mp) == 0 else 2
     copies = stride * b_step // (2 * mp)
-    grow_l = b.repeat("V", sb, copies)
-    grow_r = b.repeat("V", wsb, copies)
+    if k >= stride:
+        grow_l = b.repeat("V", sb, copies)
+        grow_r = b.repeat("V", wsb, copies)
 
     roots: list[int | None] = [None] * (k + 1)
     for parity in range(stride):
@@ -297,10 +268,10 @@ def spiral_params(N: int, c: int = 1) -> SpiralParams:
 
 
 def _import_symbols(b: GrammarBuilder, g: Grammar2D) -> list[int]:
-    """Copy every symbol of a validated plain grammar into ``b``; id map."""
+    """Copy a builder-made plain grammar into ``b`` in id order, which lists
+    children first; id map."""
     idmap = [0] * len(g.rules)
-    for sym in topo_all(g.rules):
-        r = g.rules[sym]
+    for sym, r in enumerate(g.rules):
         if r.kind == "term":
             idmap[sym] = b.terminal(r.char)
         elif r.kind == "h":

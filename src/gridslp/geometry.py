@@ -6,9 +6,10 @@ matrices, so they are computed once per grammar in a single iterative pass and
 kept in plain tuples.  The rules of each production kind live in
 :func:`gridslp.grammar.layout`; this pass applies it to every symbol in
 dependency order and keeps what it returns, child placements included.
-Dimensions are exact integers; anything beyond 2**62 raises
-:class:`OverflowError` rather than silently continuing into numbers the
-index structures cannot address.
+:func:`compute_geometry` raises the first violation
+:func:`~gridslp.grammar.validate` would report.  Dimensions are exact
+integers; one beyond 2**62, which the index structures cannot address,
+raises :class:`OverflowError`.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from .grammar import (
     Grammar2D,
     GridSlpError,
     LayoutError,
+    _check,
     children,
     layout,
-    topo_all,
 )
 
 
@@ -53,17 +54,13 @@ class GeometryTable:
         return self.heights[sym] * self.widths[sym]
 
 
-def geometry_pass(g: Grammar2D, on_error=None, order=None):
-    """Compute per-symbol geometry, reporting or raising on inconsistencies.
+def geometry_pass(g: Grammar2D, on_error, order):
+    """Per-symbol geometry of the symbols in ``order``, children first.
 
-    With ``on_error`` (a callback ``(code, symbol, message)``) every violation
-    is reported and the offending symbol's geometry is left undefined so one
-    pass can surface all problems; without it the first inconsistency raises,
-    a reference to an undefined symbol, one past the last rule or one on a
-    cycle included.  With ``on_error``, references are assumed in range and
-    acyclic.  ``order`` lists the symbols to lay out, children first
-    (default ``topo_all`` of the rules); the others' geometry stays
-    undefined.
+    Each production whose operands do not fit is reported to ``on_error``
+    (a callback ``(code, symbol, message)``) and left undefined, as is every
+    symbol above it and every symbol not in ``order``.  References are
+    assumed in range and acyclic.
     """
     rules = g.rules
     n = len(rules)
@@ -73,32 +70,12 @@ def geometry_pass(g: Grammar2D, on_error=None, order=None):
     D: list = [None] * n
     E: list = [None] * n
 
-    def fail(code: str, sym: int, msg: str):
-        if on_error is None:
-            if code == "overflow":
-                raise OverflowError(msg)
-            raise GridSlpError(f"symbol {g.labels[sym]}: {msg}")
-        on_error(code, sym, msg)
-
-    if order is None:
-        try:
-            order = topo_all(rules)
-        except IndexError:  # its walk met a reference past the last rule
-            sym, c = next((s, c) for s, r in enumerate(rules) if r is not None
-                          for c in children(r) if c >= n)
-            raise GridSlpError(
-                f"symbol {g.labels[sym]}: reference to symbol {c}, which is "
-                "undefined or on a cycle") from None
     for sym in order:
         r = rules[sym]
         below = 0
         for c in children(r):
             d = D[c]
             if d is None:
-                if on_error is None:
-                    raise GridSlpError(
-                        f"symbol {g.labels[sym]}: reference to symbol {c}, "
-                        "which is undefined or on a cycle")
                 break  # cascade from a reported child failure
             if d > below:
                 below = d
@@ -106,7 +83,7 @@ def geometry_pass(g: Grammar2D, on_error=None, order=None):
             try:
                 H[sym], W[sym], HOLE[sym], E[sym] = layout(r, H, W, HOLE)
             except LayoutError as e:
-                fail(e.code, sym, str(e))
+                on_error(e.code, sym, str(e))
                 continue
             D[sym] = below + 1
 
@@ -114,16 +91,19 @@ def geometry_pass(g: Grammar2D, on_error=None, order=None):
 
 
 def compute_geometry(g: Grammar2D) -> GeometryTable:
-    """Geometry of every defined symbol of a validated grammar.
+    """Geometry of every defined symbol of a sound grammar.
 
     Computed once per grammar object: the table is kept on ``g`` (as
     :func:`~gridslp.grammar.validate` keeps the one it computes) and
-    returned again on later calls.  A grammar with a cycle, or a reference
-    to an undefined symbol, raises :class:`~gridslp.grammar.GridSlpError`
-    and keeps nothing.
+    returned again on later calls.  A grammar that fails a check of
+    ``validate`` other than the start and hole-marker ones raises the first
+    violation ``validate`` would report (:class:`OverflowError` for an
+    overflow, :class:`~gridslp.grammar.GridSlpError` otherwise) and keeps
+    nothing.
     """
-    geo = g._geometry
-    if geo is None:
-        geo = GeometryTable(*map(tuple, geometry_pass(g)))
-        object.__setattr__(g, "_geometry", geo)
-    return geo
+    if g._geometry is None:
+        out: list = []
+        if not _check(g, out):
+            v = out[0]
+            raise (OverflowError if v.code == "overflow" else GridSlpError)(str(v))
+    return g._geometry

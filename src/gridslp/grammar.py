@@ -193,6 +193,12 @@ class LayoutError(GridSlpError):
         self.code = code
 
 
+def _check_fields(what: str, axis: str, side: str) -> None:
+    if axis not in ("H", "V") or side not in ("first", "second"):
+        raise LayoutError("kind", f"{what} needs axis H or V and side first or "
+                                  f"second, got {axis!r} and {side!r}")
+
+
 def layout(rule: Production, H, W, HOLE) -> tuple:
     """Frame, hole and child placement of one production.
 
@@ -215,6 +221,8 @@ def layout(rule: Production, H, W, HOLE) -> tuple:
     """
     k = rule.kind
     if k == "term":
+        if not isinstance(rule.char, str) or len(rule.char) != 1:
+            raise LayoutError("kind", f"terminal {rule.char!r} is not one character")
         return 1, 1, None, rule.char
     if k == "h" or k == "v":
         a, b = (rule.left, rule.right) if k == "h" else (rule.top, rule.bottom)
@@ -231,6 +239,7 @@ def layout(rule: Production, H, W, HOLE) -> tuple:
                 raise LayoutError("dimension", f"v-concat widths differ: {wa} vs {W[b]}")
             h, w, entry = ha + H[b], wa, (a, 0, 0, ha, wa, b, ha, 0)
     elif k == "hole":
+        _check_fields("hole-concat", rule.axis, rule.hole_side)
         g, p, q = rule.ground, rule.hole_h, rule.hole_w
         if HOLE[g] is not None:
             raise LayoutError("kind", "hole-concat ground operand is a context")
@@ -252,6 +261,7 @@ def layout(rule: Production, H, W, HOLE) -> tuple:
         hole = (p, q, hx + 1, hy + 1)
         entry = (g, gx, gy, gx + gh, gy + gw, None, 0, 0)
     elif k == "ctxcat":
+        _check_fields("ctx-concat", rule.axis, rule.ctx_side)
         c, g = rule.ctx, rule.ground
         if HOLE[c] is None or HOLE[g] is not None:
             raise LayoutError("kind", "ctx-concat needs (context, ground) operands")
@@ -412,22 +422,6 @@ def reachable_topo(rules, start: int) -> list[int]:
     return _post_order(rules, (start,))
 
 
-def topo_all(rules, on_cycle=None) -> list[int]:
-    """Every defined symbol in dependency order (children before parents).
-
-    When every reference points to a lower id, as in every emitted file and
-    every builder-made grammar, that is id order, which is also what the
-    depth-first walk would return; otherwise the walk runs, and reports
-    cycles to ``on_cycle`` as :func:`_post_order` does.
-    """
-    for sym, r in enumerate(rules):
-        if r is not None:
-            for c in children(r):
-                if c >= sym:
-                    return _post_order(rules, range(len(rules)), on_cycle)
-    return [sym for sym, r in enumerate(rules) if r is not None]
-
-
 # ---------------------------------------------------------------------------
 # Validation
 
@@ -461,87 +455,101 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
+def _check(g: Grammar2D, out: list[Violation]) -> bool:
+    """Append each kind, reference, cycle and layout violation of ``g`` to
+    the empty list ``out``; with none, keep the geometry table on ``g``.
+
+    One scan checks kinds and that references are in range and defined.
+    Where every reference points to a lower id, as in every emitted file
+    and builder-made grammar, id order lists children first; otherwise the
+    depth-first walk over the sound rules does, and reports each symbol
+    that closes a cycle once.  Layout is checked only below sound references.
+    """
+    rules = g.rules
+    n = len(rules)
+    labels = g.labels
+    plain = not isinstance(g, Tslp2D)
+
+    def bad(code: str, sym: int, msg: str):
+        out.append(Violation(code, sym, labels[sym], msg))
+
+    backward = defined = True
+    for sym, r in enumerate(rules):
+        if r is None:
+            defined = False
+        elif plain and r.kind not in PLAIN_KINDS:
+            bad("kind", sym, f"{r.kind} production not allowed in a plain grammar")
+        else:
+            for c in children(r):
+                if not 0 <= c < n:
+                    bad("undefined", sym, f"reference to out-of-range symbol {c}")
+                elif rules[c] is None:
+                    bad("undefined", sym, f"reference to undefined symbol {labels[c]}")
+                elif c >= sym:
+                    backward = False
+
+    if not backward:
+        # The cycle search leaves out the rules reported so far.
+        sound = list(rules)
+        for v in out:
+            sound[v.symbol] = None
+        cyclic: set[int] = set()
+
+        def cycle(c: int):
+            if c not in cyclic:
+                cyclic.add(c)
+                bad("cycle", c, "symbol participates in a reference cycle")
+
+        order = _post_order(sound, range(n), cycle)
+    elif defined:
+        order = range(n)
+    else:
+        order = [sym for sym, r in enumerate(rules) if r is not None]
+    if not out:
+        from .geometry import GeometryTable, geometry_pass  # avoids an import cycle
+
+        tables = geometry_pass(g, bad, order)
+    if out:
+        return False
+    object.__setattr__(g, "_geometry", GeometryTable(*map(tuple, tables)))
+    return True
+
+
 def validate(g: Grammar2D, hole_marker: str = "#") -> ValidationReport:
     """Check structural soundness of ``g`` and report every violation found.
 
     Checks: references in range and defined, global acyclicity (each
     symbol closing a cycle reported once), kind discipline (plain grammars
     use only terminal/concat productions; TSLP operands have the required
-    ground/context kinds), dimension compatibility,
+    ground/context kinds; terminals hold one character; axes and sides are
+    known), dimension compatibility,
     hole geometry (hole strictly inside a nonempty frame), start symbol ground,
     dimension overflow beyond 2**62, and — for TSLPs — that ``hole_marker``
     does not occur as a terminal character (it must stay reserved for
-    materializing unfilled holes).  A grammar with no violations keeps the
-    geometry table the checks computed, for :func:`compute_geometry`.
+    materializing unfilled holes).  All but the start and marker checks are
+    :func:`~gridslp.geometry.compute_geometry`'s, and passing them keeps
+    the geometry table they computed.
     """
-    is_tslp = isinstance(g, Tslp2D)
-    rules = g.rules
-    n = len(rules)
+    rules, labels, start = g.rules, g.labels, g.start
+    if not (0 <= start < len(rules)):
+        return ValidationReport((Violation(
+            "undefined", start, str(start), "start symbol id out of range"),))
     out: list[Violation] = []
-
-    def bad(code: str, sym: int, msg: str):
-        label = g.labels[sym] if 0 <= sym < n else str(sym)
-        out.append(Violation(code, sym, label, msg))
-
-    if not (0 <= g.start < n):
-        bad("undefined", g.start, "start symbol id out of range")
-        return ValidationReport(tuple(out))
-
-    # The rules whose references are all sound; the others are left out of
-    # the cycle search, like undefined symbols.
-    sound = list(rules)
-    for sym, r in enumerate(rules):
-        if r is None:
-            continue
-        if not is_tslp and r.kind not in PLAIN_KINDS:
-            bad("kind", sym, f"{r.kind} production not allowed in a plain grammar")
-            sound[sym] = None
-            continue
-        for c in children(r):
-            if not (0 <= c < n):
-                bad("undefined", sym, f"reference to out-of-range symbol {c}")
-                sound[sym] = None
-            elif rules[c] is None:
-                bad("undefined", sym, f"reference to undefined symbol {g.labels[c]}")
-                sound[sym] = None
-    if rules[g.start] is None:
-        bad("undefined", g.start, "start symbol has no production")
-
-    cyclic: set[int] = set()
-
-    def cycle(c: int):
-        if c not in cyclic:
-            cyclic.add(c)
-            bad("cycle", c, "symbol participates in a reference cycle")
-
-    order = topo_all(sound, cycle)
-    if out:
-        # Geometry is meaningless below a broken reference structure.
-        return ValidationReport(tuple(out))
-
-    # Bottom-up geometry pass shared with compute_geometry, collecting
-    # violations instead of raising.
-    from .geometry import GeometryTable, geometry_pass  # avoids an import cycle
-
-    tables = geometry_pass(g, on_error=bad, order=order)
-
-    if rules[g.start].kind in CONTEXT_KINDS:
-        bad("start", g.start, "start symbol must be ground (hole-free)")
-
-    if is_tslp:
-        for sym, r in enumerate(rules):
-            if r is not None and r.kind == "term" and r.char == hole_marker:
-                bad(
-                    "marker",
-                    sym,
-                    f"terminal uses the hole marker {hole_marker!r}; pick a "
-                    "different marker or alphabet",
-                )
-
-    if out:
-        return ValidationReport(tuple(out))
-    object.__setattr__(g, "_geometry", GeometryTable(*map(tuple, tables)))
-    return ValidationReport(())
+    _check(g, out)
+    if rules[start] is None:
+        out.append(Violation(
+            "undefined", start, labels[start], "start symbol has no production"))
+    elif rules[start].kind in CONTEXT_KINDS:
+        out.append(Violation(
+            "start", start, labels[start], "start symbol must be ground (hole-free)"))
+    if isinstance(g, Tslp2D):
+        out.extend(
+            Violation("marker", sym, labels[sym],
+                      f"terminal uses the hole marker {hole_marker!r}; pick a "
+                      "different marker or alphabet")
+            for sym, r in enumerate(rules)
+            if r is not None and r.kind == "term" and r.char == hole_marker)
+    return ValidationReport(tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,20 @@ route ``balance_1d`` is checked against.
 
 from __future__ import annotations
 
-from gridslp import Grammar1D, GrammarBuilder, NotOneDimensional, Tslp2D, geometry_pass
+from gridslp import (
+    Grammar1D,
+    GrammarBuilder,
+    GridSlpError,
+    NotOneDimensional,
+    Tslp2D,
+    geometry_pass,
+)
 from gridslp.balance import _flanks
 from gridslp.grammar import reachable_topo
+
+
+def _raise(code, sym, msg):
+    raise GridSlpError(f"[{code}] {sym}: {msg}")
 
 
 def eliminate_contexts_1d(t: Tslp2D) -> Grammar1D:
@@ -26,7 +37,7 @@ def eliminate_contexts_1d(t: Tslp2D) -> Grammar1D:
     rejected.  Only the symbols the start reaches are laid out and walked.
     """
     order = reachable_topo(t.rules, t.start)
-    H, W, HOLE, _, E = geometry_pass(t, order=order)
+    H, W, HOLE, _, E = geometry_pass(t, _raise, order)
     if H[t.start] != 1:
         raise NotOneDimensional(f"expansion is {H[t.start]} rows tall, expected 1")
     b = GrammarBuilder(dedup=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from gridslp import (
     build_spiral,
     cnm_block_exponent,
     compute_geometry,
+    emit_grammar,
     expand,
     random_grammar,
     rotate_cw,
@@ -215,6 +217,19 @@ class TestSpiral:
     def test_power_of_two_required(self):
         with pytest.raises(ParameterError):
             build_spiral(300)
+
+    #: sha256 of the emitted text; the benchmark's spiral workloads build
+    #: the 4096 grammar, so a change here changes what they measure.
+    EMITTED_SHA256 = {
+        256: "69a89f18586b7fd508402a864cc64ca12d86a7792d0c22c14e837f1761e7cfd0",
+        1024: "c9c46dad23f1da08d0239eddba881a1fe39a21754d339ea3f61e463523bf3c3d",
+        4096: "553639838b4cfb210f3596294d8c376522a90cef4ff974dd1d3677bd83cc96dc",
+    }
+
+    @pytest.mark.parametrize("n", sorted(EMITTED_SHA256))
+    def test_emitted_text_pinned(self, n):
+        text = emit_grammar(build_spiral(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.EMITTED_SHA256[n]
 
 
 class TestRandomGrammar:

@@ -7,12 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridslp import (
+    Apply,
     DimensionMismatch,
     Grammar2D,
     GrammarBuilder,
     GridSlpError,
     HConcat,
+    HoleConcat,
     Terminal,
+    Tslp2D,
+    VConcat,
     balance_to_tslp,
     build_cnm,
     build_cnm_sequence,
@@ -21,6 +25,7 @@ from gridslp import (
     expand,
     random_grammar,
     rebalance_plain_2d,
+    validate,
 )
 
 from conftest import example_tslp, random_tslp
@@ -183,17 +188,39 @@ GEOMETRY_FIELDS = ("heights", "widths", "holes", "depths", "entries")
 
 
 class TestBrokenReferences:
-    """An unvalidated grammar whose references are broken raises, and
-    keeps no table a later call would read."""
+    """An unvalidated grammar whose references are broken, or whose layout
+    fails, raises the first violation ``validate`` reports, and keeps no
+    table a later call would read."""
 
-    @pytest.mark.parametrize("g", [
-        Grammar2D((HConcat(1, 1), HConcat(0, 0)), 0),
-        Grammar2D((Terminal("a"), HConcat(0, 2), None), 1),
-        Grammar2D((Terminal("a"), HConcat(0, 5)), 1),
-    ], ids=["cycle", "undefined-child", "out-of-range-child"])
-    def test_raises_and_caches_nothing(self, g):
+    @pytest.mark.parametrize("g,match", [
+        pytest.param(Grammar2D((HConcat(1, 1), HConcat(0, 0)), 0),
+                     r"\[cycle\]", id="cycle"),
+        pytest.param(Grammar2D((Terminal("a"), HConcat(0, 2), None), 1),
+                     r"\[undefined\]", id="undefined-child"),
+        pytest.param(Grammar2D((Terminal("a"), HConcat(0, 5)), 1),
+                     r"\[undefined\]", id="out-of-range-child"),
+        pytest.param(Grammar2D((Terminal("a"), Terminal("b"), HConcat(1, -2)), 2),
+                     r"\[undefined\]", id="negative-child"),
+        pytest.param(Grammar2D((Terminal("x"), VConcat(0, 0), HConcat(0, 1)), 2),
+                     r"\[dimension\] S2: h-concat heights differ", id="layout"),
+        pytest.param(Grammar2D((Terminal("ab"), Terminal("c"), HConcat(0, 1)), 2),
+                     r"\[kind\]", id="long-terminal"),
+        pytest.param(Tslp2D((Terminal("a"), HoleConcat("X", "middle", 0, 1, 1),
+                             Apply(1, 0)), 2),
+                     r"\[kind\]", id="bad-axis-and-side"),
+    ])
+    def test_raises_and_caches_nothing(self, g, match):
         for _ in range(2):
-            with pytest.raises(GridSlpError, match="undefined or on a cycle"):
+            with pytest.raises(GridSlpError, match=match) as e:
+                compute_geometry(g)
+            assert g._geometry is None
+        assert str(e.value) == str(validate(g).violations[0])
+
+    def test_overflow_raises_overflow_error(self):
+        rules = [Terminal("x")] + [HConcat(i, i) for i in range(63)]
+        g = Grammar2D(tuple(rules), 63)
+        for _ in range(2):
+            with pytest.raises(OverflowError, match="exceeds 2"):
                 compute_geometry(g)
             assert g._geometry is None
 

@@ -41,16 +41,20 @@ from gridslp.grammar import (
     children,
     reachable_topo,
     rule_size,
-    topo_all,
 )
 
 from conftest import example_tslp, random_tslp
 
 
+def _raise(code, sym, msg):
+    raise GridSlpError(f"[{code}] {sym}: {msg}")
+
+
 def _fresh_geometry(g):
     """``g``'s geometry table, computed without reading or filling the
     grammar's own."""
-    return GeometryTable(*map(tuple, geometry_pass(g)))
+    order = _post_order(g.rules, range(g.symbols))
+    return GeometryTable(*map(tuple, geometry_pass(g, _raise, order)))
 
 
 class TestBuilder:
@@ -228,11 +232,6 @@ class TestTraversal:
                 for c in children(g.rules[s]):
                     assert pos[c] < pos[s], name
 
-    def test_topo_all_covers_everything(self, small_corpus):
-        for name, g in small_corpus:
-            order = topo_all(g.rules)
-            assert sorted(order) == list(range(g.symbols))
-
     def test_reachable_is_iterative(self):
         # A chain much deeper than the interpreter recursion limit.
         b = GrammarBuilder(dedup=False)
@@ -311,6 +310,23 @@ class TestValidate:
         with pytest.raises(OverflowError):
             for _ in range(63):
                 s = b.h(s, s)  # width doubles past 2^62
+
+    @pytest.mark.parametrize("g", [
+        Grammar2D((Terminal("ab"), Terminal("c"), HConcat(0, 1)), 2),
+        Grammar2D((Terminal(""), Terminal("c"), HConcat(0, 1)), 2),
+        Grammar2D((Terminal(5), Terminal("c"), HConcat(0, 1)), 2),
+        Tslp2D((Terminal("a"), HoleConcat("X", "middle", 0, 1, 1), Apply(1, 0)), 2),
+        Tslp2D((Terminal("a"), HoleConcat("H", "middle", 0, 1, 1), Apply(1, 0)), 2),
+        Tslp2D((Terminal("a"), HoleConcat("H", "first", 0, 1, 1),
+                CtxConcat("D", "first", 1, 0), Apply(2, 0)), 3),
+        Tslp2D((Terminal("a"), HoleConcat("H", "first", 0, 1, 1),
+                CtxConcat("V", "both", 1, 0), Apply(2, 0)), 3),
+    ], ids=["long-terminal", "empty-terminal", "int-terminal", "hole-axis",
+            "hole-side", "ctx-axis", "ctx-side"])
+    def test_malformed_fields_reported(self, g):
+        """Fields the builder rejects as parameters are kind violations."""
+        rep = validate(g)
+        assert [v.code for v in rep.violations] == ["kind"], str(rep)
 
     def test_overflow_flagged_by_validate(self):
         # Assembled by hand so the oversized grammar exists to be validated.
@@ -400,17 +416,12 @@ class TestGeometryCache:
 
     def test_partial_pass_is_not_kept(self):
         g = parse_grammar(self.TEXT)
-        geometry_pass(g, order=[0])
+        geometry_pass(g, _raise, [0])
         assert compute_geometry(g) == _fresh_geometry(g)
 
 
 class TestIdOrder:
     """Where every reference points to a lower id, the walks use id order."""
-
-    def test_topo_all_is_the_depth_first_order(self, small_corpus, spiral_1024):
-        for name, g in small_corpus + [("spiral_1024", spiral_1024)]:
-            assert topo_all(g.rules) == _post_order(
-                g.rules, range(g.symbols)), name
 
     def test_forward_reference_takes_the_walk(self, monkeypatch):
         walks = []
