@@ -243,6 +243,8 @@ def layout(rule: Production, H, W, HOLE) -> tuple:
         g, p, q = rule.ground, rule.hole_h, rule.hole_w
         if HOLE[g] is not None:
             raise LayoutError("kind", "hole-concat ground operand is a context")
+        if p.__class__ is not int or q.__class__ is not int:  # bool is not int
+            raise LayoutError("kind", f"hole dimensions {p!r}x{q!r} are not integers")
         if p < 1 or q < 1:
             raise LayoutError("hole", f"hole dimensions {p}x{q} must be positive")
         gh, gw = H[g], W[g]

@@ -17,12 +17,14 @@ from gridslp import (
     Terminal,
     Tslp2D,
     VConcat,
+    balance_to_tslp,
     build_bin,
     build_cnm,
     build_cnm_sequence,
     build_shiftbin,
     build_spiral,
     compute_geometry,
+    emit_grammar,
     expand,
     random_grammar,
 )
@@ -91,6 +93,85 @@ def small_corpus():
         ("rand12", random_grammar(12, 60, max_dim=32)),
         ("example_tslp", example_tslp()),
     ]
+
+
+def acceptance_corpus():
+    """The shared acceptance corpus: named gadgets plus 100 seeded grammars."""
+    entries = [
+        ("spiral_4096", build_spiral(1 << 12)),
+        ("shiftbin_8", build_shiftbin(8)),
+        ("cnm_16x16", build_cnm(16, 16)),
+        ("cnm_64x128", build_cnm(64, 128)),
+        ("cnm_256x256", build_cnm(256, 256)),
+    ]
+    entries += [(f"random_{s}", random_grammar(s, 50, max_dim=24)) for s in range(100)]
+    return entries
+
+
+#: Tokens a mutation may put in place of another: opcodes known and unknown,
+#: sides, numbers and malformed labels.
+FUZZ_TOKENS = ("T", "H", "V", "A", "HH", "HV", "CH", "CV", "C", "Q", "start", "#",
+               "L", "R", "B", "X", "0", "1", "2", "-1", "1.5", "99999999999",
+               "S0", "S1", "a-b", "é", "SLP2D", "TSLP2D", "v1")
+
+
+def mutate_text(text: str, rng: random.Random) -> str:
+    """``text`` with one to three seeded mutations: lines dropped,
+    duplicated or swapped; tokens dropped, duplicated, swapped or replaced
+    (opcodes, sides, numbers, labels); or the text truncated."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        if not lines:
+            break
+        i = rng.randrange(len(lines))
+        toks = lines[i].split()
+        op = rng.randrange(8)
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(rng.randrange(len(lines) + 1), lines[i])
+        elif op == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == 3:
+            lines = lines[:i] + [lines[i][:rng.randrange(len(lines[i]) + 1)]]
+        elif not toks:
+            continue
+        elif op == 4:
+            del toks[rng.randrange(len(toks))]
+        elif op == 5:
+            k = rng.randrange(len(toks))
+            toks.insert(k, toks[k])
+        elif op == 6:
+            j, k = rng.randrange(len(toks)), rng.randrange(len(toks))
+            toks[j], toks[k] = toks[k], toks[j]
+        else:
+            toks[rng.randrange(len(toks))] = rng.choice(FUZZ_TOKENS)
+        if op >= 4:
+            lines[i] = rng.choice((" ", "\t", "  ")).join(toks)
+    return rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("\n", "", "\n# end\n"))
+
+
+def fuzz_sources():
+    """(name, text) of the grammars the fuzz mutates: plain and holed."""
+    balanced, _ = balance_to_tslp(row_caterpillar(6, 10))
+    grammars = [
+        ("spiral_256", build_spiral(256)),
+        ("cnm_16x16", build_cnm(16, 16)),
+        ("caterpillar_30", caterpillar(30)),
+        ("random_5", random_grammar(5, 40, max_dim=16)),
+        ("random_tslp_3", random_tslp(3)),
+        ("balanced_row_caterpillar", balanced),
+    ]
+    return [(name, emit_grammar(g)) for name, g in grammars]
+
+
+@pytest.fixture(scope="session")
+def fuzz_texts():
+    """(source name, mutated text) pairs, the same on every run."""
+    rng = random.Random(20251019)
+    return [(name, mutate_text(text, rng))
+            for name, text in fuzz_sources() for _ in range(40)]
 
 
 @pytest.fixture(scope="session")

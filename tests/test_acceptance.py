@@ -36,7 +36,7 @@ from gridslp import (
     validate,
 )
 
-from conftest import caterpillar
+from conftest import acceptance_corpus, caterpillar
 from reference_gadgets import (
     distinct_blocks, reference_bin, reference_cnm, reference_shiftbin)
 from reference_index import PredecessorSet
@@ -61,16 +61,7 @@ def _positions(h: int, w: int, seed: int):
 
 @pytest.fixture(scope="module")
 def corpus():
-    """The shared acceptance corpus: named gadgets plus 100 seeded grammars."""
-    entries = [
-        ("spiral_4096", build_spiral(1 << 12)),
-        ("shiftbin_8", build_shiftbin(8)),
-        ("cnm_16x16", build_cnm(16, 16)),
-        ("cnm_64x128", build_cnm(64, 128)),
-        ("cnm_256x256", build_cnm(256, 256)),
-    ]
-    entries += [(f"random_{s}", random_grammar(s, 50, max_dim=24)) for s in range(100)]
-    return entries
+    return acceptance_corpus()
 
 
 @pytest.fixture(scope="module")

@@ -32,6 +32,7 @@ def test_readme_library_example():
     [
         ["access_bench.py", "--exp", "8", "--queries", "200"],
         ["flatness_report.py", "--exps", "8", "--samples", "50"],
+        ["rebalance_stages.py", "--exps", "8", "--reps", "1"],
         ["separation.py", "--exps", "8"],
         ["spiral_sizes.py", "--exps", "8", "9"],
     ],

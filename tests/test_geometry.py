@@ -208,6 +208,10 @@ class TestBrokenReferences:
         pytest.param(Tslp2D((Terminal("a"), HoleConcat("X", "middle", 0, 1, 1),
                              Apply(1, 0)), 2),
                      r"\[kind\]", id="bad-axis-and-side"),
+        pytest.param(Tslp2D((Terminal("a"), HoleConcat("H", "first", 0, 1.0, 1),
+                             Apply(1, 0)), 2),
+                     r"\[kind\] S1: hole dimensions 1.0x1 are not integers",
+                     id="float-hole-size"),
     ])
     def test_raises_and_caches_nothing(self, g, match):
         for _ in range(2):

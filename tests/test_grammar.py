@@ -122,6 +122,13 @@ class TestBuilder:
         with pytest.raises(DimensionMismatch):
             b.hole_concat("H", "first", x, 1, 0)
 
+    def test_hole_sizes_must_be_integers(self):
+        b = GrammarBuilder(dedup=False)
+        x = b.terminal("x")
+        for p, q in ((1.0, 1), (1, True)):
+            with pytest.raises(DimensionMismatch, match="not integers"):
+                b.hole_concat("H", "first", x, p, q)
+
     def test_apply_requires_matching_hole(self):
         b = GrammarBuilder(dedup=False)
         x = b.terminal("x")
@@ -321,8 +328,10 @@ class TestValidate:
                 CtxConcat("D", "first", 1, 0), Apply(2, 0)), 3),
         Tslp2D((Terminal("a"), HoleConcat("H", "first", 0, 1, 1),
                 CtxConcat("V", "both", 1, 0), Apply(2, 0)), 3),
+        Tslp2D((Terminal("a"), HoleConcat("H", "first", 0, 1.0, 1), Apply(1, 0)), 2),
+        Tslp2D((Terminal("a"), HoleConcat("H", "first", 0, 1, True), Apply(1, 0)), 2),
     ], ids=["long-terminal", "empty-terminal", "int-terminal", "hole-axis",
-            "hole-side", "ctx-axis", "ctx-side"])
+            "hole-side", "ctx-axis", "ctx-side", "float-hole-size", "bool-hole-size"])
     def test_malformed_fields_reported(self, g):
         """Fields the builder rejects as parameters are kind violations."""
         rep = validate(g)

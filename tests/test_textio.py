@@ -17,7 +17,8 @@ from gridslp import (
     validate,
 )
 
-from conftest import example_tslp
+from conftest import acceptance_corpus, example_tslp
+from reference_textio import parse_grammar as reference_parse
 
 
 class TestRoundTrip:
@@ -144,3 +145,83 @@ class TestEmitErrors:
         for name, g in small_corpus:
             back = parse_grammar(emit_grammar(g))
             assert (expand(back) == expand(g)).all(), name
+
+
+def _outcome(parse, text):
+    """What ``parse`` makes of ``text``: the grammar's class and fields, or
+    the FormatError message."""
+    try:
+        g = parse(text)
+    except FormatError as e:
+        return "FormatError", str(e)
+    return type(g), g.rules, g.start, g.labels
+
+
+#: Hand-written texts: layout the format allows, every opcode, undefined
+#: labels, and each fault the parser reports, alone and in pairs.
+HAND_WRITTEN = {
+    "crlf-tabs-comments": "# lead\r\nSLP2D v1\r\n\r\n  # indented\r\n"
+                          "start\tB\r\n A T x \r\n\tB H A  A\r\n#B T y\r\n",
+    "other-line-breaks": "SLP2D v1\x0bstart B\x0cA T x\x1cB V A A\u2028",
+    "forward-and-undefined": "SLP2D v1\nstart R\nR V B U2\nB H U1 A\nA T x\nC H U1 U3\n",
+    "undefined-start": "SLP2D v1\nstart Z\nA T x\nB H A Y\n",
+    "every-opcode": "TSLP2D v1\nstart R\na T a\nb T #\nr H a b\ns V a b\n"
+                    "h1 HH L a 1 1\nh2 HH R a 1 1\nh3 HV T r 1 2\nh4 HV B r 1 2\n"
+                    "c1 CH L h1 a\nc2 CH R h1 a\nc3 CV T h3 r\nc4 CV B h3 r\n"
+                    "k C c1 h1\nR A k u\n",
+    "hole-sizes": "TSLP2D v1\nstart h\nh HH L a -3 +4\na T a\n",
+    "empty": "",
+    "only-comments": "# nothing\n\n   \n",
+    "bad-header": "SLP2D v2\nstart A\nA T x\n",
+    "start-first": "start A\nSLP2D v1\nA T x\n",
+    "start-arity": "SLP2D v1\nstart A B\nstart A\nA T x\n",
+    "duplicate-start": "SLP2D v1\nstart A\nA T x\nstart A\n",
+    "missing-start": "SLP2D v1\nA T x\n",
+    "bad-start-label": "SLP2D v1\nstart a-b\nA T x\n",
+    "missing-opcode": "SLP2D v1\nstart A\nA T x\nB\n",
+    "unknown-opcode": "SLP2D v1\nstart A\nA T x\nB Q A A\n",
+    "holed-opcode-in-plain": "SLP2D v1\nstart A\nA T x\nB HH L A 1 1\n",
+    "arity": "SLP2D v1\nstart A\nA T x\nB H A\n",
+    "long-payload": "SLP2D v1\nstart A\nA T xy\n",
+    "bad-side": "TSLP2D v1\nstart A\nA T x\nB CV L B A\n",
+    "bad-integer": "TSLP2D v1\nstart A\nA T x\nB HV T A 1 1.0\n",
+    "bad-reference": "SLP2D v1\nstart A\nA T x\nB H A a.b\n",
+    "redefinition": "SLP2D v1\nstart A\nA T x\nB T y\nA T z\n",
+    "two-faults-label-after-opcode":
+        "SLP2D v1\nstart A\nA Q x\nB-1 T y\n",
+    "two-faults-reference-after-opcode":
+        "SLP2D v1\nstart A\nA Q x\nB H A c-d\n",
+    "two-faults-side-before-reference":
+        "TSLP2D v1\nstart A\nA T x\nB HH M c-d 1 1\nC H A e-f\n",
+    "two-faults-redefined-before-bad-label":
+        "SLP2D v1\nstart A\nA T x\nA T y\n!B T z\n",
+}
+
+
+class TestAgainstReference:
+    """The parser agrees with the line-at-a-time reference parser: an equal
+    grammar, or a FormatError with the identical message."""
+
+    def test_corpus_texts(self, small_corpus):
+        for name, g in small_corpus + acceptance_corpus():
+            text = emit_grammar(g)
+            assert _outcome(parse_grammar, text) == _outcome(reference_parse, text), name
+
+    @pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
+    def test_hand_written(self, name):
+        text = HAND_WRITTEN[name]
+        assert _outcome(parse_grammar, text) == _outcome(reference_parse, text)
+
+    def test_fuzz_mutants(self, fuzz_texts):
+        rejected = 0
+        for name, text in fuzz_texts:
+            want = _outcome(reference_parse, text)
+            assert _outcome(parse_grammar, text) == want, (name, text)
+            rejected += want[0] == "FormatError"
+        # The mutants reach both outcomes.
+        assert 0 < rejected < len(fuzz_texts)
+
+    def test_undefined_labels_trail_in_reference_order(self):
+        g = parse_grammar(HAND_WRITTEN["forward-and-undefined"])
+        assert g.labels == ("R", "B", "A", "C", "U2", "U1", "U3")
+        assert g.rules[4:] == (None, None, None)
