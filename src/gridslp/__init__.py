@@ -32,7 +32,6 @@ from .gadgets import (
     random_grammar,
     spiral_params,
 )
-from .geometry import GeometryTable, compute_geometry, geometry_pass
 from .grammar import (
     CONTEXT_KINDS,
     DIM_BOUND,
@@ -42,6 +41,7 @@ from .grammar import (
     Compose,
     CtxConcat,
     DimensionMismatch,
+    GeometryTable,
     Grammar1D,
     Grammar2D,
     GrammarBuilder,
@@ -58,6 +58,7 @@ from .grammar import (
     ValidationReport,
     Violation,
     as_tslp,
+    compute_geometry,
     validate,
 )
 from .matrix import expand, matrix_from_text, matrix_to_text, max_cells_default

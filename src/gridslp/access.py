@@ -12,8 +12,13 @@ Coordinates are 1-based, ``x`` selecting the row and ``y`` the column.
 
 from __future__ import annotations
 
-from .grammar import Grammar2D, InternalHoleHit, OutOfBounds
-from .geometry import GeometryTable, compute_geometry
+from .grammar import (
+    GeometryTable,
+    Grammar2D,
+    InternalHoleHit,
+    OutOfBounds,
+    compute_geometry,
+)
 
 
 def access_tslp(

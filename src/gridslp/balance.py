@@ -33,6 +33,9 @@ reads them as flat per-symbol lists.  Holed input is first
 flattened to plain form (``_plain``, by ``_inline_contexts``), which follows
 the geometry table's ``layout`` entries (child boxes, offsets and holes),
 not the production kinds, which only ``grammar`` and ``textio`` name.
+Every grammar made here comes out of a ``GrammarBuilder``, which keeps
+the table it laid out while building on the grammar it finishes, so the
+inlined grammar and both outputs are never laid out a second time.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grammar import (
+    GeometryTable,
     Grammar1D,
     Grammar2D,
     GrammarBuilder,
@@ -50,9 +54,9 @@ from .grammar import (
     PLAIN_KINDS,
     Tslp2D,
     as_tslp,
+    compute_geometry,
     reachable_topo,
 )
-from .geometry import GeometryTable, compute_geometry
 
 # A symbol of depth ≤ ⌈log2 area⌉ + KEEP_SLACK is already as shallow as a
 # fold could make it, up to a constant, and is copied verbatim.
@@ -86,15 +90,13 @@ def _plain(
     """``g`` and its geometry table, with its contexts inlined first
     (``_inline_contexts``) if any rule has a hole."""
     if any(r is not None and r.kind not in PLAIN_KINDS for r in g.rules):
-        return _inline_contexts(g, geo)
+        g, geo = _inline_contexts(g, geo), None
     return g, compute_geometry(g) if geo is None else geo
 
 
-def _inline_contexts(
-    t: Grammar2D, geo: GeometryTable | None = None
-) -> tuple[Grammar2D, GeometryTable]:
+def _inline_contexts(t: Grammar2D, geo: GeometryTable | None = None) -> Grammar2D:
     """An equivalent plain grammar, every context use expanded in place,
-    and its geometry table, which the builder already holds.
+    which keeps its builder's geometry table.
 
     Follows the ``layout`` entries: a second child that spans the whole
     frame is a context whose hole box 1 fills; otherwise the two boxes (or
@@ -141,7 +143,7 @@ def _inline_contexts(
             first, second = memo[k1], plug if k2 is None else memo[k2]
             memo[key] = op(first, second) if x1 == y1 == 0 else op(second, first)
         stack.pop()
-    return b.finish(memo[(t.start, None)]), b.geometry()
+    return b.finish(memo[(t.start, None)])
 
 
 # Marks of the shared plan: a node a fold decomposes, one copied verbatim.

@@ -14,7 +14,7 @@ from functools import partial
 
 from .access import access_tslp
 from .fastaccess import FastAccessIndex, access_fast
-from .grammar import Grammar2D, ParameterError, Tslp2D
+from .grammar import Grammar2D, ParameterError, Tslp2D, compute_geometry
 
 
 def _run_path(fn, positions) -> dict:
@@ -41,12 +41,12 @@ def bench_access(
     ``width`` and ``paths``, one dict per path (``path``, ``meanVisits``,
     ``maxVisits``, ``nanosPerQuery``).
 
-    ``idx`` must index ``g``: its geometry table serves both paths.
+    ``idx`` must index ``g``.  ``g`` is laid out before the clock starts
+    (a lookup if it keeps its table), so no timed query pays for it.
     """
     if queries < 1:
         raise ParameterError(f"queries must be at least 1, got {queries}")
-    geo = idx.geo
-    h, w = geo.dims(g.start)
+    h, w = compute_geometry(g).dims(g.start)
     rng = random.Random(seed)
     positions = [
         (rng.randrange(1, h + 1), rng.randrange(1, w + 1)) for _ in range(queries)
@@ -54,7 +54,7 @@ def bench_access(
     paths = [
         {"path": name, **_run_path(fn, positions)}
         for name, fn in (
-            ("tslp", partial(access_tslp, g, geo=geo)),
+            ("tslp", partial(access_tslp, g)),
             ("fast", partial(access_fast, idx)),
         )
     ]

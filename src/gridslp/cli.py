@@ -28,12 +28,12 @@ from .gadgets import (
     build_spiral,
     random_grammar,
 )
-from .geometry import GeometryTable, compute_geometry
 from .grammar import (
     Grammar2D,
     GridSlpError,
     ParameterError,
     Tslp2D,
+    compute_geometry,
     validate,
 )
 from .matrix import DEFAULT_MAX_CELLS, expand, matrix_to_text, max_cells_default
@@ -66,13 +66,13 @@ def _write_text(text: str, path: str | None) -> None:
             f.write(text)
 
 
-def _load(path: str) -> tuple[Grammar2D, GeometryTable]:
-    """The grammar in ``path`` and its geometry table."""
+def _load(path: str) -> Grammar2D:
+    """The grammar in ``path``, validated, which keeps its geometry table."""
     g = parse_grammar(_read_text(path))
     report = validate(g)
     if not report.ok:
         raise _Fail(1, f"{path}: invalid grammar\n{report}")
-    return g, compute_geometry(g)
+    return g
 
 
 def _require(args, *names) -> None:
@@ -105,7 +105,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    g, geo = _load(args.file)
+    g = _load(args.file)
+    geo = compute_geometry(g)
     info = {
         "kind": g.text_kind,
         "symbols": g.symbols,
@@ -120,26 +121,23 @@ def cmd_stats(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    g, geo = _load(args.file)
-    m = expand(g, max_cells=args.max_cells, geo=geo)
+    m = expand(_load(args.file), max_cells=args.max_cells)
     _write_text(matrix_to_text(m), args.output)
     return 0
 
 
 def cmd_access(args) -> int:
-    g, geo = _load(args.file)
+    g = _load(args.file)
     if args.fast:
-        idx = build_fast(g, epsilon=args.epsilon, geo=geo)
-        ch, visits = access_fast(idx, args.x, args.y)
+        ch, visits = access_fast(build_fast(g, epsilon=args.epsilon), args.x, args.y)
     else:
-        ch, visits = access_tslp(g, args.x, args.y, geo=geo)
+        ch, visits = access_tslp(g, args.x, args.y)
     _write_text(f"{ch} {visits}", args.output)
     return 0
 
 
 def cmd_balance(args) -> int:
-    g, geo = _load(args.file)
-    t, stats = balance_to_tslp(g, geo)
+    t, stats = balance_to_tslp(_load(args.file))
     if args.stats:
         print(
             json.dumps(
@@ -163,14 +161,12 @@ def cmd_balance(args) -> int:
 
 
 def cmd_linearize(args) -> int:
-    g, geo = _load(args.file)
-    _write_text(emit_grammar(linearize_rows(g, geo)), args.output)
+    _write_text(emit_grammar(linearize_rows(_load(args.file))), args.output)
     return 0
 
 
 def cmd_rebalance(args) -> int:
-    g, geo = _load(args.file)
-    out, stats = rebalance_plain_2d(g, geo)
+    out, stats = rebalance_plain_2d(_load(args.file))
     if args.stats:
         print(
             json.dumps(
@@ -191,31 +187,27 @@ def cmd_rebalance(args) -> int:
 
 
 def cmd_rotate(args) -> int:
-    g, _ = _load(args.file)
-    _write_text(emit_grammar(rotate_cw(g)), args.output)
+    _write_text(emit_grammar(rotate_cw(_load(args.file))), args.output)
     return 0
 
 
 def cmd_margins(args) -> int:
-    g, _ = _load(args.file)
-    _write_text(emit_grammar(margin_slp(g, args.side)), args.output)
+    _write_text(emit_grammar(margin_slp(_load(args.file), args.side)), args.output)
     return 0
 
 
 def cmd_verify(args) -> int:
     if args.samples < 1:
         raise ParameterError(f"--samples must be at least 1, got {args.samples}")
-    a, geo_a = _load(args.file)
-    b, geo_b = _load(args.against)
-    dims_a, dims_b = geo_a.dims(a.start), geo_b.dims(b.start)
+    a, b = _load(args.file), _load(args.against)
+    dims_a, dims_b = compute_geometry(a).dims(a.start), compute_geometry(b).dims(b.start)
     if dims_a != dims_b:
         print(f"dimension mismatch: {dims_a} vs {dims_b}", file=sys.stderr)
         return 1
     h, w = dims_a
     cap = args.max_cells if args.max_cells is not None else max_cells_default()
     if h * w <= cap:
-        ma = expand(a, max_cells=cap, geo=geo_a)
-        mb = expand(b, max_cells=cap, geo=geo_b)
+        ma, mb = expand(a, max_cells=cap), expand(b, max_cells=cap)
         if np.array_equal(ma, mb):
             print(f"equal ({h}x{w}, full expansion)")
             return 0
@@ -230,8 +222,8 @@ def cmd_verify(args) -> int:
     for _ in range(args.samples):
         x = rng.randrange(1, h + 1)
         y = rng.randrange(1, w + 1)
-        ca, _ = access_tslp(a, x, y, geo=geo_a)
-        cb, _ = access_tslp(b, x, y, geo=geo_b)
+        ca, _ = access_tslp(a, x, y)
+        cb, _ = access_tslp(b, x, y)
         if ca != cb:
             print(f"mismatch at ({x},{y}): {ca!r} vs {cb!r}", file=sys.stderr)
             return 1
@@ -240,8 +232,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    g, geo = _load(args.file)
-    idx = build_fast(g, epsilon=args.epsilon, geo=geo)
+    g = _load(args.file)
+    idx = build_fast(g, epsilon=args.epsilon)
     report = bench_access(g, idx, args.queries, args.seed)
     _write_text(json.dumps(report, indent=2), args.output)
     return 0

@@ -37,13 +37,14 @@ from sys import getsizeof
 
 import numpy as np
 
-from .geometry import GeometryTable, compute_geometry
 from .grammar import (
+    GeometryTable,
     Grammar2D,
     InternalHoleHit,
     OutOfBounds,
     ParameterError,
     Tslp2D,
+    compute_geometry,
 )
 
 

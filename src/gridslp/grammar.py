@@ -13,16 +13,23 @@ Symbols are dense integer ids indexing ``rules``; the classes here are plain
 frozen dataclasses so grammars hash, compare, and round-trip structurally.
 Validation is total: it returns a report of violations instead of raising, so
 callers (and the CLI) can surface every problem in a file at once.
+
+Every production kind is stated once, in :func:`layout`: its frame, its
+hole and where its children sit.  Everything downstream (expansion, random
+access, the transforms, the accelerated index) navigates by these numbers
+instead of materializing matrices, so each grammar's :class:`GeometryTable`
+is made once, bottom-up and iteratively, in plain tuples, and kept on the
+grammar: by the same pass that validates it, or by the
+:class:`GrammarBuilder` that built it, which lays out each symbol as it is
+added.  Dimensions are exact integers; one beyond 2**62, which the index
+structures cannot address, is an overflow.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, ClassVar, Iterable, Union
-
-if TYPE_CHECKING:
-    from .geometry import GeometryTable
+from typing import ClassVar, Iterable, Union
 
 
 class GridSlpError(Exception):
@@ -312,6 +319,34 @@ def layout(rule: Production, H, W, HOLE) -> tuple:
     return h, w, hole, entry
 
 
+@dataclass(frozen=True)
+class GeometryTable:
+    """Per-symbol geometry, indexed by symbol id.
+
+    ``holes[i]`` is ``(hole_h, hole_w, hole_row, hole_col)`` for context
+    symbols (1-based position of the hole's top-left cell inside the frame)
+    and ``None`` for ground symbols.  ``depths[i]`` is the height of the
+    derivation tree below symbol ``i``, counting the terminal production as 1.
+    ``entries[i]`` is the child placement :func:`layout` returns: the
+    terminal's character, or ``(c1, x1, y1, x2, y2, c2, dx2, dy2)``, which
+    every walk over the derivation (expansion, both access paths, the
+    unwinding of the fast index) follows instead of the productions.
+    Entries for undefined symbols are ``None``.
+    """
+
+    heights: tuple
+    widths: tuple
+    holes: tuple
+    depths: tuple
+    entries: tuple
+
+    def dims(self, sym: int) -> tuple[int, int]:
+        return (self.heights[sym], self.widths[sym])
+
+    def area(self, sym: int) -> int:
+        return self.heights[sym] * self.widths[sym]
+
+
 LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
@@ -334,7 +369,8 @@ class Grammar2D:
     start: int
     labels: tuple[str, ...] = field(default=())
     # The geometry table, once ``validate`` or ``compute_geometry`` has
-    # computed it in full; never a caller's table.
+    # computed it in full, or the one the ``GrammarBuilder`` that made the
+    # grammar held; never a caller's table.
     _geometry: GeometryTable | None = field(
         default=None, init=False, compare=False, repr=False
     )
@@ -374,10 +410,17 @@ Grammar1D = Grammar2D
 
 
 def as_tslp(g: Grammar2D) -> Tslp2D:
-    """View a plain grammar as a (context-free) TSLP with the same symbols."""
+    """View a plain grammar as a (context-free) TSLP with the same symbols
+    and the same kept geometry table, if any."""
     if isinstance(g, Tslp2D):
         return g
-    return Tslp2D(rules=g.rules, start=g.start, labels=g.labels)
+    return _with_geometry(Tslp2D(g.rules, g.start, g.labels), g._geometry)
+
+
+def _with_geometry(g: Grammar2D, geo: GeometryTable | None) -> Grammar2D:
+    """``g`` with ``geo``, which must equal its geometry table, kept on it."""
+    object.__setattr__(g, "_geometry", geo)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +508,10 @@ def _check(g: Grammar2D, out: list[Violation]) -> bool:
     Where every reference points to a lower id, as in every emitted file
     and builder-made grammar, id order lists children first; otherwise the
     depth-first walk over the sound rules does, and reports each symbol
-    that closes a cycle once.  Layout is checked only below sound references.
+    that closes a cycle once.  Layout is checked only below sound
+    references, one :func:`layout` call per defined symbol in that order;
+    a production whose operands do not fit is reported and left undefined,
+    as is every symbol above it.
     """
     rules = g.rules
     n = len(rules)
@@ -507,13 +553,28 @@ def _check(g: Grammar2D, out: list[Violation]) -> bool:
         order = range(n)
     else:
         order = [sym for sym, r in enumerate(rules) if r is not None]
-    if not out:
-        from .geometry import GeometryTable, geometry_pass  # avoids an import cycle
-
-        tables = geometry_pass(g, bad, order)
     if out:
         return False
-    object.__setattr__(g, "_geometry", GeometryTable(*map(tuple, tables)))
+    H, W, HOLE, D, E = ([None] * n for _ in range(5))
+    for sym in order:
+        r = rules[sym]
+        below = 0
+        for c in children(r):
+            d = D[c]
+            if d is None:
+                break  # cascade from a reported child failure
+            if d > below:
+                below = d
+        else:
+            try:
+                H[sym], W[sym], HOLE[sym], E[sym] = layout(r, H, W, HOLE)
+            except LayoutError as e:
+                bad(e.code, sym, str(e))
+                continue
+            D[sym] = below + 1
+    if out:
+        return False
+    _with_geometry(g, GeometryTable(*map(tuple, (H, W, HOLE, D, E))))
     return True
 
 
@@ -529,8 +590,8 @@ def validate(g: Grammar2D, hole_marker: str = "#") -> ValidationReport:
     dimension overflow beyond 2**62, and — for TSLPs — that ``hole_marker``
     does not occur as a terminal character (it must stay reserved for
     materializing unfilled holes).  All but the start and marker checks are
-    :func:`~gridslp.geometry.compute_geometry`'s, and passing them keeps
-    the geometry table they computed.
+    :func:`compute_geometry`'s, and passing them keeps the geometry table
+    they computed.
     """
     rules, labels, start = g.rules, g.labels, g.start
     if not (0 <= start < len(rules)):
@@ -554,6 +615,24 @@ def validate(g: Grammar2D, hole_marker: str = "#") -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
+def compute_geometry(g: Grammar2D) -> GeometryTable:
+    """Geometry of every defined symbol of a sound grammar.
+
+    Computed once per grammar object: the table is kept on ``g`` (as
+    :func:`validate` and :meth:`GrammarBuilder.finish` keep theirs) and
+    returned again on later calls.  A grammar that fails a check of
+    ``validate`` other than the start and hole-marker ones raises the first
+    violation ``validate`` would report (:class:`OverflowError` for an
+    overflow, :class:`GridSlpError` otherwise) and keeps nothing.
+    """
+    if g._geometry is None:
+        out: list = []
+        if not _check(g, out):
+            v = out[0]
+            raise (OverflowError if v.code == "overflow" else GridSlpError)(str(v))
+    return g._geometry
+
+
 # ---------------------------------------------------------------------------
 # Builder
 
@@ -573,10 +652,10 @@ class GrammarBuilder:
 
     Tracks the geometry of every added symbol (frame, hole, child placement
     and derivation depth) so dimension errors surface at the offending call,
-    not at validation time, and so :meth:`geometry` hands the finished
-    grammar's table on without another pass.  With
-    ``dedup=True`` structurally identical productions are shared, which the
-    gadget builders rely on for their size bounds.
+    not at validation time, and so :meth:`finish` keeps that table on the
+    grammar it returns, where :func:`compute_geometry` finds it without
+    another pass.  With ``dedup=True`` structurally identical productions
+    are shared, which the gadget builders rely on for their size bounds.
 
     Symbols are named at :meth:`finish`: a seeded builder keeps its seed's
     labels and names each added symbol ``S<id>``, with ``_`` appended while
@@ -600,8 +679,6 @@ class GrammarBuilder:
     @classmethod
     def seeded(cls, g: Grammar2D) -> "GrammarBuilder":
         """A deduplicating builder preloaded with a validated grammar's symbols."""
-        from .geometry import compute_geometry
-
         geo = compute_geometry(g)
         b = cls()
         b.rules = list(g.rules)
@@ -623,19 +700,6 @@ class GrammarBuilder:
 
     def depth(self, sym: int) -> int:
         return self._depth[sym]
-
-    def geometry(self) -> GeometryTable:
-        """The geometry table of every symbol added so far.
-
-        Equal to ``compute_geometry`` of any grammar :meth:`finish` returns
-        from this builder's current state.
-        """
-        from .geometry import GeometryTable
-
-        return GeometryTable(
-            tuple(self._h), tuple(self._w), tuple(self._hole),
-            tuple(self._depth), tuple(self._entry),
-        )
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -766,12 +830,16 @@ class GrammarBuilder:
     # -- finish ----------------------------------------------------------------
 
     def finish(self, start: int) -> Grammar2D:
+        """The grammar of every symbol added so far, derived from ``start``,
+        with a copy of this builder's geometry table kept on it."""
         if self._hole[start] is not None:
             raise DimensionMismatch("start symbol must be ground")
         # Every context symbol has a context kind, so the kinds decide.
         plain = all(r.kind in PLAIN_KINDS for r in self.rules)
         cls = Grammar2D if plain else Tslp2D
-        return cls(tuple(self.rules), start, self._labels())
+        g = cls(tuple(self.rules), start, self._labels())
+        return _with_geometry(g, GeometryTable(*map(tuple, (
+            self._h, self._w, self._hole, self._depth, self._entry))))
 
     def finish_tslp(self, start: int) -> Tslp2D:
         return as_tslp(self.finish(start))

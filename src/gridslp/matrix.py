@@ -21,8 +21,13 @@ import os
 
 import numpy as np
 
-from .grammar import AreaLimitExceeded, Grammar2D, reachable_topo
-from .geometry import GeometryTable, compute_geometry
+from .grammar import (
+    AreaLimitExceeded,
+    GeometryTable,
+    Grammar2D,
+    compute_geometry,
+    reachable_topo,
+)
 
 #: Default ceiling on materialized cells (2**26 ~= 67M cells).
 DEFAULT_MAX_CELLS = 1 << 26

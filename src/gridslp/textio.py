@@ -58,7 +58,8 @@ _PLAIN_OPS = frozenset(("T", "H", "V"))
 _REFS = {"T": slice(0), "H": slice(2, 4), "V": slice(2, 4), "A": slice(2, 4),
          "C": slice(2, 4), "HH": slice(3, 4), "HV": slice(3, 4), "CH": slice(3, 5),
          "CV": slice(3, 5)}
-_SIDE_CODE = {"H": {"first": "L", "second": "R"}, "V": {"first": "T", "second": "B"}}
+_SIDE_CODE = {axis: {side: code for code, side in sides.items()}
+              for axis, sides in _HOLE_SIDE.items()}
 
 
 def emit_grammar(g: Grammar2D) -> str:
@@ -173,7 +174,7 @@ def parse_grammar(text: str) -> Grammar2D:
 
     start_label = body[s][1]
     if not LABEL_RE.match(start_label):
-        raise FormatError(f"line 0: bad label {start_label!r}")
+        raise FormatError(f"line {_lineno(text, s)}: bad label {start_label!r}")
     start = ids[start_label]
     rules += [None] * (len(ids) - len(rules))
     cls = Tslp2D if is_tslp else Grammar2D

@@ -23,16 +23,16 @@ import numpy as np
 
 from .balance import _Dag, _fold_1d, _keep, _plain, _shallow
 from .grammar import (
+    GeometryTable,
     Grammar1D,
     Grammar2D,
     GrammarBuilder,
     HConcat,
     ParameterError,
-    Terminal,
     VConcat,
+    compute_geometry,
     reachable_topo,
 )
-from .geometry import GeometryTable, compute_geometry
 
 
 def rotate_cw(g: Grammar2D) -> Grammar2D:
@@ -104,33 +104,21 @@ def linearize_rows(g: Grammar2D, geo: GeometryTable | None = None) -> Grammar1D:
     ids in all as the reachable symbols have rows, at most |g|·N, but each is
     dropped once its last parent has read it.  The start symbol's N row
     strings are then joined with a balanced gadget.  The row pairs are
-    made on numpy arrays, one round per input depth (``_linearize``), yet
-    the ids come out as a deduplicating ``GrammarBuilder`` making one ``h``
-    call per row pair would give them; so do the join's, each new pair
-    taking the next id.
+    made on numpy arrays, one round per input depth (``_linearize``), in
+    the ids a deduplicating ``GrammarBuilder`` would give them, so replaying
+    them into one gives each its own id; the builder then makes the join
+    and keeps its geometry table on the grammar it returns.
     """
     if geo is None:
         geo = compute_geometry(g)
     dag, parts = _linearize(g, geo)
-    rules = [HConcat(x, y) if x >= 0 else Terminal(c)
-             for x, y, c in zip(dag.left, dag.right, dag.op)]
-    index = {(x, y): z for z, (x, y) in enumerate(zip(dag.left, dag.right))
-             if x >= 0}
-
-    def join(lo: int, hi: int) -> int:
-        # GrammarBuilder.balanced's tree, one deduplicated pair at a time.
-        if hi - lo == 1:
-            return parts[lo]
-        mid = lo + (hi - lo + 1) // 2
-        key = join(lo, mid), join(mid, hi)
-        z = index.get(key)
-        if z is None:
-            z = index[key] = len(rules)
-            rules.append(HConcat(*key))
-        return z
-
-    root = join(0, len(parts))
-    return Grammar2D(tuple(rules), root)
+    b = GrammarBuilder()
+    for x, y, c in zip(dag.left, dag.right, dag.op):
+        if x >= 0:
+            b.h(x, y)
+        else:
+            b.terminal(c)
+    return b.finish(b.balanced("H", parts))
 
 
 #: A row pair is hash-consed on one int64 key, ``left << PAIR_BITS | right``,

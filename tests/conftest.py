@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
@@ -28,6 +29,12 @@ from gridslp import (
     expand,
     random_grammar,
 )
+
+
+def fresh_geometry(g):
+    """``g``'s geometry table, from a fresh pass over a copy of ``g``, so
+    without reading or filling the table kept on ``g``."""
+    return compute_geometry(dataclasses.replace(g))
 
 
 def caterpillar(n_links: int, text: str | None = None) -> "Grammar2D":

@@ -8,20 +8,17 @@ route ``balance_1d`` is checked against.
 
 from __future__ import annotations
 
+import dataclasses
+
 from gridslp import (
     Grammar1D,
     GrammarBuilder,
-    GridSlpError,
     NotOneDimensional,
     Tslp2D,
-    geometry_pass,
+    compute_geometry,
 )
 from gridslp.balance import _flanks
 from gridslp.grammar import reachable_topo
-
-
-def _raise(code, sym, msg):
-    raise GridSlpError(f"[{code}] {sym}: {msg}")
 
 
 def eliminate_contexts_1d(t: Tslp2D) -> Grammar1D:
@@ -34,10 +31,13 @@ def eliminate_contexts_1d(t: Tslp2D) -> Grammar1D:
     whose hole box 1 fills, and otherwise box 1 is a ground beside the hole,
     a context or a ground.  Every child's frame fits inside its parent's,
     so a start one row tall has no vertical production; a taller one is
-    rejected.  Only the symbols the start reaches are laid out and walked.
+    rejected.  Only the symbols the start reaches are walked.  ``t`` is laid
+    out by a fresh pass over a copy, so the table its builder kept on it is
+    not read.
     """
+    geo = compute_geometry(dataclasses.replace(t))
+    H, W, HOLE, E = geo.heights, geo.widths, geo.holes, geo.entries
     order = reachable_topo(t.rules, t.start)
-    H, W, HOLE, _, E = geometry_pass(t, _raise, order)
     if H[t.start] != 1:
         raise NotOneDimensional(f"expansion is {H[t.start]} rows tall, expected 1")
     b = GrammarBuilder(dedup=True)

@@ -14,9 +14,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from gridslp import FastParams, Grammar2D, Tslp2D, compute_geometry
+from gridslp import FastParams, GeometryTable, Grammar2D, Tslp2D, compute_geometry
 from gridslp.fastaccess import FastAccessIndex
-from gridslp.geometry import GeometryTable
 
 
 @dataclass(frozen=True)

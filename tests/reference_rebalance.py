@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from gridslp import (
     BalanceStats,
+    GeometryTable,
     Grammar1D,
     Grammar2D,
     GrammarBuilder,
@@ -23,7 +24,6 @@ from gridslp import (
     compute_geometry,
 )
 from gridslp.balance import COPY, FOLD, _flanks, _inline_contexts, _shallow
-from gridslp.geometry import GeometryTable
 from gridslp.grammar import PLAIN_KINDS, _post_order, reachable_topo
 
 
@@ -178,7 +178,8 @@ def _fold_1d(rules, start: int, geo: GeometryTable):
 def balance_1d(g: Grammar1D) -> Grammar1D:
     geo = compute_geometry(g)
     if any(r is not None and r.kind not in PLAIN_KINDS for r in g.rules):
-        g, geo = _inline_contexts(g, geo)
+        g = _inline_contexts(g, geo)
+        geo = compute_geometry(g)
     folded = _fold_1d(g.rules, g.start, geo)
     return g if folded is None else folded[0].finish(folded[1])
 
@@ -191,7 +192,8 @@ def balance_to_tslp(g: Grammar2D) -> tuple[Tslp2D, BalanceStats]:
     input_size, input_depth, area = g.size, geo.depths[g.start], geo.area(g.start)
     assert not _shallow(input_depth, area)
     if any(r is not None and r.kind not in PLAIN_KINDS for r in g.rules):
-        g, geo = _inline_contexts(g, geo)
+        g = _inline_contexts(g, geo)
+        geo = compute_geometry(g)
     H, W = geo.heights, geo.widths
     plan = _plan(g.rules, geo, [g.start])
     b = GrammarBuilder(dedup=True)
@@ -210,9 +212,8 @@ def balance_to_tslp(g: Grammar2D) -> tuple[Tslp2D, BalanceStats]:
 
 def rebalance_plain_2d(g: Grammar2D) -> tuple[Grammar2D, RebalanceStats]:
     if any(r is not None and r.kind not in PLAIN_KINDS for r in g.rules):
-        g, geo = _inline_contexts(g)
-    else:
-        geo = compute_geometry(g)
+        g = _inline_contexts(g)
+    geo = compute_geometry(g)
     N, M = geo.dims(g.start)
     assert N <= M
     size, depth = g.size, geo.depths[g.start]
@@ -222,8 +223,8 @@ def rebalance_plain_2d(g: Grammar2D) -> tuple[Grammar2D, RebalanceStats]:
     lin = GrammarBuilder(dedup=True)
     rows = _rows(lin, g, geo)
     b = GrammarBuilder(dedup=True)
-    bal, copy, _ = _fold(b, lin.rules, _plan(lin.rules, lin.geometry(), rows),
-                         *_flanks(b))
+    lin_geo = compute_geometry(lin.finish(rows[0]))
+    bal, copy, _ = _fold(b, lin.rules, _plan(lin.rules, lin_geo, rows), *_flanks(b))
     root = b.balanced("V", [bal[s] if s in bal else copy[s] for s in rows])
     out_depth = b.depth(root)
     if out_depth <= depth:

@@ -53,7 +53,7 @@ def parse_grammar(text: str) -> Grammar2D:
                 raise FormatError(f"line {lineno}: duplicate start line")
             if len(toks) != 2:
                 raise FormatError(f"line {lineno}: start takes exactly one label")
-            start_label = toks[1]
+            start_label, start_lineno = toks[1], lineno
         else:
             defs.append((lineno, toks))
     if start_label is None:
@@ -147,6 +147,6 @@ def parse_grammar(text: str) -> Grammar2D:
         else:
             raise FormatError(f"line {lineno}: unknown opcode {op!r}")
 
-    start = ref(start_label, 0)
+    start = ref(start_label, start_lineno)
     cls = Tslp2D if is_tslp else Grammar2D
     return cls(rules=tuple(rules), start=start, labels=tuple(labels))

@@ -34,6 +34,7 @@ from gridslp.transforms import _linearize
 from conftest import (
     caterpillar,
     example_tslp,
+    fresh_geometry,
     glyph_quadtree,
     random_tslp,
     sample_positions,
@@ -233,13 +234,13 @@ class TestDepthAware:
 class TestInlineContexts:
     def test_plain_grammar_unchanged_semantics(self):
         g = build_cnm(16, 16)
-        flat, _ = _inline_contexts(g)
+        flat = _inline_contexts(g)
         assert (expand(flat) == expand(g)).all()
 
     def test_balanced_output_inlines_linearly(self):
         g = build_spiral(256)
         t, _ = balance_to_tslp(g)
-        flat, _ = _inline_contexts(t)
+        flat = _inline_contexts(t)
         assert all(
             r.kind in PLAIN_KINDS for r in flat.rules if r is not None
         )
@@ -248,24 +249,26 @@ class TestInlineContexts:
         assert flat.symbols <= 4 * t.symbols
 
     def test_returns_the_builders_geometry(self):
+        """The inlined grammar keeps its builder's table, equal to a fresh
+        pass over a copy."""
         for seed in range(20):
-            flat, geo = _inline_contexts(random_tslp(seed))
-            assert geo == compute_geometry(flat), seed
+            flat = _inline_contexts(random_tslp(seed))
+            assert flat._geometry == fresh_geometry(flat), seed
 
     def test_holed_inputs_reuse_the_inlined_geometry(self, monkeypatch):
         """Given the input's table, neither pipeline runs a geometry pass."""
-        import gridslp.geometry as geometry
+        import gridslp.grammar as grammar
 
         t = random_tslp(3)
         geo = compute_geometry(t)
         calls = []
-        real = geometry.geometry_pass
+        real = grammar._check
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(geometry, "geometry_pass", counted)
+        monkeypatch.setattr(grammar, "_check", counted)
         for fn in (balance_to_tslp, rebalance_plain_2d):
             del calls[:]
             fn(t, geo)
@@ -397,8 +400,8 @@ class TestBalance1DAgainstHoledRoute:
 
     def test_linearized_differential_corpus(self):
         for seed in range(150):
-            g, geo = _inline_contexts(random_tslp(seed))
-            n, m = geo.dims(g.start)
+            g = _inline_contexts(random_tslp(seed))
+            n, m = compute_geometry(g).dims(g.start)
             self._check(linearize_rows(g if n <= m else rotate_cw(g)), seed)
 
     def test_linearized_spirals(self):
@@ -414,7 +417,7 @@ class TestBalance1DAgainstHoledRoute:
         deeper; so here only the depth is compared.  On seeds 174 and 716
         the flank fold is deeper than its input and the input comes back."""
         for seed in range(800):
-            g, _ = _inline_contexts(random_tslp(seed, height=1, width=2 + seed % 60))
+            g = _inline_contexts(random_tslp(seed, height=1, width=2 + seed % 60))
             want = eliminate_contexts_1d(balance_to_tslp(g)[0])
             out = balance_1d(g)
             assert (expand(out) == expand(want)).all(), seed

@@ -138,16 +138,16 @@ class TestExpandAccess:
             assert plain[1].split()[0] == fast[1].split()[0] == m[0, 1]
 
     def test_access_computes_geometry_once(self, run, monkeypatch, tmp_path):
-        import gridslp.geometry as geometry
+        import gridslp.grammar as grammar
 
         calls = []
-        real = geometry.geometry_pass
+        real = grammar._check
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(geometry, "geometry_pass", counted)
+        monkeypatch.setattr(grammar, "_check", counted)
         p = tmp_path / "sp.slp"
         p.write_text(emit_grammar(build_spiral(256)))
         for fast in ((), ("--fast",)):

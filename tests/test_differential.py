@@ -3,8 +3,8 @@
 The grammars come from ``random_tslp``, which covers both axes and both sides
 of bare holes and context concatenations plus nested compositions and
 applications.  The painter below derives every symbol's cells straight from
-the opcode definitions of the text format, using neither ``geometry`` nor
-``matrix`` nor ``access``: those share one geometry table, so they could agree
+the opcode definitions of the text format, using neither the geometry table
+nor ``matrix`` nor ``access``: those share that table, so they could agree
 with each other and still be wrong.
 """
 
@@ -138,7 +138,7 @@ def _check_all_paths(t):
                 ch, visits = access_fast(idx, x, y)
                 assert (ch, visits <= d) == (want[x - 1, y - 1], True), (x, y)
 
-    assert (expand(_inline_contexts(t)[0]) == want).all()
+    assert (expand(_inline_contexts(t)) == want).all()
     assert (expand(balance_to_tslp(t)[0]) == want).all()
 
     text = emit_grammar(t)
@@ -193,7 +193,7 @@ def test_linearize_and_rebalance_agree_with_the_painter():
         t = random_tslp(seed)
         cells, _ = paint(t)
         want = np.array(cells[t.start], dtype="<U1")
-        g, _ = _inline_contexts(t)
+        g = _inline_contexts(t)
         if want.shape[0] > want.shape[1]:
             g, want = rotate_cw(g), np.rot90(want, -1)
         assert (expand(linearize_rows(g)) == want.reshape(1, -1)).all(), seed
@@ -208,7 +208,7 @@ def test_rebalance_pipeline_agrees_with_the_painter():
         t = random_tslp(seed)
         cells, _ = paint(t)
         want = np.array(cells[t.start], dtype="<U1")
-        g, _ = _inline_contexts(t)
+        g = _inline_contexts(t)
         if want.shape[0] > want.shape[1]:
             g, want = rotate_cw(g), np.rot90(want, -1)
         b = GrammarBuilder.seeded(g)

@@ -27,17 +27,22 @@ def test_readme_library_example():
     assert scope["char"] == "1"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["access_bench.py", "--exp", "8", "--queries", "200"],
-        ["flatness_report.py", "--exps", "8", "--samples", "50"],
-        ["rebalance_stages.py", "--exps", "8", "--reps", "1"],
-        ["separation.py", "--exps", "8"],
-        ["spiral_sizes.py", "--exps", "8", "9"],
-    ],
-    ids=lambda argv: argv[0],
-)
+#: Every script under ``scripts/`` with the arguments of its smallest run.
+SCRIPT_RUNS = [
+    ["access_bench.py", "--exp", "8", "--queries", "200"],
+    ["flatness_report.py", "--exps", "8", "--samples", "50"],
+    ["rebalance_stages.py", "--exps", "8", "--reps", "1"],
+    ["separation.py", "--exps", "8"],
+    ["spiral_sizes.py", "--exps", "8", "9"],
+]
+
+
+def test_every_script_is_smoke_run():
+    scripts = sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
+    assert sorted(argv[0] for argv in SCRIPT_RUNS) == scripts
+
+
+@pytest.mark.parametrize("argv", SCRIPT_RUNS, ids=lambda argv: argv[0])
 def test_script_runs(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -1,8 +1,11 @@
 """Seeded fuzz of the command line: mutated grammar texts never escape as a
 traceback.
 
-Every mutant of ``conftest.fuzz_texts`` goes through ``stats``, ``access``
-(descent and ``--fast``), ``balance`` and ``expand --max-cells`` in-process.
+Every mutant of ``conftest.fuzz_texts`` goes in-process through every
+command that loads a grammar file: ``stats``, ``access`` (descent and
+``--fast``), ``balance``, ``expand --max-cells``, ``rebalance``,
+``linearize``, ``margins``, ``rotate`` and ``verify`` (the mutant against
+itself).
 Each run must exit 0 (the mutant is still a grammar), 1 (invalid grammar or
 out-of-range cell) or 2 (usage error), with nothing but a message on stderr.
 """
@@ -29,6 +32,11 @@ def test_cli_exits_cleanly_on_mutated_texts(fuzz_texts, tmp_path, capsys):
             ["access", path, x, y, "--fast"],
             ["balance", path],
             ["expand", path, "--max-cells", 4096],
+            ["rebalance", path],
+            ["linearize", path],
+            ["margins", path, "--side", "top"],
+            ["rotate", path],
+            ["verify", path, "--against", path, "--max-cells", 4096, "--samples", 20],
         ):
             argv = [str(a) for a in argv]
             try:

@@ -23,12 +23,15 @@ from gridslp import (
     build_spiral,
     compute_geometry,
     expand,
+    linearize_rows,
     random_grammar,
     rebalance_plain_2d,
     validate,
 )
+from gridslp import grammar
+from gridslp.balance import _inline_contexts
 
-from conftest import example_tslp, random_tslp
+from conftest import example_tslp, fresh_geometry, random_tslp
 
 
 def _builder_with_block(h, w, char="x"):
@@ -230,16 +233,17 @@ class TestBrokenReferences:
 
 
 class TestBuilderGeometry:
-    """A builder's own geometry equals a fresh pass over what it finished."""
+    """Each grammar a builder finishes keeps the builder's own geometry,
+    equal to a fresh pass over a copy of its rules."""
 
     @pytest.fixture()
     def finished(self, monkeypatch):
-        """(builder geometry, grammar) for every finish call in a test."""
+        """Every grammar finished in a test."""
         seen = []
         for name in ("finish", "finish_tslp"):
             def record(b, start, _finish=getattr(GrammarBuilder, name)):
                 g = _finish(b, start)
-                seen.append((b.geometry(), g))
+                seen.append(g)
                 return g
 
             monkeypatch.setattr(GrammarBuilder, name, record)
@@ -248,8 +252,9 @@ class TestBuilderGeometry:
     @staticmethod
     def _check(seen):
         assert seen
-        for geo, g in seen:
-            fresh = compute_geometry(g)
+        for g in seen:
+            geo, fresh = g._geometry, fresh_geometry(g)
+            assert geo is not None
             for f in GEOMETRY_FIELDS:
                 assert getattr(geo, f) == getattr(fresh, f), f
 
@@ -280,5 +285,25 @@ class TestBuilderGeometry:
         out, _ = rebalance_plain_2d(g)
         # The rebalanced output is the last grammar finished; its builder
         # finishes once, after the balanced rows are stacked.
-        assert finished[-1][1] == out
+        assert finished[-1] == out
         self._check(finished)
+
+    def test_made_grammars_are_looked_up(self, monkeypatch):
+        """``compute_geometry`` runs no pass on a builder-made grammar, a
+        balanced, rebalanced, linearized or inlined one, and the table it
+        returns equals a fresh pass over a copy."""
+        g, t = build_spiral(256), random_tslp(3)
+        made = [g, balance_to_tslp(g)[0], balance_to_tslp(t)[0],
+                rebalance_plain_2d(g)[0], linearize_rows(g), _inline_contexts(t)]
+        calls = []
+        real = grammar._check
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(grammar, "_check", counted)
+        kept = [compute_geometry(out) for out in made]
+        assert calls == []
+        for out, geo in zip(made, kept):
+            assert geo == fresh_geometry(out)

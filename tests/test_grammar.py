@@ -15,7 +15,6 @@ from gridslp import (
     Compose,
     CtxConcat,
     DimensionMismatch,
-    GeometryTable,
     Grammar2D,
     GrammarBuilder,
     GridSlpError,
@@ -31,7 +30,6 @@ from gridslp import (
     build_fast,
     compute_geometry,
     expand,
-    geometry_pass,
     parse_grammar,
     validate,
 )
@@ -43,18 +41,7 @@ from gridslp.grammar import (
     rule_size,
 )
 
-from conftest import example_tslp, random_tslp
-
-
-def _raise(code, sym, msg):
-    raise GridSlpError(f"[{code}] {sym}: {msg}")
-
-
-def _fresh_geometry(g):
-    """``g``'s geometry table, computed without reading or filling the
-    grammar's own."""
-    order = _post_order(g.rules, range(g.symbols))
-    return GeometryTable(*map(tuple, geometry_pass(g, _raise, order)))
+from conftest import example_tslp, fresh_geometry, random_tslp
 
 
 class TestBuilder:
@@ -257,7 +244,7 @@ class TestValidate:
             rep = validate(g)
             assert rep.ok, f"{name}: {rep}"
             # The table validation kept equals one computed afresh.
-            assert compute_geometry(g) == _fresh_geometry(g), name
+            assert compute_geometry(g) == fresh_geometry(g), name
 
     def test_undefined_symbol_reported(self):
         g = Grammar2D(rules=(HConcat(1, 2), Terminal("x"), None), start=0)
@@ -387,18 +374,17 @@ class TestGeometryCache:
     def test_computed_once(self):
         g = parse_grammar(self.TEXT)
         assert compute_geometry(g) is compute_geometry(g)
-        assert compute_geometry(g) == _fresh_geometry(g)
+        assert compute_geometry(g) == fresh_geometry(g)
 
     def test_validate_keeps_its_table(self, monkeypatch):
         g = parse_grammar(self.TEXT)
+        want = fresh_geometry(g)
         assert validate(g).ok
         calls = []
-        monkeypatch.setattr(
-            "gridslp.geometry.geometry_pass", lambda *a, **k: calls.append(1)
-        )
+        monkeypatch.setattr(grammar, "_check", lambda *a, **k: calls.append(1))
         geo = compute_geometry(g)
         assert calls == [] and compute_geometry(g) is geo
-        assert geo == _fresh_geometry(parse_grammar(self.TEXT))
+        assert geo == want
 
     def test_callers_table_is_never_kept(self):
         """Each call reads the table it is given and leaves the grammar's
@@ -411,7 +397,7 @@ class TestGeometryCache:
         ]
         for call in calls:
             for t in (parse_grammar(self.TEXT), example_tslp()):
-                geo = _fresh_geometry(t)
+                geo = fresh_geometry(t)
                 call(t, geo)
                 assert compute_geometry(t) is not geo
                 assert compute_geometry(t) == geo
@@ -422,11 +408,6 @@ class TestGeometryCache:
         assert cached == plain
         assert hash(cached) == hash(plain)
         assert repr(cached) == repr(plain)
-
-    def test_partial_pass_is_not_kept(self):
-        g = parse_grammar(self.TEXT)
-        geometry_pass(g, _raise, [0])
-        assert compute_geometry(g) == _fresh_geometry(g)
 
 
 class TestIdOrder:
@@ -446,7 +427,7 @@ class TestIdOrder:
         assert validate(back).ok and walks == []
         assert validate(fwd).ok and walks == [1]
         geo = compute_geometry(fwd)
-        assert geo == _fresh_geometry(fwd)
+        assert geo == fresh_geometry(fwd)
         # The same symbols, listed in the reverse order.
         assert [geo.dims(s) for s in range(4)] == [
             compute_geometry(back).dims(s) for s in (3, 2, 0, 1)]
@@ -483,15 +464,17 @@ class TestIdOrder:
             ("undefined", 2)]
 
 
-def test_only_grammar_and_geometry_name_the_cache():
-    """The kept table is written only where a full table is computed:
-    ``validate`` and ``compute_geometry``."""
+def test_only_grammar_names_the_cache():
+    """The kept table is written only in ``grammar``, where a full table is
+    computed (``validate`` and ``compute_geometry``) or handed on
+    (``GrammarBuilder.finish``, ``as_tslp`` and ``_with_geometry``), and
+    no other module calls ``_with_geometry``."""
     src = Path(__file__).resolve().parent.parent / "src" / "gridslp"
     hits = [
         f"{path.name}:{i}: {line.strip()}"
         for path in sorted(src.glob("*.py"))
-        if path.name not in ("grammar.py", "geometry.py")
+        if path.name != "grammar.py"
         for i, line in enumerate(path.read_text().splitlines(), 1)
-        if re.search(r"\b_geometry\b", line)
+        if re.search(r"\b_(with_)?geometry\b", line)
     ]
     assert not hits, "\n".join(hits)

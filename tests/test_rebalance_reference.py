@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gridslp import (
+    GeometryTable,
     GrammarBuilder,
     balance_1d,
     balance_to_tslp,
@@ -23,7 +24,6 @@ from gridslp import (
 from gridslp import transforms
 from gridslp.balance import (
     KEEP_SLACK, _dag_of, _inline_contexts, _keep, _plan, _post_order, _shallow)
-from gridslp.geometry import GeometryTable
 from gridslp.grammar import reachable_topo
 
 import reference_rebalance as ref
@@ -43,7 +43,7 @@ def _chained(g, times=40):
 def _wide(g):
     """``g`` with contexts inlined, rotated so that it is no taller than
     wide."""
-    g = _inline_contexts(g)[0]
+    g = _inline_contexts(g)
     h, w = compute_geometry(g).dims(g.start)
     return rotate_cw(g) if h > w else g
 
@@ -143,14 +143,14 @@ def _assert_same_plans(g):
     lin = GrammarBuilder(dedup=True)
     assert ref._rows(lin, g, geo) == rows
     assert _plan_as_reference(_plan(dag, rows), dag) == ref._plan(
-        lin.rules, lin.geometry(), rows)
+        lin.rules, compute_geometry(lin.finish(rows[0])), rows)
 
 
 @pytest.mark.parametrize("family", ["differential", "chained-differential",
                                     "chained-random", "spirals"])
 def test_plan_matches_reference(family):
     if family == "differential":
-        grammars = [_inline_contexts(random_tslp(seed))[0] for seed in range(150)]
+        grammars = [_inline_contexts(random_tslp(seed)) for seed in range(150)]
     elif family == "chained-differential":
         grammars = [_chained(_wide(random_tslp(seed))) for seed in range(150)]
     elif family == "chained-random":

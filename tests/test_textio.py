@@ -221,6 +221,10 @@ class TestAgainstReference:
         # The mutants reach both outcomes.
         assert 0 < rejected < len(fuzz_texts)
 
+    def test_bad_start_label_names_its_line(self):
+        with pytest.raises(FormatError, match=r"^line 2: bad label 'a-b'$"):
+            parse_grammar(HAND_WRITTEN["bad-start-label"])
+
     def test_undefined_labels_trail_in_reference_order(self):
         g = parse_grammar(HAND_WRITTEN["forward-and-undefined"])
         assert g.labels == ("R", "B", "A", "C", "U2", "U1", "U3")

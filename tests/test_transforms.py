@@ -215,23 +215,23 @@ class TestRebalanceDepthAware:
             assert stats.output_depth == stats.input_depth
 
     def test_shallow_input_builds_nothing(self, monkeypatch):
-        import gridslp.geometry as geometry
+        import gridslp.grammar as grammar
 
         g = glyph_quadtree()[1]
         geo = compute_geometry(g)
         adds, passes = [], []
-        real_add, real_pass = GrammarBuilder._add, geometry.geometry_pass
+        real_add, real_check = GrammarBuilder._add, grammar._check
 
         def add(self, *args, **kwargs):
             adds.append(1)
             return real_add(self, *args, **kwargs)
 
-        def geometry_pass(*args, **kwargs):
+        def check(*args, **kwargs):
             passes.append(1)
-            return real_pass(*args, **kwargs)
+            return real_check(*args, **kwargs)
 
         monkeypatch.setattr(GrammarBuilder, "_add", add)
-        monkeypatch.setattr(geometry, "geometry_pass", geometry_pass)
+        monkeypatch.setattr(grammar, "_check", check)
         rebalance_plain_2d(g, geo)
         assert (len(adds), len(passes)) == (0, 0)
 
@@ -278,7 +278,7 @@ class TestRebalanceDepthAware:
         geo = compute_geometry(g)
         n_rows, n_cols = geo.dims(g.start)
         if n_rows > n_cols:
-            g = rotate_cw(_inline_contexts(g, geo)[0])
+            g = rotate_cw(_inline_contexts(g, geo))
         out, stats = rebalance_plain_2d(g)
         depth = compute_geometry(out).depths[out.start]
         assert depth == stats.output_depth <= stats.input_depth, name
