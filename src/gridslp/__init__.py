@@ -61,7 +61,7 @@ from .grammar import (
     compute_geometry,
     validate,
 )
-from .matrix import expand, matrix_from_text, matrix_to_text, max_cells_default
+from .matrix import expand, matrix_to_text, max_cells_default
 from .textio import FormatError, emit_grammar, parse_grammar
 from .transforms import (
     RebalanceStats,

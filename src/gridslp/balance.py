@@ -17,25 +17,25 @@ One plan (``_plan``: the marks, heavy/light splits and requested nodes) and
 one fold (``_fold``) serve two context algebras.  ``balance_to_tslp`` makes
 contexts as holed symbols.  The plain 1D route (``_fold_1d``) makes each
 context as the pair of plain strings left and right of its hole, so
-composing two contexts is two concatenations and applying one is at most
-two more, and no holed symbol is ever built.  A plan may have many roots,
-walked in one post-order with one shared ``seen``: ``balance_1d`` folds one
-string, and the 2D rebalance folds a grammar's N linearized rows at once,
-copying each row that passes the keep test.  The plan and the fold read the
-grammar as flat per-symbol child lists with the keep test computed once
-(``_Dag``): from a geometry table's entries, or from the rebalance's array
-linearization, which never becomes productions.  The plan marks the
-symbols in one scalar pass over the reversed post-order and derives the
-rest as whole numpy arrays: the splits, the requests, and each folded
-node's canonical heavy parent, its folded heavy parent of lowest post-order
-rank, through which the fold continues the node's heavy path.  The fold
-reads them as flat per-symbol lists.  Holed input is first
+composing two contexts is two concatenations and applying one is at most two
+more, and no holed symbol is ever built.  A plan may have many roots, walked
+in one post-order with one shared ``seen``: ``balance_1d`` folds one string,
+and the 2D rebalance folds a grammar's N linearized rows at once, copying
+each row that passes the keep test.  The plan and the fold read the grammar
+as flat per-symbol child lists with the keep test computed once (``_Dag``):
+from a geometry table's int64 view (``GeometryTable.columns``), or from the
+rebalance's array linearization, which never becomes productions.  The plan
+marks the symbols in one scalar pass over the reversed post-order and
+derives the rest as whole numpy arrays: the splits, the requests, and each
+folded node's canonical heavy parent, its folded heavy parent of lowest
+post-order rank, through which the fold continues the node's heavy path.
+The fold reads them as flat per-symbol lists.  Holed input is first
 flattened to plain form (``_plain``, by ``_inline_contexts``), which follows
 the geometry table's ``layout`` entries (child boxes, offsets and holes),
-not the production kinds, which only ``grammar`` and ``textio`` name.
-Every grammar made here comes out of a ``GrammarBuilder``, which keeps
-the table it laid out while building on the grammar it finishes, so the
-inlined grammar and both outputs are never laid out a second time.
+not the production kinds, which only ``grammar`` and ``textio`` name.  Every
+grammar made here comes out of a ``GrammarBuilder``, which keeps the table
+it laid out while building on the grammar it finishes, so the inlined
+grammar and both outputs are never laid out a second time.
 """
 
 from __future__ import annotations
@@ -174,20 +174,16 @@ def _keep(depth: np.ndarray, area: np.ndarray) -> np.ndarray:
 
 
 def _dag_of(geo: GeometryTable) -> _Dag:
-    """The ``_Dag`` of a plain grammar, read off its geometry table's
-    ``layout`` entries (a second child offset by columns sits beside the
-    first), with the keep test run on Python ints: a 2D area reaches
-    2**124."""
-    n = len(geo.entries)
-    left, right, op = [-1] * n, [-1] * n, [None] * n
-    for z, e in enumerate(geo.entries):
-        if e.__class__ is str:
-            op[z] = e
-        elif e is not None:
-            left[z], right[z], op[z] = e[0], e[5], "H" if e[7] else "V"
+    """The ``_Dag`` of a plain grammar, read off its geometry table's int64
+    view (a second child offset by columns sits beside the first), with
+    the areas and the keep test on Python ints: a 2D area reaches 2**124."""
+    (c1, _, _, c2, _, dy2), (_, _, depths), _ = geo.columns
+    op = np.where(dy2 > 0, "H", "V").astype(object)
+    leaves = np.flatnonzero(c1 < 0)
+    op[leaves] = [geo.entries[z] for z in leaves.tolist()]
     area = [h * w if h is not None else 0 for h, w in zip(geo.heights, geo.widths)]
-    keep = [d is not None and _shallow(d, a) for d, a in zip(geo.depths, area)]
-    return _Dag(left, right, op, area, keep)
+    keep = list(map(_shallow, depths.tolist(), area))
+    return _Dag(c1.tolist(), c2.tolist(), op.tolist(), area, keep)
 
 
 def _post_order(left, right, starts: list[int]) -> list[int]:

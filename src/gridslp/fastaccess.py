@@ -18,13 +18,14 @@ The index is flat: each landing symbol has a dense grid id (the start's is
 standing in for the theory's word-RAM predecessor structure) and its cells
 in one row-major list, so a visit is two ``bisect_right`` calls and one index.
 
-The build runs one discovery round at a time in numpy.  Ids go out in the
-order cells first name symbols, so the symbols whose ids are assigned but
-whose grids are not built yet are one contiguous id range.  A round takes up
-to ``CHUNK`` of them and unwinds, cuts and paints them all with one array
-pass per step.  Its grids are equal, tuple for tuple, to those of unwinding
-and painting each symbol on its own in Python; the tests keep that scalar
-painter as the oracle.
+The build runs one discovery round at a time in numpy, reading the geometry
+table's int64 view (``GeometryTable.columns``), which the table makes once
+and keeps.  Ids go out in the order cells first name symbols, so the symbols
+whose ids are assigned but whose grids are not built yet are one contiguous
+id range.  A round takes up to ``CHUNK`` of them and unwinds, cuts and
+paints them all with one array pass per step.  Its grids are equal, tuple
+for tuple, to those of unwinding and painting each symbol on its own in
+Python; the tests keep that scalar painter as the oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
 from sys import getsizeof
 
 import numpy as np
@@ -103,37 +103,6 @@ class FastAccessIndex:
 #: Grids built per round: a round's arrays hold at most CHUNK * 2^K regions
 #: and their cells, however many symbols the index lands on.
 CHUNK = 256
-
-
-def _columns(geo: GeometryTable) -> tuple:
-    """The geometry table as int64 columns indexed by symbol.
-
-    Returns the entry fields ``(c1, x1, y1, c2, dx2, dy2)``, the frame
-    fields ``(heights, widths, p, q, hr, hc)`` with the hole fields 0 for a
-    ground symbol, and a leaf flag.  A missing second child is -1.  A leaf
-    is a terminal, or an undefined symbol, which no descent reaches and
-    whose fields are 0; it is its own first child at (0, 0), so unwinding
-    leaves it in place.
-    """
-    entries = geo.entries
-    n = len(entries)
-    # Leaves enter as first child -1 and are then pointed at themselves.
-    c1, x1, y1, _, _, c2, dx2, dy2 = np.fromiter(
-        chain.from_iterable(
-            (e if e[5] is not None else e[:5] + (-1, 0, 0))
-            if e.__class__ is tuple else (-1, 0, 0, 0, 0, -1, 0, 0)
-            for e in entries
-        ),
-        np.int64, 8 * n,
-    ).reshape(n, 8).T
-    leaf = c1 < 0
-    c1[leaf] = np.flatnonzero(leaf)
-    p, q, hr, hc = np.fromiter(
-        chain.from_iterable(h or (0, 0, 0, 0) for h in geo.holes), np.int64, 4 * n
-    ).reshape(n, 4).T
-    heights = np.fromiter((h or 0 for h in geo.heights), np.int64, n)
-    widths = np.fromiter((w or 0 for w in geo.widths), np.int64, n)
-    return (c1, x1, y1, c2, dx2, dy2), (heights, widths, p, q, hr, hc), leaf
 
 
 def _unwind_round(owners: np.ndarray, k: int, entry: tuple, leaf: np.ndarray):
@@ -258,7 +227,10 @@ def build_fast(
         geo = compute_geometry(t)
     h, w = geo.dims(t.start)
     params = FastParams.from_area(h * w, epsilon)
-    entry, (H, W, P, Q, HR, HC), leaf = _columns(geo)
+    entry, (H, W, _), (P, Q, HR, HC) = geo.columns
+    leaf = entry[0] < 0
+    # A leaf is its own first child at (0, 0), so unwinding leaves it in place.
+    entry = (np.where(leaf, np.arange(len(leaf)), entry[0]), *entry[1:])
     terminal_cell = np.empty(len(leaf), object)
     interned: dict[str, tuple] = {}
     for s in np.flatnonzero(leaf).tolist():

@@ -21,15 +21,21 @@ instead of materializing matrices, so each grammar's :class:`GeometryTable`
 is made once, bottom-up and iteratively, in plain tuples, and kept on the
 grammar: by the same pass that validates it, or by the
 :class:`GrammarBuilder` that built it, which lays out each symbol as it is
-added.  Dimensions are exact integers; one beyond 2**62, which the index
-structures cannot address, is an overflow.
+added.  Array code reads the table's one int64 view, which the table makes
+on first use and keeps (:attr:`GeometryTable.columns`).  Dimensions are
+exact integers; one beyond 2**62, which the index structures cannot
+address, is an overflow.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import ClassVar, Iterable, Union
+
+import numpy as np
 
 
 class GridSlpError(Exception):
@@ -331,7 +337,8 @@ class GeometryTable:
     terminal's character, or ``(c1, x1, y1, x2, y2, c2, dx2, dy2)``, which
     every walk over the derivation (expansion, both access paths, the
     unwinding of the fast index) follows instead of the productions.
-    Entries for undefined symbols are ``None``.
+    Entries for undefined symbols are ``None``.  Array code reads the
+    table's int64 view, :attr:`columns`, instead.
     """
 
     heights: tuple
@@ -340,11 +347,40 @@ class GeometryTable:
     depths: tuple
     entries: tuple
 
+    @cached_property
+    def columns(self) -> tuple:
+        """The table as read-only int64 arrays indexed by symbol, made on
+        first use and kept with the table (``==``, ``hash`` and ``repr``
+        read the fields only): the entry fields ``(c1, x1, y1, c2, dx2,
+        dy2)``, the sizes ``(heights, widths, depths)`` and the hole fields
+        ``(p, q, hr, hc)``.  A leaf (a terminal or an undefined symbol) has
+        ``c1 = -1``, a missing second child ``c2 = -1``, and every other
+        absent field, an undefined symbol's sizes included, is 0.
+        """
+        n = len(self.entries)
+        leaf = (-1, 0, 0, 0, 0, -1, 0, 0)
+        c1, x1, y1, _, _, c2, dx2, dy2 = _frozen_int64(chain.from_iterable(
+            (e if e[5] is not None else e[:5] + (-1, 0, 0))
+            if e.__class__ is tuple else leaf for e in self.entries), n, 8).T
+        sizes = chain(self.heights, self.widths, self.depths)
+        if None in self.depths:  # an undefined symbol has no sizes
+            sizes = (v or 0 for v in sizes)
+        holes = chain.from_iterable(h or (0, 0, 0, 0) for h in self.holes)
+        return ((c1, x1, y1, c2, dx2, dy2), tuple(_frozen_int64(sizes, 3, n)),
+                tuple(_frozen_int64(holes, n, 4).T))
+
     def dims(self, sym: int) -> tuple[int, int]:
         return (self.heights[sym], self.widths[sym])
 
     def area(self, sym: int) -> int:
         return self.heights[sym] * self.widths[sym]
+
+
+def _frozen_int64(values: Iterable[int], rows: int, cols: int) -> np.ndarray:
+    """``values`` as a read-only ``rows`` x ``cols`` int64 array."""
+    a = np.fromiter(values, np.int64, rows * cols).reshape(rows, cols)
+    a.flags.writeable = False
+    return a
 
 
 LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -591,14 +627,17 @@ def validate(g: Grammar2D, hole_marker: str = "#") -> ValidationReport:
     does not occur as a terminal character (it must stay reserved for
     materializing unfilled holes).  All but the start and marker checks are
     :func:`compute_geometry`'s, and passing them keeps the geometry table
-    they computed.
+    they computed.  A grammar that already keeps a table, which only that
+    pass or a :class:`GrammarBuilder` makes, has passed them, and only the
+    start and marker checks run.
     """
     rules, labels, start = g.rules, g.labels, g.start
     if not (0 <= start < len(rules)):
         return ValidationReport((Violation(
             "undefined", start, str(start), "start symbol id out of range"),))
     out: list[Violation] = []
-    _check(g, out)
+    if g._geometry is None:
+        _check(g, out)
     if rules[start] is None:
         out.append(Violation(
             "undefined", start, labels[start], "start symbol has no production"))

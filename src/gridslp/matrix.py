@@ -2,7 +2,7 @@
 
 Matrices are numpy arrays of dtype ``'<U1'`` (one Unicode scalar per cell,
 row-major), which is exactly the height/width/payload contract the rest of the
-package assumes; helpers convert to and from the text form used by the CLI
+package assumes; ``matrix_to_text`` writes the text form the CLI prints
 (one row per line, characters unseparated).
 
 Expansion works bottom-up: every reachable symbol small enough to be worth
@@ -50,22 +50,6 @@ def max_cells_default() -> int:
 def matrix_to_text(m: np.ndarray) -> str:
     """Render a matrix as one line per row, characters unseparated."""
     return "\n".join("".join(row) for row in m)
-
-
-def matrix_from_text(text: str) -> np.ndarray:
-    """Parse the row-per-line form; lines must have equal length."""
-    lines = text.splitlines()
-    while lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ValueError("empty matrix text")
-    width = len(lines[0])
-    if any(len(line) != width for line in lines):
-        raise ValueError("ragged matrix text")
-    out = np.empty((len(lines), width), dtype="<U1")
-    for i, line in enumerate(lines):
-        out[i, :] = list(line)
-    return out
 
 
 def expand(

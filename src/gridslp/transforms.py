@@ -5,14 +5,16 @@ matrix: clockwise rotation by production rewriting, margin extraction, row
 linearization of a 2D grammar, and the rebalancing pipeline built on it
 (linearize the rows, balance each row, stack the rows).
 
-The linearization runs on numpy arrays, one round per input depth, which
-looks its row pairs up in one sorted array of the pairs made so far, and
-hands its row symbols on as the fold's flat form (``balance._Dag``), in the
-ids a deduplicating builder would have given them.  ``linearize_rows``
-joins the start's rows into one row-major string; the rebalance instead
-folds the N rows as the roots of one plan (``balance._fold_1d``), which is
-the O(g·N) upper-bound route: every row is a 1D string over at most g·N
-row symbols in all, balanced to depth O(log M).
+The linearization reads its input from the geometry table's int64 view
+(``GeometryTable.columns``), not from the productions, and runs on numpy
+arrays, one round per input depth, which looks its row pairs up in one
+sorted array of the pairs made so far, and hands its row symbols on as the
+fold's flat form (``balance._Dag``), in the ids a deduplicating builder
+would have given them.  ``linearize_rows`` joins the start's rows into one
+row-major string; the rebalance instead folds the N rows as the roots of one
+plan (``balance._fold_1d``), which is the O(g·N) upper-bound route: every
+row is a 1D string over at most g·N row symbols in all, balanced to depth
+O(log M).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import _Dag, _fold_1d, _keep, _plain, _shallow
+from .balance import _Dag, _fold_1d, _keep, _plain, _post_order, _shallow
 from .grammar import (
     GeometryTable,
     Grammar1D,
@@ -127,12 +129,6 @@ def linearize_rows(g: Grammar2D, geo: GeometryTable | None = None) -> Grammar1D:
 PAIR_BITS = 31
 
 
-def _check_pair_bits(n: int) -> None:
-    """Ids below ``n`` fit the packed pair key, or ``OverflowError``."""
-    if n > 1 << PAIR_BITS:
-        raise OverflowError(f"{n} symbols overflow the {PAIR_BITS}-bit pair key")
-
-
 def _room(cols: np.ndarray, rows: int) -> np.ndarray:
     """``cols``, doubled in length until it has ``rows`` rows."""
     while len(cols) < rows:
@@ -152,35 +148,33 @@ def _linearize(g: Grammar2D, geo: GeometryTable) -> tuple[_Dag, list[int]]:
     ones become symbols whose widths and depths are gathered from their
     children's; merging them into the index copies it once per round.
     Each symbol also keeps the first moment the one-call-at-a-time builder
-    would have asked for it (terminals and row pairs counted in
-    ``reachable_topo`` order), and sorting by that moment gives the
-    builder's ids.
+    would have asked for it (terminals and row pairs counted in the
+    reachable symbols' post-order, ``balance._post_order``, which is
+    ``reachable_topo``'s), and sorting by that moment gives the builder's
+    ids.  The input is read from its geometry table's int64 view: a leaf
+    is a terminal, and a second child offset by columns (``dy2 > 0``)
+    makes a horizontal concat.
     """
     N, M = geo.dims(g.start)
     if N * M > (1 << 62):
         raise OverflowError(f"flattened length {N}*{M} exceeds 2**62")
-    rules, D = g.rules, geo.depths
-    order = reachable_topo(rules, g.start)
-    kids: dict[int, tuple[int, int]] = {}
-    parents = dict.fromkeys(order, 0)
-    levels: dict[int, list[int]] = {}
-    # The builder's first h (or terminal) call for each input symbol.
-    when: dict[int, int] = {}
-    calls = 0
-    for sym in order:
-        r = rules[sym]
-        when[sym] = calls
-        if r.kind == "h" or r.kind == "v":
-            kids[sym] = xy = (r.left, r.right) if r.kind == "h" else (r.top, r.bottom)
-            for c in xy:
-                parents[c] += 1
-            if r.kind == "h":
-                calls += geo.heights[sym]
-        elif r.kind == "term":
-            calls += 1
-        else:
-            raise ParameterError("linearization is defined for plain grammars only")
-        levels.setdefault(D[sym], []).append(sym)
+    (c1, _, _, c2, _, dy2), (H, _, D), (p, _, _, _) = geo.columns
+    # Every holed grammar has a context, and a reachable apply reaches one.
+    if p.any() and p[reachable_topo(g.rules, g.start)].any():
+        raise ParameterError("linearization is defined for plain grammars only")
+    left, right, across = c1.tolist(), c2.tolist(), (dy2 > 0).tolist()
+    post = np.array(_post_order(left, right, [g.start]))
+    inner = post[c1[post] >= 0]
+    kids = np.concatenate((c1[inner], c2[inner]))
+    parents = np.bincount(kids, minlength=len(left)).tolist()
+    # The builder's first h (or terminal) call for each input symbol: a
+    # terminal makes one call, a horizontal concat one per row.
+    calls = np.where(c1 < 0, 1, np.where(dy2 > 0, H, 0))[post]
+    when = np.zeros(len(left), np.int64)
+    when[post] = calls.cumsum() - calls
+    # The reachable symbols by depth, each depth in post-order.
+    post = post[D[post].argsort(kind="stable")]
+    levels = np.split(post, np.flatnonzero(np.diff(D[post])) + 1)
     # Per symbol: left, right, width, depth, first call; n rows in use.
     cols = np.empty((1024, 5), dtype=np.int64)
     n = 0
@@ -190,32 +184,36 @@ def _linearize(g: Grammar2D, geo: GeometryTable) -> tuple[_Dag, list[int]]:
     pair_ids = np.array([-1])
     terms: dict[str, int] = {}
     rows: dict[int, np.ndarray] = {}
-    for d in sorted(levels):
+    for level in levels:
+        level = level.tolist()
         hs = []
-        for sym in levels[d]:
-            r = rules[sym]
-            if r.kind == "h":
-                hs.append(sym)
-            elif r.kind == "v":
-                x, y = kids[sym]
-                rows[sym] = np.concatenate((rows[x], rows[y]))
+        for sym in level:
+            x = left[sym]
+            if x >= 0:
+                if across[sym]:
+                    hs.append(sym)
+                else:
+                    rows[sym] = np.concatenate((rows[x], rows[right[sym]]))
             else:
-                t = terms.get(r.char)
+                char = geo.entries[sym]
+                t = terms.get(char)
                 if t is None:
                     cols = _room(cols, n + 1)
-                    t = terms[r.char] = n
+                    t = terms[char] = n
                     cols[t] = (-1, -1, 1, 1, when[sym])
                     n += 1
                 rows[sym] = np.array([t], dtype=np.int64)
         if hs:
-            _check_pair_bits(n)
-            firsts = np.concatenate([rows[kids[z][0]] for z in hs])
-            keys = firsts << PAIR_BITS | np.concatenate([rows[kids[z][1]] for z in hs])
-            heights = np.array([geo.heights[z] for z in hs])
+            if n > 1 << PAIR_BITS:
+                raise OverflowError(
+                    f"{n} symbols overflow the {PAIR_BITS}-bit pair key")
+            firsts = np.concatenate([rows[left[z]] for z in hs])
+            keys = firsts << PAIR_BITS | np.concatenate([rows[right[z]] for z in hs])
+            heights = H[hs]
             starts = heights.cumsum() - heights
             # The call that pairs row i of z is when[z] + i, so the calls
             # rise along ``keys``.
-            moment = (np.array([when[z] for z in hs]) - starts).repeat(heights)
+            moment = (when[hs] - starts).repeat(heights)
             moment += np.arange(len(keys))
             # The distinct keys, each at its first occurrence, so its first
             # call: a stable sort keeps equal keys in order.
@@ -257,11 +255,12 @@ def _linearize(g: Grammar2D, geo: GeometryTable) -> tuple[_Dag, list[int]]:
         # Drop a child's array once its last parent has read it, so the live
         # arrays stay near the output's size (a tall vertical chain would
         # otherwise hold N(N+1)/2 ids).
-        for sym in levels[d]:
-            for c in kids.get(sym, ()):
-                parents[c] -= 1
-                if not parents[c]:
-                    del rows[c]
+        for sym in level:
+            if left[sym] >= 0:
+                for c in (left[sym], right[sym]):
+                    parents[c] -= 1
+                    if not parents[c]:
+                        del rows[c]
 
     # Renumber in call order.
     cols = cols[:n]

@@ -37,6 +37,16 @@ def fresh_geometry(g):
     return compute_geometry(dataclasses.replace(g))
 
 
+def near_bound_grammar():
+    """A (2^62 - 1) x 2^61 grammar of doubling chains: rows of the block
+    ``ac/da`` repeated, over one row of ``cd``."""
+    b = GrammarBuilder()
+    a, c, d = b.terminal("a"), b.terminal("c"), b.terminal("d")
+    block = b.v(b.h(a, c), b.h(d, a))
+    rows = b.repeat("V", b.repeat("H", block, 1 << 60), (1 << 61) - 1)
+    return b.finish(b.v(rows, b.repeat("H", b.h(c, d), 1 << 60)))
+
+
 def caterpillar(n_links: int, text: str | None = None) -> "Grammar2D":
     """Left-leaning chain of ``n_links`` horizontal concatenations.
 

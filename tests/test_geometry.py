@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +23,7 @@ from gridslp import (
     balance_to_tslp,
     build_cnm,
     build_cnm_sequence,
+    build_fast,
     build_spiral,
     compute_geometry,
     expand,
@@ -31,7 +35,13 @@ from gridslp import (
 from gridslp import grammar
 from gridslp.balance import _inline_contexts
 
-from conftest import example_tslp, fresh_geometry, random_tslp
+from conftest import (
+    acceptance_corpus,
+    example_tslp,
+    fresh_geometry,
+    near_bound_grammar,
+    random_tslp,
+)
 
 
 def _builder_with_block(h, w, char="x"):
@@ -307,3 +317,96 @@ class TestBuilderGeometry:
         assert calls == []
         for out, geo in zip(made, kept):
             assert geo == fresh_geometry(out)
+
+    def test_validate_reads_a_kept_table(self, monkeypatch):
+        """``validate`` runs no pass on a grammar that keeps a table, and
+        its report equals the report on a copy, which keeps none: the
+        start and hole-marker checks still run."""
+        g = build_spiral(256)
+        b = GrammarBuilder()
+        marked = b.finish_tslp(b.h(b.terminal("#"), b.terminal("a")))
+        made = [g, balance_to_tslp(g)[0], rebalance_plain_2d(g)[0],
+                linearize_rows(g), marked]
+        want = [validate(dataclasses.replace(out)) for out in made]
+        assert [r.ok for r in want] == [True] * 4 + [False]
+        calls = []
+        real = grammar._check
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(grammar, "_check", counted)
+        assert [validate(out) for out in made] == want
+        assert calls == []
+
+
+def _unreachable_undefined():
+    """A grammar whose symbol 1 is undefined and referenced by nothing."""
+    return Grammar2D(rules=(Terminal("x"), None, HConcat(0, 0)), start=2)
+
+
+def _view_corpus(small_corpus):
+    """The small corpus (a holed grammar included), an unreachable
+    undefined symbol and sides near 2^62."""
+    return ([g for _, g in small_corpus]
+            + [_unreachable_undefined(), near_bound_grammar()])
+
+
+def _columns_by_field(geo):
+    """``geo.columns`` as lists, converted one field of one symbol at a time."""
+    entry = []
+    for e in geo.entries:
+        if e.__class__ is tuple:
+            c1, x1, y1, _, _, c2, dx2, dy2 = e
+            entry.append((c1, x1, y1, -1 if c2 is None else c2, dx2, dy2))
+        else:
+            entry.append((-1, 0, 0, -1, 0, 0))
+    sizes = [[0 if v is None else v for v in field]
+             for field in (geo.heights, geo.widths, geo.depths)]
+    holes = [h or (0, 0, 0, 0) for h in geo.holes]
+    return [[list(col) for col in zip(*entry)], sizes,
+            [list(col) for col in zip(*holes)]]
+
+
+class TestColumns:
+    """The table's int64 view, ``GeometryTable.columns``."""
+
+    def test_equals_the_fields(self, small_corpus):
+        corpus = [g for _, g in acceptance_corpus()] + _view_corpus(small_corpus)
+        assert any(t.__class__ is Tslp2D for t in corpus)
+        for g in corpus:
+            geo = compute_geometry(g)
+            got = geo.columns
+            assert [[a.tolist() for a in group] for group in got] == (
+                _columns_by_field(geo))
+            for a in (a for group in got for a in group):
+                assert a.dtype == np.int64 and not a.flags.writeable
+
+    def test_made_once_per_table(self, monkeypatch):
+        """The fast index, the fold and the linearization read one view,
+        made by the first of them and kept with the table."""
+        calls = []
+        real = grammar._frozen_int64
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(grammar, "_frozen_int64", counted)
+        g = build_spiral(256)
+        geo = fresh_geometry(g)
+        build_fast(g, 3.0, geo)
+        view = vars(geo)["columns"]
+        assert len(calls) == 3
+        assert balance_to_tslp(g, geo)[1].path_count > 0
+        assert rebalance_plain_2d(g, geo)[0] is not g
+        assert geo.columns is view and len(calls) == 3
+
+    def test_invisible_to_eq_hash_repr(self, small_corpus):
+        for g in _view_corpus(small_corpus):
+            geo, fresh = fresh_geometry(g), fresh_geometry(g)
+            geo.columns
+            assert "columns" in vars(geo) and "columns" not in vars(fresh)
+            assert geo == fresh and hash(geo) == hash(fresh)
+            assert repr(geo) == repr(fresh)

@@ -11,7 +11,6 @@ from gridslp import (
     build_bin,
     build_shiftbin,
     expand,
-    matrix_from_text,
     matrix_to_text,
     max_cells_default,
 )
@@ -72,6 +71,23 @@ def test_max_cells_env_override(monkeypatch):
         max_cells_default()
     monkeypatch.delenv("GRIDSLP_MAX_CELLS")
     assert max_cells_default() == 1 << 26
+
+
+def matrix_from_text(text: str) -> np.ndarray:
+    """Parse ``matrix_to_text``'s row-per-line form; lines must have equal
+    length."""
+    lines = text.splitlines()
+    while lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ValueError("empty matrix text")
+    width = len(lines[0])
+    if any(len(line) != width for line in lines):
+        raise ValueError("ragged matrix text")
+    out = np.empty((len(lines), width), dtype="<U1")
+    for i, line in enumerate(lines):
+        out[i, :] = list(line)
+    return out
 
 
 def test_matrix_text_round_trip():

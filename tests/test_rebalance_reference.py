@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gridslp import (
+    DIM_BOUND,
     GeometryTable,
     GrammarBuilder,
     balance_1d,
@@ -208,17 +209,36 @@ class TestPairKeyBound:
             linearize_rows(g)
 
 
+def _sides_around(k: int) -> list[tuple[int, int]]:
+    """Sides of at most 2^62 whose areas straddle the step of area - 1 to
+    bit length k + 1: 2^k - 2^j and 2^k (below it) and 2^k + 2^j (above
+    it, for k < 124), with 2^j the smallest width that keeps the height
+    within 2^62."""
+    sides = [(1 << min(k, 62), 1 << max(0, k - 62))]
+    if k:
+        j = max(0, k - 62)
+        sides.append(((1 << (k - j)) - 1, 1 << j))
+    if k < 124:
+        j = max(0, k - 61)
+        sides.append(((1 << (k - j)) + 1, 1 << j))
+    return sides
+
+
 def test_keep_list_is_exact_to_2_124():
     """The keep test the plan reads, precomputed per symbol, equals
-    ``_shallow`` at area - 1 = 2^k - 1, 2^k, 2^k + 1 for k ≤ 124, around
-    each threshold depth: a 2D area (two sides of up to 2^62) is past int64."""
-    areas = [a + 1 for k in range(125) for a in ((1 << k) - 1, 1 << k, (1 << k) + 1)]
-    pairs = [(d, a) for a in areas
-             for d in range(max(1, (a - 1).bit_length() + KEEP_SLACK - 2),
-                            (a - 1).bit_length() + KEEP_SLACK + 3)]
+    ``_shallow`` at areas straddling every bit-length step of area - 1 up
+    to 2^124, around each threshold depth: a 2D area (two sides of up to
+    2^62) is past int64."""
+    sides = [hw for k in range(125) for hw in _sides_around(k)]
+    assert max(max(hw) for hw in sides) <= DIM_BOUND
+    triples = [(d, h, w) for h, w in sides
+               for d in range(max(1, (h * w - 1).bit_length() + KEEP_SLACK - 2),
+                              (h * w - 1).bit_length() + KEEP_SLACK + 3)]
+    pairs = [(d, h * w) for d, h, w in triples]
+    assert {(a - 1).bit_length() for _, a in pairs} == set(range(125))
     n = len(pairs)
-    geo = GeometryTable((1,) * n, tuple(a for _, a in pairs), (None,) * n,
-                        tuple(d for d, _ in pairs), ("a",) * n)
+    d, h, w = zip(*triples)
+    geo = GeometryTable(h, w, (None,) * n, d, ("a",) * n)
     keep = _dag_of(geo).keep
     assert keep == [_shallow(d, a) for d, a in pairs]
     assert any(keep) and not all(keep)
