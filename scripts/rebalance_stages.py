@@ -5,7 +5,7 @@ The stages are those ``rebalance_plain_2d`` runs on an input that fails the
 keep test:
 
 - linearize: ``transforms._linearize``, the rows as a flat DAG;
-- post-order: ``balance._post_order`` from the N row symbols;
+- post-order: ``grammar._post_order`` from the N row symbols;
 - plan: ``balance._plan``, which runs that post-order itself first, then
   the marks, splits, canon and requests;
 - fold: ``balance._fold`` with the flank-pair algebra;
@@ -29,7 +29,8 @@ from time import perf_counter
 from gridslp import (
     GrammarBuilder, build_spiral, compute_geometry, random_grammar,
     rebalance_plain_2d)
-from gridslp.balance import _flanks, _fold, _plan, _post_order
+from gridslp.balance import _flanks, _fold, _plan
+from gridslp.grammar import _post_order
 from gridslp.transforms import _linearize
 
 STAGES = ("linearize", "post-order", "plan", "fold", "stack+finish")

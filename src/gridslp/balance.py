@@ -18,10 +18,11 @@ one fold (``_fold``) serve two context algebras.  ``balance_to_tslp`` makes
 contexts as holed symbols.  The plain 1D route (``_fold_1d``) makes each
 context as the pair of plain strings left and right of its hole, so
 composing two contexts is two concatenations and applying one is at most two
-more, and no holed symbol is ever built.  A plan may have many roots, walked
-in one post-order with one shared ``seen``: ``balance_1d`` folds one string,
-and the 2D rebalance folds a grammar's N linearized rows at once, copying
-each row that passes the keep test.  The plan and the fold read the grammar
+more, and no holed symbol is ever built.  A plan may have many roots,
+walked in one post-order (``grammar._post_order``, the package's one
+depth-first walk over child lists) with one shared state: ``balance_1d``
+folds one string, and the 2D rebalance folds a grammar's N linearized rows
+at once, copying each row that passes the keep test.  The plan and the fold read the grammar
 as flat per-symbol child lists with the keep test computed once (``_Dag``):
 from a geometry table's int64 view (``GeometryTable.columns``), or from the
 rebalance's array linearization, which never becomes productions.  The plan
@@ -29,10 +30,11 @@ marks the symbols in one scalar pass over the reversed post-order and
 derives the rest as whole numpy arrays: the splits, the requests, and each
 folded node's canonical heavy parent, its folded heavy parent of lowest
 post-order rank, through which the fold continues the node's heavy path.
-The fold reads them as flat per-symbol lists.  Holed input is first
-flattened to plain form (``_plain``, by ``_inline_contexts``), which follows
-the geometry table's ``layout`` entries (child boxes, offsets and holes),
-not the production kinds, which only ``grammar`` and ``textio`` name.  Every
+The fold reads them as flat per-symbol lists.  Input whose geometry table
+has a hole is first flattened to plain form (``_plain``, by
+``_inline_contexts``), which follows the table's ``layout`` entries (child
+boxes, offsets and holes), not the production kinds, which only ``grammar``
+and ``textio`` name.  Every
 grammar made here comes out of a ``GrammarBuilder``, which keeps the table
 it laid out while building on the grammar it finishes, so the inlined
 grammar and both outputs are never laid out a second time.
@@ -51,8 +53,8 @@ from .grammar import (
     Grammar2D,
     GrammarBuilder,
     NotOneDimensional,
-    PLAIN_KINDS,
     Tslp2D,
+    _post_order,
     as_tslp,
     compute_geometry,
     reachable_topo,
@@ -88,10 +90,13 @@ def _plain(
     g: Grammar2D, geo: GeometryTable | None = None
 ) -> tuple[Grammar2D, GeometryTable]:
     """``g`` and its geometry table, with its contexts inlined first
-    (``_inline_contexts``) if any rule has a hole."""
-    if any(r is not None and r.kind not in PLAIN_KINDS for r in g.rules):
-        g, geo = _inline_contexts(g, geo), None
-    return g, compute_geometry(g) if geo is None else geo
+    (``_inline_contexts``) if any symbol has a hole."""
+    if geo is None:
+        geo = compute_geometry(g)
+    if any(geo.holes):
+        g = _inline_contexts(g, geo)
+        geo = compute_geometry(g)
+    return g, geo
 
 
 def _inline_contexts(t: Grammar2D, geo: GeometryTable | None = None) -> Grammar2D:
@@ -184,35 +189,6 @@ def _dag_of(geo: GeometryTable) -> _Dag:
     area = [h * w if h is not None else 0 for h, w in zip(geo.heights, geo.widths)]
     keep = list(map(_shallow, depths.tolist(), area))
     return _Dag(c1.tolist(), c2.tolist(), op.tolist(), area, keep)
-
-
-def _post_order(left, right, starts: list[int]) -> list[int]:
-    """``reachable_topo`` over a ``_Dag``'s child lists, from each of
-    ``starts`` in turn with one shared ``seen``: the same depth-first
-    post-order (second child's subtree first), which decides ``_plan``'s
-    canonical heavy parents."""
-    order: list[int] = []
-    seen = bytearray(len(left))
-    # ~sym (negative) marks a symbol whose children are done; the starts are
-    # popped first to last, each after all below the one before it.
-    stack = starts[::-1]
-    while stack:
-        z = stack.pop()
-        if z < 0:
-            order.append(~z)
-            continue
-        if seen[z]:
-            continue
-        seen[z] = 1
-        stack.append(~z)
-        x = left[z]
-        if x >= 0:
-            if not seen[x]:
-                stack.append(x)
-            y = right[z]
-            if not seen[y]:
-                stack.append(y)
-    return order
 
 
 class _Plan(NamedTuple):
@@ -388,13 +364,13 @@ def balance_to_tslp(
     """
     if geo is None:
         geo = compute_geometry(g)
-    source = g
+    source, source_geo = g, geo
     input_size = g.size
     input_depth = geo.depths[g.start]
     area = geo.area(g.start)
 
     def unchanged(inlined_size: int) -> tuple[Tslp2D, BalanceStats]:
-        kept = len(reachable_topo(source.rules, source.start))
+        kept = len(reachable_topo(source_geo, source.start))
         return as_tslp(source), BalanceStats(
             input_size, inlined_size, input_size, input_depth, input_depth,
             area, 0, 0, kept)

@@ -22,9 +22,10 @@ is made once, bottom-up and iteratively, in plain tuples, and kept on the
 grammar: by the same pass that validates it, or by the
 :class:`GrammarBuilder` that built it, which lays out each symbol as it is
 added.  Array code reads the table's one int64 view, which the table makes
-on first use and keeps (:attr:`GeometryTable.columns`).  Dimensions are
-exact integers; one beyond 2**62, which the index structures cannot
-address, is an overflow.
+on first use and keeps (:attr:`GeometryTable.columns`).  Every
+children-first order comes from one depth-first walk over per-symbol child
+lists, ``_post_order``.  Dimensions are exact integers; one beyond 2**62,
+which the index structures cannot address, is an overflow.
 """
 
 from __future__ import annotations
@@ -463,44 +464,57 @@ def _with_geometry(g: Grammar2D, geo: GeometryTable | None) -> Grammar2D:
 # Traversal helpers
 
 
-def _post_order(rules, roots, on_cycle=None) -> list[int]:
-    """Defined symbols below ``roots``, children before parents.
+def _post_order(first, second, roots, on_cycle=None) -> list[int]:
+    """Symbols below ``roots``, children before parents.
 
-    Iterative, so derivations deeper than the recursion limit are fine;
-    assumes in-range references (run :func:`validate` first on untrusted
-    input).  A reference back to a symbol still being expanded closes a
-    cycle; ``on_cycle(sym)`` is called with that symbol, if given, once per
-    such reference.
+    ``first[z]`` and ``second[z]`` are symbol ``z``'s children, ``-1`` for
+    none: a leaf has neither, and a hole-concat only a first.  Depth-first and
+    iterative, so derivations deeper than the recursion limit are fine: the
+    second child's subtree comes first, and the roots in turn, each listing
+    what the ones before it did not.  A reference back to a symbol still on
+    the current path closes a cycle; ``on_cycle(sym)`` is called with that
+    symbol, if given, once per such reference.
     """
     order: list[int] = []
-    # 0 unseen, 1 expanding (on the current path), 2 done.
-    state = bytearray(len(rules))
-    for root in roots:
-        if state[root] or rules[root] is None:
+    # 0 unseen, 1 on the current path, 2 done.
+    state = bytearray(len(first))
+    # ~sym (negative) marks a symbol whose children are done; the roots are
+    # popped first to last, each after all below the one before it.
+    stack = list(roots)[::-1]
+    while stack:
+        z = stack.pop()
+        if z < 0:
+            z = ~z
+            state[z] = 2
+            order.append(z)
             continue
-        stack: list[tuple[int, bool]] = [(root, False)]
-        while stack:
-            sym, expanded = stack.pop()
-            if expanded:
-                state[sym] = 2
-                order.append(sym)
-                continue
-            if state[sym]:
-                continue
-            state[sym] = 1
-            stack.append((sym, True))
-            for c in children(rules[sym]):
-                if not state[c]:
-                    if rules[c] is not None:
-                        stack.append((c, False))
-                elif on_cycle is not None and state[c] == 1:
-                    on_cycle(c)
+        if state[z]:
+            continue
+        state[z] = 1
+        stack.append(~z)
+        # Unrolled: a loop over the pair costs a third more on large DAGs.
+        x = first[z]
+        if x >= 0:
+            if not state[x]:
+                stack.append(x)
+            elif on_cycle is not None and state[x] == 1:
+                on_cycle(x)
+            y = second[z]
+            if y >= 0:
+                if not state[y]:
+                    stack.append(y)
+                elif on_cycle is not None and state[y] == 1:
+                    on_cycle(y)
     return order
 
 
-def reachable_topo(rules, start: int) -> list[int]:
-    """Reachable symbols in dependency order (children before parents)."""
-    return _post_order(rules, (start,))
+def reachable_topo(geo: GeometryTable, root: int) -> list[int]:
+    """The symbols ``root`` reaches, children before parents, read off the
+    entries of the geometry table ``geo``."""
+    E = geo.entries
+    first = [e[0] if e.__class__ is tuple else -1 for e in E]
+    second = [-1 if e.__class__ is not tuple or e[5] is None else e[5] for e in E]
+    return _post_order(first, second, (root,))
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +591,7 @@ def _check(g: Grammar2D, out: list[Violation]) -> bool:
         sound = list(rules)
         for v in out:
             sound[v.symbol] = None
+        kids = [(-1, -1) if r is None else children(r) + (-1, -1) for r in sound]
         cyclic: set[int] = set()
 
         def cycle(c: int):
@@ -584,7 +599,9 @@ def _check(g: Grammar2D, out: list[Violation]) -> bool:
                 cyclic.add(c)
                 bad("cycle", c, "symbol participates in a reference cycle")
 
-        order = _post_order(sound, range(n), cycle)
+        order = _post_order(
+            [k[0] for k in kids], [k[1] for k in kids],
+            [sym for sym, r in enumerate(sound) if r is not None], cycle)
     elif defined:
         order = range(n)
     else:
@@ -873,9 +890,8 @@ class GrammarBuilder:
         with a copy of this builder's geometry table kept on it."""
         if self._hole[start] is not None:
             raise DimensionMismatch("start symbol must be ground")
-        # Every context symbol has a context kind, so the kinds decide.
-        plain = all(r.kind in PLAIN_KINDS for r in self.rules)
-        cls = Grammar2D if plain else Tslp2D
+        # A grammar with an apply has a context, so the holes decide.
+        cls = Tslp2D if any(self._hole) else Grammar2D
         g = cls(tuple(self.rules), start, self._labels())
         return _with_geometry(g, GeometryTable(*map(tuple, (
             self._h, self._w, self._hole, self._depth, self._entry))))

@@ -25,6 +25,7 @@ from .grammar import (
     AreaLimitExceeded,
     GeometryTable,
     Grammar2D,
+    ParameterError,
     compute_geometry,
     reachable_topo,
 )
@@ -63,11 +64,14 @@ def expand(
     """Materialize the matrix derived by ``sym`` (default: the start symbol).
 
     Context symbols yield their frame with hole cells holding ``hole_marker``.
-    Raises :class:`AreaLimitExceeded` if the result (or the area bookkeeping
+    Raises :class:`ParameterError` for a ``sym`` out of range or undefined,
+    and :class:`AreaLimitExceeded` if the result (or the area bookkeeping
     for it) would exceed ``max_cells``.
     """
     if sym is None:
         sym = g.start
+    if not 0 <= sym < g.symbols or g.rules[sym] is None:
+        raise ParameterError(f"symbol {sym} is out of range or undefined")
     if geo is None:
         geo = compute_geometry(g)
     if max_cells is None:
@@ -83,7 +87,7 @@ def expand(
     # Pass 1: cache small reachable symbols bottom-up.  A cached entry holds
     # the fully materialized block (hole cells already marked for contexts).
     memo: dict[int, np.ndarray] = {}
-    for s in reachable_topo(g.rules, sym):
+    for s in reachable_topo(geo, sym):
         if H[s] * W[s] > _MEMO_CELLS:
             continue
         e = E[s]

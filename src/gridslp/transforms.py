@@ -5,15 +5,17 @@ matrix: clockwise rotation by production rewriting, margin extraction, row
 linearization of a 2D grammar, and the rebalancing pipeline built on it
 (linearize the rows, balance each row, stack the rows).
 
-The linearization reads its input from the geometry table's int64 view
-(``GeometryTable.columns``), not from the productions, and runs on numpy
-arrays, one round per input depth, which looks its row pairs up in one
-sorted array of the pairs made so far, and hands its row symbols on as the
-fold's flat form (``balance._Dag``), in the ids a deduplicating builder
-would have given them.  ``linearize_rows`` joins the start's rows into one
-row-major string; the rebalance instead folds the N rows as the roots of one
-plan (``balance._fold_1d``), which is the O(g·N) upper-bound route: every
-row is a 1D string over at most g·N row symbols in all, balanced to depth
+Margin extraction follows the geometry table's entries in the order
+``reachable_topo`` lists them.  The linearization reads its input from the
+table's int64 view (``GeometryTable.columns``), not from the productions,
+walks it once (``grammar._post_order``), and runs on numpy arrays, one
+round per input depth, which looks its row pairs up in one sorted array of
+the pairs made so far, and hands its row symbols on as the fold's flat
+form (``balance._Dag``), in the ids a deduplicating builder would have
+given them.  ``linearize_rows`` joins the start's rows into one row-major
+string; the rebalance instead folds the N rows as the roots of one plan
+(``balance._fold_1d``), which is the O(g·N) upper-bound route: every row
+is a 1D string over at most g·N row symbols in all, balanced to depth
 O(log M).
 """
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import _Dag, _fold_1d, _keep, _plain, _post_order, _shallow
+from .balance import _Dag, _fold_1d, _keep, _plain, _shallow
 from .grammar import (
     GeometryTable,
     Grammar1D,
@@ -32,6 +34,7 @@ from .grammar import (
     HConcat,
     ParameterError,
     VConcat,
+    _post_order,
     compute_geometry,
     reachable_topo,
 )
@@ -62,36 +65,33 @@ def margin_slp(g: Grammar2D, side: str) -> Grammar1D:
     """A 1D grammar for one margin of exp(g) (size never exceeds |g|).
 
     ``side`` is ``top``/``bottom``/``left``/``right``.  Column margins are
-    returned as height-1 strings read top to bottom.  Each production either
-    survives with both children (when the margin crosses it) or collapses to
-    the single child that contains the margin, so the output has at most one
-    production per reachable input symbol.
+    returned as height-1 strings read top to bottom.  Follows the geometry
+    table's entries: a concat along the margin's direction joins both
+    children's margins, and one across it keeps the first child's (top,
+    left) or the second child's (bottom, right), so the output has at most
+    one production per reachable input symbol.  A reachable hole raises
+    :class:`ParameterError`.
     """
     if side not in ("top", "bottom", "left", "right"):
         raise ParameterError(f"unknown side {side!r}")
-    rules = g.rules
+    # A horizontal concat runs along a row margin.
+    rows, first = side in ("top", "bottom"), side in ("top", "left")
+    geo = compute_geometry(g)
+    E, HOLE = geo.entries, geo.holes
     b = GrammarBuilder(dedup=True)
     out: dict[int, int] = {}
-    for sym in reachable_topo(rules, g.start):
-        r = rules[sym]
-        if r.kind == "term":
-            out[sym] = b.terminal(r.char)
-        elif r.kind == "h":
-            if side == "left":
-                out[sym] = out[r.left]
-            elif side == "right":
-                out[sym] = out[r.right]
-            else:
-                out[sym] = b.h(out[r.left], out[r.right])
-        elif r.kind == "v":
-            if side == "top":
-                out[sym] = out[r.top]
-            elif side == "bottom":
-                out[sym] = out[r.bottom]
-            else:
-                out[sym] = b.h(out[r.top], out[r.bottom])
-        else:
+    for sym in reachable_topo(geo, g.start):
+        e = E[sym]
+        if e.__class__ is str:
+            out[sym] = b.terminal(e)
+            continue
+        if HOLE[sym] is not None:
             raise ParameterError("margins are defined for plain grammars only")
+        c1, _, _, _, _, c2, _, dy2 = e
+        if (dy2 > 0) == rows:
+            out[sym] = b.h(out[c1], out[c2])
+        else:
+            out[sym] = out[c1 if first else c2]
     return b.finish(out[g.start])
 
 
@@ -149,21 +149,21 @@ def _linearize(g: Grammar2D, geo: GeometryTable) -> tuple[_Dag, list[int]]:
     children's; merging them into the index copies it once per round.
     Each symbol also keeps the first moment the one-call-at-a-time builder
     would have asked for it (terminals and row pairs counted in the
-    reachable symbols' post-order, ``balance._post_order``, which is
-    ``reachable_topo``'s), and sorting by that moment gives the builder's
-    ids.  The input is read from its geometry table's int64 view: a leaf
-    is a terminal, and a second child offset by columns (``dy2 > 0``)
-    makes a horizontal concat.
+    reachable symbols' post-order, one ``grammar._post_order`` walk, which
+    also finds a reachable hole), and sorting by that moment gives the
+    builder's ids.  The input is read from its geometry table's int64
+    view: a leaf is a terminal, and a second child offset by columns
+    (``dy2 > 0``) makes a horizontal concat.
     """
     N, M = geo.dims(g.start)
     if N * M > (1 << 62):
         raise OverflowError(f"flattened length {N}*{M} exceeds 2**62")
     (c1, _, _, c2, _, dy2), (H, _, D), (p, _, _, _) = geo.columns
-    # Every holed grammar has a context, and a reachable apply reaches one.
-    if p.any() and p[reachable_topo(g.rules, g.start)].any():
-        raise ParameterError("linearization is defined for plain grammars only")
     left, right, across = c1.tolist(), c2.tolist(), (dy2 > 0).tolist()
     post = np.array(_post_order(left, right, [g.start]))
+    # A reachable apply reaches its context, so the holes decide.
+    if p[post].any():
+        raise ParameterError("linearization is defined for plain grammars only")
     inner = post[c1[post] >= 0]
     kids = np.concatenate((c1[inner], c2[inner]))
     parents = np.bincount(kids, minlength=len(left)).tolist()

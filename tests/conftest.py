@@ -29,12 +29,21 @@ from gridslp import (
     expand,
     random_grammar,
 )
+from gridslp.grammar import _post_order, children
 
 
 def fresh_geometry(g):
     """``g``'s geometry table, from a fresh pass over a copy of ``g``, so
     without reading or filling the table kept on ``g``."""
     return compute_geometry(dataclasses.replace(g))
+
+
+def rule_order(rules, roots) -> list[int]:
+    """``grammar._post_order`` from ``roots`` over each symbol's children
+    as its production names them (``children``), not as the geometry
+    table's entries do, for the references that read productions."""
+    kids = [(-1, -1) if r is None else children(r) + (-1, -1) for r in rules]
+    return _post_order([k[0] for k in kids], [k[1] for k in kids], roots)
 
 
 def near_bound_grammar():

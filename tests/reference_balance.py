@@ -18,7 +18,8 @@ from gridslp import (
     compute_geometry,
 )
 from gridslp.balance import _flanks
-from gridslp.grammar import reachable_topo
+
+from conftest import rule_order
 
 
 def eliminate_contexts_1d(t: Tslp2D) -> Grammar1D:
@@ -37,7 +38,7 @@ def eliminate_contexts_1d(t: Tslp2D) -> Grammar1D:
     """
     geo = compute_geometry(dataclasses.replace(t))
     H, W, HOLE, E = geo.heights, geo.widths, geo.holes, geo.entries
-    order = reachable_topo(t.rules, t.start)
+    order = rule_order(t.rules, [t.start])
     if H[t.start] != 1:
         raise NotOneDimensional(f"expansion is {H[t.start]} rows tall, expected 1")
     b = GrammarBuilder(dedup=True)

@@ -24,7 +24,9 @@ from gridslp import (
     compute_geometry,
 )
 from gridslp.balance import COPY, FOLD, _flanks, _inline_contexts, _shallow
-from gridslp.grammar import PLAIN_KINDS, _post_order, reachable_topo
+from gridslp.grammar import PLAIN_KINDS
+
+from conftest import rule_order
 
 
 def linearize_rows(g: Grammar2D, geo: GeometryTable | None = None) -> Grammar1D:
@@ -41,7 +43,7 @@ def _rows(b: GrammarBuilder, g: Grammar2D, geo: GeometryTable) -> list[int]:
     if N * M > (1 << 62):
         raise OverflowError(f"flattened length {N}*{M} exceeds 2**62")
     rules = g.rules
-    order = reachable_topo(rules, g.start)
+    order = rule_order(rules, [g.start])
     kids: dict[int, tuple[int, int]] = {}
     parents = dict.fromkeys(order, 0)
     for sym in order:
@@ -73,7 +75,7 @@ def _rows(b: GrammarBuilder, g: Grammar2D, geo: GeometryTable) -> list[int]:
 
 def _plan(rules, geo: GeometryTable, starts: list[int]):
     H, W, D = geo.heights, geo.widths, geo.depths
-    order = _post_order(rules, starts)
+    order = rule_order(rules, starts)
     mark = bytearray(len(rules))
     requested: set[int] = set()
     for s in starts:

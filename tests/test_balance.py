@@ -105,7 +105,7 @@ class TestBalanceToTslp:
         for g in cases:
             t, stats = balance_to_tslp(g)
             if stats.path_count:
-                assert len(reachable_topo(t.rules, t.start)) == t.symbols
+                assert len(reachable_topo(compute_geometry(t), t.start)) == t.symbols
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 4_000), size=st.integers(2, 70))
@@ -350,7 +350,7 @@ def _dag(g, table: dict) -> tuple[int, int]:
     equal pairs exactly when their reachable DAGs match up to renumbering.
     """
     ids: dict[int, int] = {}
-    for sym in reachable_topo(g.rules, g.start):
+    for sym in reachable_topo(compute_geometry(g), g.start):
         r = g.rules[sym]
         if r.kind == "term":
             key = ("term", r.char)

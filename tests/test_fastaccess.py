@@ -139,7 +139,7 @@ class TestIndexStructure:
             t, _ = balance_to_tslp(g)
             idx = build_fast(t)
             k = idx.params.levels
-            for sym in reachable_topo(t.rules, t.start):
+            for sym in reachable_topo(compute_geometry(t), t.start):
                 regions, _, _ = _unwind(sym, idx.geo, k)
                 h, w = idx.geo.dims(sym)
                 covered = sum(_region_area(r) for r in regions)
@@ -157,7 +157,7 @@ class TestIndexStructure:
         """Each region resolves to one terminal cell or one whole symbol."""
         t, _ = balance_to_tslp(build_shiftbin(3))
         geo = compute_geometry(t)
-        for sym in reachable_topo(t.rules, t.start):
+        for sym in reachable_topo(compute_geometry(t), t.start):
             regions, _, _ = _unwind(sym, geo, build_fast(t).params.levels)
             for value, x1, y1, x2, y2, hole in regions:
                 if value[0] < 0:
@@ -184,7 +184,8 @@ class TestIndexStructure:
                     if cell is not None and cell[0] >= 0
                 }
                 assert set(idx.symbols) == {t.start} | named
-                assert set(idx.symbols) <= set(reachable_topo(t.rules, t.start))
+                reachable = reachable_topo(compute_geometry(t), t.start)
+                assert set(idx.symbols) <= set(reachable)
 
     def test_grid_ids_are_dense(self, small_corpus, spiral_1024):
         """Grid 0 is the start, and the ids cells name are exactly 1..n-1:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -170,6 +171,18 @@ class TestBuilder:
         assert {"h", "v"} <= kinds
         assert len(b) == t.symbols
 
+    def test_finish_class_follows_the_holes(self):
+        """``finish`` makes a TSLP iff some symbol has a hole, so a seed's
+        undefined symbol, which has no production, is no obstacle."""
+        undefined = Grammar2D((Terminal("x"), None, HConcat(0, 0)), 2)
+        g = GrammarBuilder.seeded(undefined).finish(2)
+        assert type(g) is Grammar2D and g.rules == undefined.rules
+        assert expand(g).tolist() == [["x", "x"]]
+        t = example_tslp()
+        assert type(GrammarBuilder.seeded(t).finish(t.start)) is Tslp2D
+        b = GrammarBuilder()
+        assert type(b.finish(b.terminal("x"))) is Grammar2D
+
     @pytest.mark.parametrize("axis", ["h", "horizontal"])
     @pytest.mark.parametrize(
         "build",
@@ -219,7 +232,7 @@ class TestContainers:
 class TestTraversal:
     def test_reachable_topo_children_first(self, small_corpus):
         for name, g in small_corpus:
-            order = reachable_topo(g.rules, g.start)
+            order = reachable_topo(compute_geometry(g), g.start)
             pos = {s: i for i, s in enumerate(order)}
             assert order[-1] == g.start
             for s in order:
@@ -234,8 +247,47 @@ class TestTraversal:
         for _ in range(50_000):
             s = b.h(s, a)
         g = b.finish(s)
-        order = reachable_topo(g.rules, g.start)
+        order = reachable_topo(compute_geometry(g), g.start)
         assert len(order) == g.symbols
+
+    # ``_post_order`` on hand-made child lists, -1 for no child.
+
+    def test_one_child(self):
+        # 1 has only a first child, as a hole-concat has.
+        assert _post_order([-1, 0], [-1, -1], [1]) == [0, 1]
+        assert _post_order([-1, 0, 1], [-1, -1, 0], [2]) == [0, 1, 2]
+
+    def test_shared_subtree_listed_once(self):
+        first, second = [-1, 0, 1, 2], [-1, 0, 1, 1]
+        assert _post_order(first, second, [3]) == [0, 1, 2, 3]
+
+    def test_second_subtree_first(self):
+        # 4 = (2, 3), 2 = (0, 0), 3 = (1, 1).
+        first, second = [-1, -1, 0, 1, 2], [-1, -1, 0, 1, 3]
+        assert _post_order(first, second, [4]) == [1, 3, 0, 2, 4]
+
+    def test_roots_share_one_state(self):
+        # 2 = (0, 1) and 3 = (1, 0): each root lists what the ones before
+        # it did not, and a root already listed adds nothing.
+        first, second = [-1, -1, 0, 1], [-1, -1, 1, 0]
+        assert _post_order(first, second, [2, 3]) == [1, 0, 2, 3]
+        assert _post_order(first, second, [3, 2]) == [0, 1, 3, 2]
+        assert _post_order(first, second, [2, 0, 3]) == [1, 0, 2, 3]
+        assert _post_order(first, second, [0, 2]) == [0, 1, 2]
+
+    def test_on_cycle_once_per_back_reference(self):
+        seen = []
+        # 0 -> 1 -> (0, 0): two references back to 0.
+        assert _post_order([1, 0], [-1, 0], [0], seen.append) == [1, 0]
+        assert seen == [0, 0]
+        seen.clear()
+        # A self-loop on both sides, and 2 = (1, 1) reaching it.
+        assert _post_order([-1, 1, 1], [-1, 1, 1], [2], seen.append) == [1, 2]
+        assert seen == [1, 1]
+        seen.clear()
+        # A symbol met again once done closes no cycle.
+        assert _post_order([-1, 0, 1], [-1, 0, 0], [2], seen.append) == [0, 1, 2]
+        assert seen == []
 
 
 class TestValidate:
@@ -355,6 +407,12 @@ HOLED_KIND_NAMES = re.compile(
 )
 
 
+#: The kind lists, and the functions outside grammar and textio that may
+#: read them or a production's kind: the two production rewrites.
+KIND_LISTS = {"PLAIN_KINDS", "CONTEXT_KINDS"}
+KIND_READERS = {("transforms.py", "rotate_cw"), ("gadgets.py", "_import_symbols")}
+
+
 def test_only_grammar_and_textio_name_holed_kinds():
     """Everything else follows ``layout`` entries instead of the kinds."""
     src = Path(__file__).resolve().parent.parent / "src" / "gridslp"
@@ -366,6 +424,22 @@ def test_only_grammar_and_textio_name_holed_kinds():
         if HOLED_KIND_NAMES.search(line)
     ]
     assert not hits, "\n".join(hits)
+    # Outside grammar and textio, only the two production rewrites read a
+    # production's kind or the kind lists.
+    readers, hits = set(), []
+    for path in sorted(src.glob("*.py")):
+        if path.name in ("grammar.py", "textio.py"):
+            continue
+        for top in ast.parse(path.read_text()).body:
+            where = (path.name, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr == "kind"
+                        or isinstance(node, ast.Name) and node.id in KIND_LISTS):
+                    readers.add(where)
+                    if where not in KIND_READERS:
+                        hits.append(f"{path.name}:{node.lineno}")
+    assert not hits, "\n".join(hits)
+    assert readers == KIND_READERS
 
 
 class TestGeometryCache:
@@ -432,6 +506,14 @@ class TestIdOrder:
         assert [geo.dims(s) for s in range(4)] == [
             compute_geometry(back).dims(s) for s in (3, 2, 0, 1)]
         assert (expand(fwd) == expand(back)).all()
+
+    def test_walk_skips_an_unreferenced_undefined_symbol(self):
+        """A forward reference takes the walk, whose roots are the defined
+        symbols only: an undefined one nothing references is not laid out."""
+        g = Grammar2D((HConcat(1, 1), Terminal("x"), None), 0)
+        assert validate(g).ok
+        assert compute_geometry(g).dims(0) == (1, 2)
+        assert compute_geometry(g).entries[2] is None
 
     #: Violations as (code, symbol, message), in the order validate reports
     #: them; the depth-first walk of earlier versions gave the same lists,

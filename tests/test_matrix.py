@@ -7,7 +7,11 @@ import pytest
 
 from gridslp import (
     AreaLimitExceeded,
+    Grammar2D,
     GrammarBuilder,
+    HConcat,
+    ParameterError,
+    Terminal,
     build_bin,
     build_shiftbin,
     expand,
@@ -33,6 +37,17 @@ def test_expand_subsymbol():
     assert expand(g, x).tolist() == [["x"]]
     assert expand(g, y).tolist() == [["y"]]
     assert expand(g).tolist() == [["x", "y"]]
+
+
+def test_expand_rejects_a_symbol_out_of_range_or_undefined():
+    g = build_bin(2)
+    for sym in (-1, -g.symbols, g.symbols):
+        with pytest.raises(ParameterError):
+            expand(g, sym)
+    undefined = Grammar2D((Terminal("x"), None, HConcat(0, 0)), 2)
+    assert expand(undefined).tolist() == [["x", "x"]]
+    with pytest.raises(ParameterError):
+        expand(undefined, 1)
 
 
 def test_context_expansion_marks_hole():

@@ -24,7 +24,7 @@ from gridslp import (
 )
 from gridslp import transforms
 from gridslp.balance import (
-    KEEP_SLACK, _dag_of, _inline_contexts, _keep, _plan, _post_order, _shallow)
+    KEEP_SLACK, _dag_of, _inline_contexts, _keep, _plan, _shallow)
 from gridslp.grammar import reachable_topo
 
 import reference_rebalance as ref
@@ -108,7 +108,7 @@ def test_every_output_symbol_is_reachable():
                  for seed in range(40)]
     for i, g in enumerate(grammars):
         out, _ = rebalance_plain_2d(g)
-        assert len(reachable_topo(out.rules, out.start)) == out.symbols, i
+        assert len(reachable_topo(compute_geometry(out), out.start)) == out.symbols, i
 
 
 def test_balance_to_tslp_on_chained_grammars():
@@ -185,14 +185,6 @@ def test_plan_is_exact_past_int64_areas():
     plan = _plan(_dag_of(geo), [g.start])
     assert (plan.heavy[row], plan.light[row], plan.side[row]) == (right, left, "second")
     assert balance_to_tslp(g) == ref.balance_to_tslp(g)
-
-
-def test_post_order_is_reachable_topo():
-    for seed in range(40):
-        g = _chained(_wide(random_tslp(seed)), 3)
-        dag = _dag_of(compute_geometry(g))
-        assert _post_order(dag.left, dag.right, [g.start]) == reachable_topo(
-            g.rules, g.start)
 
 
 class TestPairKeyBound:

@@ -130,6 +130,40 @@ class TestLinearize:
         assert "".join(expand(lin)[0]) == "ab" * (n // 2)
 
 
+class TestHoledInput:
+    """``margin_slp`` and ``linearize_rows`` read only what the start
+    reaches: an unreachable context is ignored, a reachable one raises."""
+
+    @staticmethod
+    def _tslp(reach_context: bool):
+        """A 2x2 TSLP holding a context and an apply of it; the start is the
+        apply, under a concat, or a plain matrix that reaches neither."""
+        b = GrammarBuilder(dedup=True)
+        x, y = b.terminal("x"), b.terminal("y")
+        xy, yx = b.h(x, y), b.h(y, x)
+        ctx = b.hole_concat("V", "first", xy, 1, 2)
+        plugged = b.apply(ctx, yx)
+        start = b.h(plugged, plugged) if reach_context else b.v(yx, xy)
+        return b.finish(start)
+
+    def test_unreachable_context_is_ignored(self):
+        t = self._tslp(False)
+        assert t.text_kind == "TSLP2D"
+        m = expand(t)
+        for side, want in (("top", m[0]), ("bottom", m[-1]),
+                           ("left", m[:, 0]), ("right", m[:, -1])):
+            assert expand(margin_slp(t, side))[0].tolist() == want.tolist(), side
+        assert "".join(expand(linearize_rows(t))[0]) == "yxxy"
+
+    def test_reachable_context_raises(self):
+        t = self._tslp(True)
+        for side in ("top", "bottom", "left", "right"):
+            with pytest.raises(ParameterError):
+                margin_slp(t, side)
+        with pytest.raises(ParameterError):
+            linearize_rows(t)
+
+
 class TestConcatGadget:
     """``GrammarBuilder.balanced`` on a seeded builder: a balanced
     concatenation gadget over an existing grammar's symbols."""
@@ -189,7 +223,7 @@ class TestRebalance:
         out, stats = rebalance_plain_2d(build_spiral(n))
         assert stats.output_size == out.size <= size
         assert stats.output_depth <= depth
-        assert len(reachable_topo(out.rules, out.start)) == out.symbols
+        assert len(reachable_topo(compute_geometry(out), out.start)) == out.symbols
 
     def test_requires_wide_input(self):
         g = build_cnm(64, 32)  # 64 rows x 32 cols
