@@ -57,7 +57,6 @@ from .grammar import (
     _post_order,
     as_tslp,
     compute_geometry,
-    reachable_topo,
 )
 
 # A symbol of depth ≤ ⌈log2 area⌉ + KEEP_SLACK is already as shallow as a
@@ -364,16 +363,16 @@ def balance_to_tslp(
     """
     if geo is None:
         geo = compute_geometry(g)
-    source, source_geo = g, geo
+    source = g
     input_size = g.size
     input_depth = geo.depths[g.start]
     area = geo.area(g.start)
 
     def unchanged(inlined_size: int) -> tuple[Tslp2D, BalanceStats]:
-        kept = len(reachable_topo(source_geo, source.start))
+        # Every input symbol comes back verbatim.
         return as_tslp(source), BalanceStats(
             input_size, inlined_size, input_size, input_depth, input_depth,
-            area, 0, 0, kept)
+            area, 0, 0, source.symbols)
 
     if _shallow(input_depth, area):
         return unchanged(input_size)

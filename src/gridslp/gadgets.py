@@ -25,14 +25,21 @@ from .grammar import Grammar2D, GrammarBuilder, ParameterError
 from .transforms import rotate_cw
 
 
+def _block_exponent_for(budget: Fraction) -> int:
+    """Largest m with 2^m (m+2) ≤ budget; ParameterError if even m=0 fails."""
+    if budget < 2:
+        raise ParameterError(f"no ShiftBin block fits a budget of {budget}")
+    m = 0
+    while (1 << (m + 1)) * (m + 3) <= budget:
+        m += 1
+    return m
+
+
 def cnm_block_exponent(M: int) -> int:
     """Largest m with 2^m (m+2) ≤ M/2 — the ShiftBin size a width-M C packs."""
     if M < 4:
         raise ParameterError(f"C matrix needs width ≥ 4 to fit two strips, got {M}")
-    m = 0
-    while (1 << (m + 1)) * (m + 3) <= M // 2:
-        m += 1
-    return m
+    return _block_exponent_for(Fraction(M, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +235,6 @@ class SpiralParams:
         return self.n - 2 * self.lam * self.delta
 
 
-def _block_exponent_for(budget: Fraction) -> int:
-    """Largest m with 2^m (m+2) ≤ budget; ParameterError if even m=0 fails."""
-    if budget < 2:
-        raise ParameterError(f"no ShiftBin block fits a budget of {budget}")
-    m = 0
-    while (1 << (m + 1)) * (m + 3) <= budget:
-        m += 1
-    return m
-
-
 def spiral_params(N: int, c: int = 1) -> SpiralParams:
     """Derive and sanity-check the spiral parameters for side length N."""
     if N < 2 or N & (N - 1):
@@ -295,13 +292,12 @@ def build_spiral(N: int, c: int = 1) -> Grammar2D:
     seq, roots = build_cnm_sequence(n_base, delta, delta, 2 * lam - 1)
     rot = rotate_cw(seq)
 
-    b = GrammarBuilder(dedup=True)
-    gmap = _import_symbols(b, seq)
+    b = GrammarBuilder.seeded(seq)
     rmap = _import_symbols(b, rot)
 
     def strip(m: int) -> int:
         # Vertical C strip of height N − m·delta.
-        return gmap[roots[2 * lam - 1 - m]]
+        return roots[2 * lam - 1 - m]
 
     def strip_rot(m: int) -> int:
         return rmap[roots[2 * lam - 1 - m]]

@@ -11,9 +11,10 @@ table's int64 view (``GeometryTable.columns``), not from the productions,
 walks it once (``grammar._post_order``), and runs on numpy arrays, one
 round per input depth, which looks its row pairs up in one sorted array of
 the pairs made so far, and hands its row symbols on as the fold's flat
-form (``balance._Dag``), in the ids a deduplicating builder would have
-given them.  ``linearize_rows`` joins the start's rows into one row-major
-string; the rebalance instead folds the N rows as the roots of one plan
+form (``balance._Dag``), numbered round by round in order of first
+occurrence (equal to a one-call-at-a-time builder's up to renumbering).
+``linearize_rows`` joins the start's rows into one row-major string; the
+rebalance instead folds the N rows as the roots of one plan
 (``balance._fold_1d``), which is the O(g·N) upper-bound route: every row
 is a 1D string over at most g·N row symbols in all, balanced to depth
 O(log M).
@@ -106,10 +107,12 @@ def linearize_rows(g: Grammar2D, geo: GeometryTable | None = None) -> Grammar1D:
     ids in all as the reachable symbols have rows, at most |g|·N, but each is
     dropped once its last parent has read it.  The start symbol's N row
     strings are then joined with a balanced gadget.  The row pairs are
-    made on numpy arrays, one round per input depth (``_linearize``), in
-    the ids a deduplicating ``GrammarBuilder`` would give them, so replaying
-    them into one gives each its own id; the builder then makes the join
-    and keeps its geometry table on the grammar it returns.
+    made on numpy arrays, one round per input depth (``_linearize``), each
+    round's new pairs numbered in order of first occurrence, so the grammar
+    equals a one-call-at-a-time deduplicating builder's up to renumbering.
+    The pairs are distinct, so replaying them into a ``GrammarBuilder``
+    gives each its own id; the builder then makes the join and keeps its
+    geometry table on the grammar it returns.
     """
     if geo is None:
         geo = compute_geometry(g)
@@ -145,15 +148,16 @@ def _linearize(g: Grammar2D, geo: GeometryTable) -> tuple[_Dag, list[int]]:
     only row arrays of earlier rounds.  A round pairs all its horizontal
     concats' rows in one numpy pass: the packed pair keys are uniqued,
     looked up in the sorted pair index by ``searchsorted``, and the unseen
-    ones become symbols whose widths and depths are gathered from their
-    children's; merging them into the index copies it once per round.
-    Each symbol also keeps the first moment the one-call-at-a-time builder
-    would have asked for it (terminals and row pairs counted in the
-    reachable symbols' post-order, one ``grammar._post_order`` walk, which
-    also finds a reachable hole), and sorting by that moment gives the
-    builder's ids.  The input is read from its geometry table's int64
-    view: a leaf is a terminal, and a second child offset by columns
-    (``dy2 > 0``) makes a horizontal concat.
+    ones take the next ids in order of first occurrence, with widths and
+    depths gathered from their children's; merging them into the index
+    copies it once per round.  So the ids go round by round, and the
+    ``_Dag`` equals the one a one-call-at-a-time deduplicating builder
+    would make only up to renumbering (the fold's output does not read the
+    ids).  One ``grammar._post_order`` walk lists the reachable symbols,
+    each round in that order, and finds a reachable hole.  The input is
+    read from its geometry table's int64 view: a leaf is a terminal, and a
+    second child offset by columns (``dy2 > 0``) makes a horizontal
+    concat.
     """
     N, M = geo.dims(g.start)
     if N * M > (1 << 62):
@@ -167,16 +171,11 @@ def _linearize(g: Grammar2D, geo: GeometryTable) -> tuple[_Dag, list[int]]:
     inner = post[c1[post] >= 0]
     kids = np.concatenate((c1[inner], c2[inner]))
     parents = np.bincount(kids, minlength=len(left)).tolist()
-    # The builder's first h (or terminal) call for each input symbol: a
-    # terminal makes one call, a horizontal concat one per row.
-    calls = np.where(c1 < 0, 1, np.where(dy2 > 0, H, 0))[post]
-    when = np.zeros(len(left), np.int64)
-    when[post] = calls.cumsum() - calls
     # The reachable symbols by depth, each depth in post-order.
     post = post[D[post].argsort(kind="stable")]
     levels = np.split(post, np.flatnonzero(np.diff(D[post])) + 1)
-    # Per symbol: left, right, width, depth, first call; n rows in use.
-    cols = np.empty((1024, 5), dtype=np.int64)
+    # Per symbol: left, right, width, depth; n rows in use.
+    cols = np.empty((1024, 4), dtype=np.int64)
     n = 0
     # The packed row pairs made so far, sorted, and their symbols, ending in
     # a sentinel; a character -> its terminal.
@@ -200,7 +199,7 @@ def _linearize(g: Grammar2D, geo: GeometryTable) -> tuple[_Dag, list[int]]:
                 if t is None:
                     cols = _room(cols, n + 1)
                     t = terms[char] = n
-                    cols[t] = (-1, -1, 1, 1, when[sym])
+                    cols[t] = (-1, -1, 1, 1)
                     n += 1
                 rows[sym] = np.array([t], dtype=np.int64)
         if hs:
@@ -211,25 +210,23 @@ def _linearize(g: Grammar2D, geo: GeometryTable) -> tuple[_Dag, list[int]]:
             keys = firsts << PAIR_BITS | np.concatenate([rows[right[z]] for z in hs])
             heights = H[hs]
             starts = heights.cumsum() - heights
-            # The call that pairs row i of z is when[z] + i, so the calls
-            # rise along ``keys``.
-            moment = (when[hs] - starts).repeat(heights)
-            moment += np.arange(len(keys))
-            # The distinct keys, each at its first occurrence, so its first
-            # call: a stable sort keeps equal keys in order.
+            # The distinct keys and where each first occurs: a stable sort
+            # keeps equal keys in order.
             by_key = keys.argsort(kind="stable")
             keys = keys[by_key]
             head = np.empty(len(keys), dtype=bool)
             head[0] = True
             np.not_equal(keys[1:], keys[:-1], out=head[1:])
-            uniq, moment = keys[head], moment[by_key[head]]
+            uniq, first = keys[head], by_key[head]
             # The sentinel key is above every pair, so ``at`` stays in range.
             at = pair_keys.searchsorted(uniq)
             ids = pair_ids[at]
             new = pair_keys[at] != uniq
             fresh = uniq[new]
             k = len(fresh)
-            ids[new] = np.arange(n, n + k)
+            # The unseen pairs take the next ids in order of first occurrence.
+            made = first[new].argsort()
+            ids[np.flatnonzero(new)[made]] = np.arange(n, n + k)
             # Merge the fresh pairs in: one copy of the index.
             dest = at[new] + np.arange(k)
             rest = np.ones(len(pair_keys) + k, dtype=bool)
@@ -239,14 +236,12 @@ def _linearize(g: Grammar2D, geo: GeometryTable) -> tuple[_Dag, list[int]]:
             merged_keys[rest], merged_ids[rest] = pair_keys, pair_ids
             pair_keys, pair_ids = merged_keys, merged_ids
             cols = _room(cols, n + k)
+            fresh = fresh[made]
             fl, fr = fresh >> PAIR_BITS, fresh & ((1 << PAIR_BITS) - 1)
             block = cols[n:n + k]
             block[:, 0], block[:, 1] = fl, fr
             block[:, 2] = cols[fl, 2] + cols[fr, 2]
             block[:, 3] = np.maximum(cols[fl, 3], cols[fr, 3]) + 1
-            block[:, 4] = moment[new]
-            # A pair met again keeps its earliest call.
-            cols[ids, 4] = np.minimum(cols[ids, 4], moment)
             n += k
             flat = np.empty(len(keys), dtype=np.int64)
             flat[by_key] = ids[head.cumsum() - 1]
@@ -262,20 +257,13 @@ def _linearize(g: Grammar2D, geo: GeometryTable) -> tuple[_Dag, list[int]]:
                     if not parents[c]:
                         del rows[c]
 
-    # Renumber in call order.
     cols = cols[:n]
-    perm = np.argsort(cols[:, 4])
-    rank = np.empty(n, dtype=np.int64)
-    rank[perm] = np.arange(n)
-    cols = cols[perm]
-    inner = cols[:, 0] >= 0
-    cols[inner, :2] = rank[cols[inner, :2]]
     keep = _keep(cols[:, 3], cols[:, 2]).tolist()
-    left, right, widths, _, _ = cols.T.tolist()
+    left, right, widths, _ = cols.T.tolist()
     op = ["H"] * n
     for c, t in terms.items():
-        op[rank[t]] = c
-    return _Dag(left, right, op, widths, keep), rank[rows[g.start]].tolist()
+        op[t] = c
+    return _Dag(left, right, op, widths, keep), rows[g.start].tolist()
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,18 @@ class TestBalanceToTslp:
         t, stats = balance_to_tslp(g)
         assert 0 < stats.path_count <= stats.request_count
 
+    def test_unchanged_input_keeps_every_symbol(self):
+        """A shallow input comes back whole, so a symbol its start does not
+        reach counts as kept too."""
+        b = GrammarBuilder(dedup=False)
+        a, c = b.terminal("a"), b.terminal("c")
+        b.terminal("z")
+        g = b.finish(b.h(a, c))
+        assert len(reachable_topo(compute_geometry(g), g.start)) == 3
+        t, stats = balance_to_tslp(g)
+        assert t.rules == g.rules and stats.path_count == 0
+        assert stats.kept_count == g.symbols == 4
+
     def test_output_is_tslp(self):
         g = build_cnm(16, 16)
         t, _ = balance_to_tslp(g)

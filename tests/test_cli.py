@@ -187,7 +187,7 @@ class TestTransforms:
             "kept",
         }
         assert stats["area"] == 32 * 32
-        # Already shallow: every reachable symbol is kept, none is folded.
+        # Already shallow: every symbol is kept, none is folded.
         assert stats["paths"] == 0
         assert stats["kept"] > 0
         assert stats["outputDepth"] == stats["inputDepth"]

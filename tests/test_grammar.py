@@ -125,6 +125,20 @@ class TestBuilder:
         with pytest.raises(DimensionMismatch):
             b.apply(ctx, row)  # 1x2 plug does not fit
 
+    def test_hole_concat_rejects_a_bad_side(self):
+        b = GrammarBuilder(dedup=False)
+        x = b.terminal("x")
+        with pytest.raises(ParameterError) as e:
+            b.hole_concat("H", "middle", x, 1, 1)
+        assert str(e.value) == "hole_side must be 'first' or 'second', got 'middle'"
+
+    def test_finish_rejects_a_context_start(self):
+        b = GrammarBuilder(dedup=False)
+        ctx = b.hole_concat("H", "first", b.terminal("x"), 1, 1)
+        with pytest.raises(DimensionMismatch) as e:
+            b.finish(ctx)
+        assert str(e.value) == "start symbol must be ground"
+
     def test_chain(self):
         b = GrammarBuilder(dedup=False)
         x = b.terminal("x")
@@ -375,6 +389,37 @@ class TestValidate:
         """Fields the builder rejects as parameters are kind violations."""
         rep = validate(g)
         assert [v.code for v in rep.violations] == ["kind"], str(rep)
+
+    @pytest.mark.parametrize("rule,code,message", [
+        (HConcat(1, 0), "kind", "concat operands must be ground"),
+        (HoleConcat("H", "first", 1, 1, 1), "kind",
+         "hole-concat ground operand is a context"),
+        (HoleConcat("H", "first", 2, 1, 1), "dimension",
+         "hole height 1 != ground height 2"),
+        (HoleConcat("V", "first", 3, 1, 1), "dimension",
+         "hole width 1 != ground width 2"),
+        (CtxConcat("H", "first", 0, 0), "kind",
+         "ctx-concat needs (context, ground) operands"),
+        (CtxConcat("H", "first", 1, 2), "dimension", "h-concat heights differ: 1 vs 2"),
+        (CtxConcat("V", "first", 1, 0), "dimension", "v-concat widths differ: 2 vs 1"),
+        (Compose(1, 0), "kind", "compose needs two context operands"),
+        (Apply(0, 0), "kind", "apply needs (context, ground) operands"),
+    ], ids=["concat-of-context", "hole-on-context", "hole-height", "hole-width",
+            "ctxcat-without-context", "ctxcat-heights", "ctxcat-widths",
+            "compose-of-ground", "apply-to-ground"])
+    def test_misfit_reported(self, rule, code, message):
+        """Each operand misfit ``layout`` finds is one violation, at its
+        symbol; the symbols below it are x (1x1), a 1x2 context with a 1x1
+        hole, a 2x1 column and a 1x2 row."""
+        x, ctx = Terminal("x"), HoleConcat("H", "first", 0, 1, 1)
+        t = Tslp2D((x, ctx, VConcat(0, 0), HConcat(0, 0), rule), 0)
+        assert validate(t).violations == (grammar.Violation(code, 4, "S4", message),)
+
+    @pytest.mark.parametrize("start", [-1, 1])
+    def test_start_out_of_range_reported(self, start):
+        rep = validate(Grammar2D((Terminal("x"),), start))
+        assert rep.violations == (grammar.Violation(
+            "undefined", start, str(start), "start symbol id out of range"),)
 
     def test_overflow_flagged_by_validate(self):
         # Assembled by hand so the oversized grammar exists to be validated.

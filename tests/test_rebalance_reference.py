@@ -1,8 +1,13 @@
 """The array linearization and the list-reading fold against their scalar
-references (``reference_rebalance``): equal grammars, stats and text."""
+references (``reference_rebalance``): equal grammars, stats and text.  The
+linearization numbers its row pairs round by round, the reference one
+``h`` call at a time, so those two (and the plans over them) are compared
+exactly once one side is renumbered through the id bijection that walking
+both DAGs down from corresponding roots finds."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
@@ -12,6 +17,8 @@ from gridslp import (
     DIM_BOUND,
     GeometryTable,
     GrammarBuilder,
+    HConcat,
+    Terminal,
     balance_1d,
     balance_to_tslp,
     build_spiral,
@@ -25,7 +32,7 @@ from gridslp import (
 from gridslp import transforms
 from gridslp.balance import (
     KEEP_SLACK, _dag_of, _inline_contexts, _keep, _plan, _shallow)
-from gridslp.grammar import reachable_topo
+from gridslp.grammar import children, reachable_topo
 
 import reference_rebalance as ref
 from conftest import random_tslp
@@ -49,15 +56,46 @@ def _wide(g):
     return rotate_cw(g) if h > w else g
 
 
+def _bijection(got_rules, want_rules, got_roots, want_roots) -> list[int]:
+    """``f[s]``, the id in ``want_rules`` of ``got_rules``' symbol ``s``,
+    found by walking both DAGs down from corresponding roots; asserts that
+    it is a bijection of all symbols."""
+    f = [-1] * len(got_rules)
+    stack = list(zip(got_roots, want_roots))
+    while stack:
+        a, b = stack.pop()
+        if f[a] < 0:
+            f[a] = b
+            stack += zip(children(got_rules[a]), children(want_rules[b]))
+        assert f[a] == b
+    assert sorted(f) == list(range(len(want_rules)))
+    return f
+
+
+def _renumbered(g, f):
+    """The 1D grammar ``g`` with symbol ``s`` renamed ``f[s]``."""
+    rules = [None] * len(g.rules)
+    for s, r in enumerate(g.rules):
+        rules[f[s]] = HConcat(f[r.left], f[r.right]) if r.kind == "h" else r
+    return dataclasses.replace(g, rules=tuple(rules), start=f[g.start])
+
+
+def _assert_same_linearization(lin, want):
+    """``lin`` equals ``want``, grammar and text, through the id bijection."""
+    lin = _renumbered(lin, _bijection(lin.rules, want.rules, [lin.start], [want.start]))
+    assert lin == want
+    assert emit_grammar(lin) == emit_grammar(want)
+
+
 def _assert_same_rebalance(g):
     """The rebalance and the linearization of ``g`` equal the references',
-    grammar, stats and text; returns the stats and the linearization."""
+    grammar, stats and text (the linearization through the id bijection);
+    returns the stats and the linearization."""
     got, want = rebalance_plain_2d(g), ref.rebalance_plain_2d(g)
     assert got == want
     assert emit_grammar(got[0]) == emit_grammar(want[0])
-    lin, want_lin = linearize_rows(g), ref.linearize_rows(g)
-    assert lin == want_lin
-    assert emit_grammar(lin) == emit_grammar(want_lin)
+    lin = linearize_rows(g)
+    _assert_same_linearization(lin, ref.linearize_rows(g))
     return got[1], lin
 
 
@@ -117,15 +155,21 @@ def test_balance_to_tslp_on_chained_grammars():
         assert balance_to_tslp(g) == ref.balance_to_tslp(g), seed
 
 
-def _plan_as_reference(plan, dag):
+def _plan_as_reference(plan, dag, f=None):
     """The library's plan in the reference's form: order, marks, splits
-    (heavy, light, axis, side, light area), canon and requested."""
-    split = {z: (plan.heavy[z], plan.light[z], dag.op[z], plan.side[z],
-                 dag.area[plan.light[z]])
+    (heavy, light, axis, side, light area), canon and requested, with
+    symbol ``s`` renamed ``f[s]`` (by default itself)."""
+    if f is None:
+        f = range(len(plan.mark))
+    mark = bytearray(len(plan.mark))
+    for z, m in enumerate(plan.mark):
+        mark[f[z]] = m
+    split = {f[z]: (f[plan.heavy[z]], f[plan.light[z]], dag.op[z], plan.side[z],
+                    dag.area[plan.light[z]])
              for z in plan.order if plan.heavy[z] >= 0}
-    canon = {h: z for h, z in enumerate(plan.canon) if z >= 0}
-    requested = {z for z, r in enumerate(plan.requested) if r}
-    return plan.order, plan.mark, split, canon, requested
+    canon = {f[h]: f[z] for h, z in enumerate(plan.canon) if z >= 0}
+    requested = {f[z] for z, r in enumerate(plan.requested) if r}
+    return [f[z] for z in plan.order], mark, split, canon, requested
 
 
 def _assert_same_plans(g):
@@ -142,9 +186,13 @@ def _assert_same_plans(g):
         return
     dag, rows = transforms._linearize(g, geo)
     lin = GrammarBuilder(dedup=True)
-    assert ref._rows(lin, g, geo) == rows
-    assert _plan_as_reference(_plan(dag, rows), dag) == ref._plan(
-        lin.rules, compute_geometry(lin.finish(rows[0])), rows)
+    want_rows = ref._rows(lin, g, geo)
+    rules = [HConcat(x, y) if x >= 0 else Terminal(c)
+             for x, y, c in zip(dag.left, dag.right, dag.op)]
+    f = _bijection(rules, lin.rules, rows, want_rows)
+    assert [f[s] for s in rows] == want_rows
+    assert _plan_as_reference(_plan(dag, rows), dag, f) == ref._plan(
+        lin.rules, compute_geometry(lin.finish(want_rows[0])), want_rows)
 
 
 @pytest.mark.parametrize("family", ["differential", "chained-differential",
@@ -194,7 +242,7 @@ class TestPairKeyBound:
         bits = (want.symbols - 1).bit_length()
         # Ids up to 2**bits - 1 fit: the same grammar comes out.
         monkeypatch.setattr(transforms, "PAIR_BITS", bits)
-        assert linearize_rows(g) == want
+        _assert_same_linearization(linearize_rows(g), want)
         # Past 8 ids a 3-bit key would wrap.
         monkeypatch.setattr(transforms, "PAIR_BITS", 3)
         with pytest.raises(OverflowError, match="pair key"):

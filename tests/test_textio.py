@@ -9,6 +9,7 @@ from gridslp import (
     Grammar2D,
     GrammarBuilder,
     HConcat,
+    HoleConcat,
     Terminal,
     Tslp2D,
     emit_grammar,
@@ -140,6 +141,18 @@ class TestEmitErrors:
         g = b.finish(b.h(x, x))
         with pytest.raises(FormatError):
             emit_grammar(g)
+
+    @pytest.mark.parametrize("g,message", [
+        (Grammar2D((Terminal("x"), None), 0), "symbol S1 has no production"),
+        (Grammar2D((Terminal("x"), HConcat(0, 0)), 1, ("x", "a b")),
+         "label 'a b' is not serializable"),
+        (Grammar2D((Terminal("x"), HoleConcat("H", "first", 0, 1, 1)), 0),
+         "hole production in a plain grammar (symbol S1)"),
+    ], ids=["undefined", "bad-label", "context-in-plain"])
+    def test_refusals(self, g, message):
+        with pytest.raises(FormatError) as e:
+            emit_grammar(g)
+        assert str(e.value) == message
 
     def test_expansion_preserved_through_text(self, small_corpus):
         for name, g in small_corpus:
