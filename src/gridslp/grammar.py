@@ -642,11 +642,11 @@ def validate(g: Grammar2D, hole_marker: str = "#") -> ValidationReport:
     hole geometry (hole strictly inside a nonempty frame), start symbol ground,
     dimension overflow beyond 2**62, and — for TSLPs — that ``hole_marker``
     does not occur as a terminal character (it must stay reserved for
-    materializing unfilled holes).  All but the start and marker checks are
-    :func:`compute_geometry`'s, and passing them keeps the geometry table
-    they computed.  A grammar that already keeps a table, which only that
-    pass or a :class:`GrammarBuilder` makes, has passed them, and only the
-    start and marker checks run.
+    materializing unfilled holes).  All but the start-ground and marker
+    checks are :func:`compute_geometry`'s, and passing them keeps the
+    geometry table they computed.  A grammar that already keeps a table,
+    which only that pass or a :class:`GrammarBuilder` makes, has passed
+    them, and only the start and marker checks run.
     """
     rules, labels, start = g.rules, g.labels, g.start
     if not (0 <= start < len(rules)):
@@ -677,10 +677,13 @@ def compute_geometry(g: Grammar2D) -> GeometryTable:
     Computed once per grammar object: the table is kept on ``g`` (as
     :func:`validate` and :meth:`GrammarBuilder.finish` keep theirs) and
     returned again on later calls.  A grammar that fails a check of
-    ``validate`` other than the start and hole-marker ones raises the first
-    violation ``validate`` would report (:class:`OverflowError` for an
-    overflow, :class:`GridSlpError` otherwise) and keeps nothing.
+    ``validate`` other than the start-ground and hole-marker ones raises the
+    first violation ``validate`` would report (:class:`OverflowError` for an
+    overflow, :class:`GridSlpError` otherwise) and keeps nothing; a start
+    id out of range is refused before a kept table is looked up.
     """
+    if not 0 <= g.start < len(g.rules):
+        raise GridSlpError(str(validate(g)))
     if g._geometry is None:
         out: list = []
         if not _check(g, out):
@@ -888,6 +891,8 @@ class GrammarBuilder:
     def finish(self, start: int) -> Grammar2D:
         """The grammar of every symbol added so far, derived from ``start``,
         with a copy of this builder's geometry table kept on it."""
+        if not 0 <= start < len(self.rules):
+            raise ParameterError(f"start symbol {start} is out of range")
         if self._hole[start] is not None:
             raise DimensionMismatch("start symbol must be ground")
         # A grammar with an apply has a context, so the holes decide.

@@ -5,12 +5,13 @@ row-major), which is exactly the height/width/payload contract the rest of the
 package assumes; ``matrix_to_text`` writes the text form the CLI prints
 (one row per line, characters unseparated).
 
-Expansion works bottom-up: every reachable symbol small enough to be worth
-caching is materialized once, larger symbols are filled by blitting the cached
-blocks, so repeated substructure (which is the whole point of grammar
-compression) costs one copy per occurrence instead of one descent per cell.
+Expansion is one depth-first walk that paints the output and, as it goes,
+caches the block of every symbol small enough to be worth caching; a cached
+symbol met again is one copy of its block, so repeated substructure (which is
+the whole point of grammar compression) costs one copy per occurrence instead
+of one descent per cell.
 Context symbols materialize with the hole filled by a marker character.
-Both passes follow the geometry table's child placements (see
+The walk follows the geometry table's child placements (see
 :func:`gridslp.grammar.layout`) rather than the productions: a block is its
 two children side by side, or an argument pasted over its context's hole.
 """
@@ -27,7 +28,6 @@ from .grammar import (
     Grammar2D,
     ParameterError,
     compute_geometry,
-    reachable_topo,
 )
 
 #: Default ceiling on materialized cells (2**26 ~= 67M cells).
@@ -65,8 +65,9 @@ def expand(
 
     Context symbols yield their frame with hole cells holding ``hole_marker``.
     Raises :class:`ParameterError` for a ``sym`` out of range or undefined,
-    and :class:`AreaLimitExceeded` if the result (or the area bookkeeping
-    for it) would exceed ``max_cells``.
+    and :class:`AreaLimitExceeded` if the result would exceed ``max_cells``.
+    One stack walk paints the result and caches the blocks of symbols of at
+    most ``_MEMO_CELLS`` cells as their last cell is painted.
     """
     if sym is None:
         sym = g.start
@@ -84,47 +85,35 @@ def expand(
             f"{h}x{w} = {h * w} cells exceeds the limit of {max_cells}"
         )
 
-    # Pass 1: cache small reachable symbols bottom-up.  A cached entry holds
-    # the fully materialized block (hole cells already marked for contexts).
+    # A symbol of at most _MEMO_CELLS cells pushes its finish marker ~s below
+    # its children and is cached when that pops.  Box 1 goes deeper than the
+    # second child, so an argument plugged at an apply or compose overwrites
+    # the hole marker its context paints after the context is cached.  Only
+    # hole cells are painted over, so a ground block is cached as a view and
+    # copied out when met again: a compact copy pastes about twice as fast.
     memo: dict[int, np.ndarray] = {}
-    for s in reachable_topo(geo, sym):
-        if H[s] * W[s] > _MEMO_CELLS:
-            continue
-        e = E[s]
-        if e.__class__ is str:
-            memo[s] = np.full((1, 1), e, dtype="<U1")
-            continue
-        c1, x1, y1, x2, y2, c2, _, _ = e
-        one = memo[c1]
-        if c2 is None:
-            two = np.full(HOLES[s][:2], hole_marker, dtype="<U1")
-        else:
-            two = memo[c2]
-        if two.shape == (H[s], W[s]):
-            # c2 spans the frame (apply, compose): box 1 overwrites its hole.
-            block = two.copy()
-            block[x1:x2, y1:y2] = one
-        else:
-            # The two boxes sit side by side, box 1 first iff it is at (0, 0).
-            pair = (one, two) if x1 == 0 and y1 == 0 else (two, one)
-            block = np.concatenate(pair, axis=1 if x2 - x1 == H[s] else 0)
-        memo[s] = block
-
-    # Pass 2: fill the output buffer, descending only through uncached symbols.
-    # Box 1 goes deeper in the LIFO stack than the second child, so everything
-    # the second child pushes is painted first: an argument plugged at an
-    # apply or compose overwrites the hole marker its context paints.
     buf = np.empty((h, w), dtype="<U1")
     stack: list[tuple[int, int, int]] = [(sym, 0, 0)]
     while stack:
         s, ox, oy = stack.pop()
+        if s < 0:
+            s = ~s
+            block = buf[ox : ox + H[s], oy : oy + W[s]]
+            memo[s] = block if HOLES[s] is None else block.copy()
+            continue
         block = memo.get(s)
         if block is not None:
-            bh, bw = block.shape
-            buf[ox : ox + bh, oy : oy + bw] = block
+            if block.base is buf:
+                memo[s] = block = block.copy()
+            buf[ox : ox + H[s], oy : oy + W[s]] = block
             continue
-        # Terminals are always cached, so this is a two-box entry.
-        c1, x1, y1, _, _, c2, dx2, dy2 = E[s]
+        e = E[s]
+        if e.__class__ is str:
+            buf[ox, oy] = e
+            continue
+        if H[s] * W[s] <= _MEMO_CELLS:
+            stack.append((~s, ox, oy))
+        c1, x1, y1, _, _, c2, dx2, dy2 = e
         stack.append((c1, ox + x1, oy + y1))
         if c2 is None:
             p, q, hr, hc = HOLES[s]

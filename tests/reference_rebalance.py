@@ -6,8 +6,13 @@ each symbol's children from its production.  ``rebalance_plain_2d`` (the
 start's row symbols folded as the roots of one plan, then stacked),
 ``balance_1d`` and ``balance_to_tslp`` are the library's routes run through
 them.  The library builds the rows on arrays and folds over flat child
-lists; the tests require its grammars, stats, emitted text and plans
-(marks, splits, canonical heavy parents and requests) to equal these.
+lists, and numbers its row pairs round by round, so its linearization and
+the plans over it equal these only through the bijection between the two
+DAGs' ids (``test_rebalance_reference._bijection``): the tests renumber the
+library's grammars, emitted text and plans (marks, splits, canonical heavy
+parents and requests) by it and then require equality.  The rebalance's
+output, ``balance_1d`` and ``balance_to_tslp`` of a common input and the
+stats are compared by id.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ from gridslp import (
     build_fast,
     compute_geometry,
     expand,
+    linearize_rows,
     parse_grammar,
     validate,
 )
@@ -138,6 +139,15 @@ class TestBuilder:
         with pytest.raises(DimensionMismatch) as e:
             b.finish(ctx)
         assert str(e.value) == "start symbol must be ground"
+
+    @pytest.mark.parametrize("finish", ["finish", "finish_tslp"])
+    def test_finish_rejects_a_start_out_of_range(self, finish):
+        b = GrammarBuilder()
+        b.h(b.terminal("a"), b.terminal("b"))
+        for start in (-1, len(b)):
+            with pytest.raises(ParameterError) as e:
+                getattr(b, finish)(start)
+            assert str(e.value) == f"start symbol {start} is out of range"
 
     def test_chain(self):
         b = GrammarBuilder(dedup=False)
@@ -420,6 +430,26 @@ class TestValidate:
         rep = validate(Grammar2D((Terminal("x"),), start))
         assert rep.violations == (grammar.Violation(
             "undefined", start, str(start), "start symbol id out of range"),)
+
+    @pytest.mark.parametrize("start", [-1, 2])
+    @pytest.mark.parametrize("entry", [
+        compute_geometry,
+        lambda g: access_tslp(g, 1, 1),
+        build_fast,
+        linearize_rows,
+        balance_to_tslp,
+    ], ids=["compute_geometry", "access_tslp", "build_fast", "linearize_rows",
+            "balance_to_tslp"])
+    def test_start_out_of_range_refused(self, entry, start):
+        """A start id out of range is never read as another symbol's (-1
+        was the last one's), kept table or not."""
+        rules = (Terminal("a"), Terminal("b"))
+        kept = grammar._with_geometry(
+            Grammar2D(rules, start), compute_geometry(Grammar2D(rules, 0)))
+        for g in (Grammar2D(rules, start), kept):
+            with pytest.raises(GridSlpError) as e:
+                entry(g)
+            assert str(e.value) == f"[undefined] {start}: start symbol id out of range"
 
     def test_overflow_flagged_by_validate(self):
         # Assembled by hand so the oversized grammar exists to be validated.

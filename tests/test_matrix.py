@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gridslp import matrix
 from gridslp import (
     AreaLimitExceeded,
     Grammar2D,
@@ -14,12 +15,13 @@ from gridslp import (
     Terminal,
     build_bin,
     build_shiftbin,
+    build_spiral,
     expand,
     matrix_to_text,
     max_cells_default,
 )
 
-from conftest import example_tslp
+from conftest import example_tslp, random_tslp
 from reference_gadgets import reference_bin, reference_shiftbin
 
 
@@ -124,3 +126,38 @@ def test_deep_grammar_expands_iteratively():
         s = b.h(s, a)
     g = b.finish(s)
     assert expand(g).shape == (1, 30_001)
+
+
+def test_cache_cap_does_not_change_the_expansion(monkeypatch):
+    """Caching nothing, only single cells or only blocks of up to four cells
+    paints what the default cap paints, hole markers included, for every
+    symbol of the differential corpus and the spirals 2^8..2^10."""
+    cases = [(t, s) for t in map(random_tslp, range(300)) for s in range(t.symbols)]
+    cases += [(g, g.start) for g in (build_spiral(1 << k) for k in (8, 9, 10))]
+    want = [expand(t, s) for t, s in cases]
+    for cap in (0, 1, 4):
+        monkeypatch.setattr(matrix, "_MEMO_CELLS", cap)
+        for i, ((t, s), w) in enumerate(zip(cases, want)):
+            got = expand(t, s)
+            assert got.shape == w.shape and (got == w).all(), (cap, i)
+
+
+@pytest.mark.parametrize("apply_first", [False, True])
+def test_context_cached_with_its_hole_open(apply_first):
+    """One expansion paints the context C = [hole, x] twice: under an apply
+    that fills its hole with y, and inside a compose that leaves its hole
+    open.  Whichever comes first caches C's block, which must hold the hole
+    marker, not y."""
+    b = GrammarBuilder()
+    x, y, g = b.terminal("x"), b.terminal("y"), b.terminal("g")
+    c = b.hole_concat("H", "first", x, 1, 1)
+    filled = b.apply(c, y)
+    opened = b.compose(b.hole_concat("V", "first", b.h(g, g), 1, 2), c)
+    if apply_first:
+        # A compose paints its outer context, which holds the apply, first.
+        top = b.compose(b.hole_concat("V", "first", filled, 2, 2), opened)
+    else:
+        # A context concat paints its context, the compose, first.
+        top = b.ctx_concat("V", "first", opened, filled)
+    t = b.finish_tslp(b.apply(top, x))
+    assert expand(t, top).tolist() == [["#", "x"], ["g", "g"], ["y", "x"]]
