@@ -17,7 +17,7 @@ from .grammar import (
     Grammar2D,
     InternalHoleHit,
     OutOfBounds,
-    compute_geometry,
+    _table,
 )
 
 
@@ -32,10 +32,11 @@ def access_tslp(
     the filling argument (at an ``apply``) or the plugged context (at a
     ``compose``) translates it by the hole origin.
     """
-    if geo is None:
-        geo = compute_geometry(t)
-    entries = geo.entries
     cur = t.start
+    # ``_table``'s check of a given table, inline so that a query pays no call.
+    if geo is None or not 0 <= cur < len(geo.entries) or geo.entries[cur] is None:
+        geo = _table(t, geo)
+    entries = geo.entries
     h, w = geo.heights[cur], geo.widths[cur]
     if not (1 <= x <= h and 1 <= y <= w):
         raise OutOfBounds(f"position ({x},{y}) outside the {h}x{w} matrix")

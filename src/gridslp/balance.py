@@ -55,6 +55,7 @@ from .grammar import (
     NotOneDimensional,
     Tslp2D,
     _post_order,
+    _table,
     as_tslp,
     compute_geometry,
 )
@@ -90,8 +91,7 @@ def _plain(
 ) -> tuple[Grammar2D, GeometryTable]:
     """``g`` and its geometry table, with its contexts inlined first
     (``_inline_contexts``) if any symbol has a hole."""
-    if geo is None:
-        geo = compute_geometry(g)
+    geo = _table(g, geo)
     if any(geo.holes):
         g = _inline_contexts(g, geo)
         geo = compute_geometry(g)
@@ -108,8 +108,7 @@ def _inline_contexts(t: Grammar2D, geo: GeometryTable | None = None) -> Grammar2
     contents), so a context applied to k distinct arguments is copied k
     times but never more.
     """
-    if geo is None:
-        geo = compute_geometry(t)
+    geo = _table(t, geo)
     H, W, HOLE, E = geo.heights, geo.widths, geo.holes, geo.entries
     b = GrammarBuilder(dedup=True)
     memo: dict[tuple[int, int | None], int] = {}
@@ -361,8 +360,7 @@ def balance_to_tslp(
     suffix to the chain's end.  If the fold comes out deeper than the input,
     the input itself is returned.
     """
-    if geo is None:
-        geo = compute_geometry(g)
+    geo = _table(g, geo)
     source = g
     input_size = g.size
     input_depth = geo.depths[g.start]

@@ -44,7 +44,7 @@ from .grammar import (
     OutOfBounds,
     ParameterError,
     Tslp2D,
-    compute_geometry,
+    _table,
 )
 
 
@@ -61,10 +61,11 @@ class FastParams:
     def from_area(cls, area: int, epsilon: float) -> "FastParams":
         if not (math.isfinite(epsilon) and epsilon > 0):
             raise ParameterError(f"epsilon must be finite and positive, got {epsilon}")
-        if area <= 2:
-            k = 1
-        else:
-            k = max(1, math.floor((epsilon / 3.0) * math.log2(math.log2(area))))
+        k = (epsilon / 3.0) * math.log2(math.log2(area)) if area > 2 else 1
+        if k >= 63:  # B = 2^K stays an int64; infinity is refused too
+            raise ParameterError(f"epsilon {epsilon} asks for more than 62 "
+                                 f"unwinding levels on a {area}-cell matrix")
+        k = max(1, math.floor(k))
         return cls(epsilon=epsilon, levels=k, b_bound=1 << k, area=area)
 
 
@@ -223,8 +224,7 @@ def build_fast(
     The grids, and so the symbols and sizes, are equal to those of painting
     one symbol at a time, which the tests keep as the oracle.
     """
-    if geo is None:
-        geo = compute_geometry(t)
+    geo = _table(t, geo)
     h, w = geo.dims(t.start)
     params = FastParams.from_area(h * w, epsilon)
     entry, (H, W, _), (P, Q, HR, HC) = geo.columns

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .grammar import Grammar2D, GrammarBuilder, ParameterError
+from .grammar import Grammar2D, GrammarBuilder, ParameterError, compute_geometry
 from .transforms import rotate_cw
 
 
@@ -265,16 +265,15 @@ def spiral_params(N: int, c: int = 1) -> SpiralParams:
 
 
 def _import_symbols(b: GrammarBuilder, g: Grammar2D) -> list[int]:
-    """Copy a builder-made plain grammar into ``b`` in id order, which lists
-    children first; id map."""
-    idmap = [0] * len(g.rules)
-    for sym, r in enumerate(g.rules):
-        if r.kind == "term":
-            idmap[sym] = b.terminal(r.char)
-        elif r.kind == "h":
-            idmap[sym] = b.h(idmap[r.left], idmap[r.right])
+    """Copy a builder-made plain grammar into ``b`` by its geometry table's
+    entries, in id order, which lists children first; id map."""
+    idmap: list[int] = []
+    for e in compute_geometry(g).entries:
+        if e.__class__ is str:
+            idmap.append(b.terminal(e))
         else:
-            idmap[sym] = b.v(idmap[r.top], idmap[r.bottom])
+            x, y = idmap[e[0]], idmap[e[5]]
+            idmap.append(b.h(x, y) if e[7] > 0 else b.v(x, y))
     return idmap
 
 

@@ -508,15 +508,6 @@ def _post_order(first, second, roots, on_cycle=None) -> list[int]:
     return order
 
 
-def reachable_topo(geo: GeometryTable, root: int) -> list[int]:
-    """The symbols ``root`` reaches, children before parents, read off the
-    entries of the geometry table ``geo``."""
-    E = geo.entries
-    first = [e[0] if e.__class__ is tuple else -1 for e in E]
-    second = [-1 if e.__class__ is not tuple or e[5] is None else e[5] for e in E]
-    return _post_order(first, second, (root,))
-
-
 # ---------------------------------------------------------------------------
 # Validation
 
@@ -650,14 +641,12 @@ def validate(g: Grammar2D, hole_marker: str = "#") -> ValidationReport:
     """
     rules, labels, start = g.rules, g.labels, g.start
     if not (0 <= start < len(rules)):
-        return ValidationReport((Violation(
-            "undefined", start, str(start), "start symbol id out of range"),))
+        return ValidationReport((_start_fault(g, rules),))
     out: list[Violation] = []
     if g._geometry is None:
         _check(g, out)
     if rules[start] is None:
-        out.append(Violation(
-            "undefined", start, labels[start], "start symbol has no production"))
+        out.append(_start_fault(g, rules))
     elif rules[start].kind in CONTEXT_KINDS:
         out.append(Violation(
             "start", start, labels[start], "start symbol must be ground (hole-free)"))
@@ -671,25 +660,45 @@ def validate(g: Grammar2D, hole_marker: str = "#") -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
+def _start_fault(g: Grammar2D, defined: tuple) -> Violation:
+    """``validate``'s violation for a start that ``defined`` (``g``'s rules
+    or a table's entries) does not define."""
+    s = g.start
+    if 0 <= s < min(len(defined), len(g.labels)):
+        return Violation("undefined", s, g.labels[s], "start symbol has no production")
+    return Violation("undefined", s, str(s), "start symbol id out of range")
+
+
 def compute_geometry(g: Grammar2D) -> GeometryTable:
     """Geometry of every defined symbol of a sound grammar.
 
     Computed once per grammar object: the table is kept on ``g`` (as
     :func:`validate` and :meth:`GrammarBuilder.finish` keep theirs) and
-    returned again on later calls.  A grammar that fails a check of
+    returned again on later calls.  A start out of range or undefined is
+    refused first, kept table or not.  Then a grammar that fails a check of
     ``validate`` other than the start-ground and hole-marker ones raises the
     first violation ``validate`` would report (:class:`OverflowError` for an
-    overflow, :class:`GridSlpError` otherwise) and keeps nothing; a start
-    id out of range is refused before a kept table is looked up.
+    overflow, :class:`GridSlpError` otherwise) and keeps nothing.
     """
-    if not 0 <= g.start < len(g.rules):
-        raise GridSlpError(str(validate(g)))
+    if not 0 <= g.start < len(g.rules) or g.rules[g.start] is None:
+        raise GridSlpError(str(_start_fault(g, g.rules)))
     if g._geometry is None:
         out: list = []
         if not _check(g, out):
             v = out[0]
             raise (OverflowError if v.code == "overflow" else GridSlpError)(str(v))
     return g._geometry
+
+
+def _table(g: Grammar2D, geo: GeometryTable | None) -> GeometryTable:
+    """``g``'s own table if ``geo`` is None, else ``geo`` once it is seen to
+    define ``g.start``: an entry point never answers from another symbol."""
+    if geo is None:
+        return compute_geometry(g)
+    s, E = g.start, geo.entries
+    if 0 <= s < len(E) and E[s] is not None:
+        return geo
+    raise GridSlpError(str(_start_fault(g, E)))
 
 
 # ---------------------------------------------------------------------------

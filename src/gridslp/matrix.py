@@ -27,7 +27,7 @@ from .grammar import (
     GeometryTable,
     Grammar2D,
     ParameterError,
-    compute_geometry,
+    _table,
 )
 
 #: Default ceiling on materialized cells (2**26 ~= 67M cells).
@@ -69,16 +69,15 @@ def expand(
     One stack walk paints the result and caches the blocks of symbols of at
     most ``_MEMO_CELLS`` cells as their last cell is painted.
     """
+    geo = _table(g, geo)
+    H, W, HOLES, E = geo.heights, geo.widths, geo.holes, geo.entries
     if sym is None:
         sym = g.start
-    if not 0 <= sym < g.symbols or g.rules[sym] is None:
+    if not 0 <= sym < len(E) or E[sym] is None:
         raise ParameterError(f"symbol {sym} is out of range or undefined")
-    if geo is None:
-        geo = compute_geometry(g)
     if max_cells is None:
         max_cells = max_cells_default()
 
-    H, W, HOLES, E = geo.heights, geo.widths, geo.holes, geo.entries
     h, w = H[sym], W[sym]
     if h * w > max_cells:
         raise AreaLimitExceeded(

@@ -1,14 +1,14 @@
 """Structure-preserving transforms on plain grammars.
 
 The workhorses here rearrange derivations without ever materializing the
-matrix: clockwise rotation by production rewriting, margin extraction, row
+matrix: clockwise rotation, margin extraction, row
 linearization of a 2D grammar, and the rebalancing pipeline built on it
 (linearize the rows, balance each row, stack the rows).
 
-Margin extraction follows the geometry table's entries in the order
-``reachable_topo`` lists them.  The linearization reads its input from the
-table's int64 view (``GeometryTable.columns``), not from the productions,
-walks it once (``grammar._post_order``), and runs on numpy arrays, one
+Rotation rewrites the geometry table's entries into productions.  Margin
+extraction and the linearization read their input from the table's int64
+view (``GeometryTable.columns``), not from the productions, and walk it
+once (``grammar._post_order``).  The linearization runs on numpy arrays, one
 round per input depth, which looks its row pairs up in one sorted array of
 the pairs made so far, and hands its row symbols on as the fold's flat
 form (``balance._Dag``), numbered round by round in order of first
@@ -34,32 +34,31 @@ from .grammar import (
     GrammarBuilder,
     HConcat,
     ParameterError,
+    Terminal,
     VConcat,
     _post_order,
+    _table,
     compute_geometry,
-    reachable_topo,
 )
 
 
 def rotate_cw(g: Grammar2D) -> Grammar2D:
     """The grammar deriving exp(g) rotated 90 degrees clockwise.
 
-    Purely a production rewrite: horizontal concats become vertical ones in
-    the same order (left column turns into top rows), vertical concats become
-    horizontal ones with operands swapped (top rows turn into right columns).
-    Symbol count and ids are unchanged.
+    A rewrite of the geometry table's entries, so ``g`` must be sound and
+    hole-free: a concat with its second child beside the first turns
+    vertical in the same order (left column into top rows), one with it
+    below turns horizontal with operands swapped (top rows into right
+    columns).  Symbol count and ids are unchanged.
     """
-    new_rules = []
-    for r in g.rules:
-        if r is None or r.kind == "term":
-            new_rules.append(r)
-        elif r.kind == "h":
-            new_rules.append(VConcat(r.left, r.right))
-        elif r.kind == "v":
-            new_rules.append(HConcat(r.bottom, r.top))
-        else:
-            raise ParameterError("rotation is defined for plain grammars only")
-    return Grammar2D(rules=tuple(new_rules), start=g.start, labels=g.labels)
+    geo = compute_geometry(g)
+    if any(geo.holes):
+        raise ParameterError("rotation is defined for plain grammars only")
+    rules = tuple(
+        e if e is None else Terminal(e) if e.__class__ is str
+        else VConcat(e[0], e[5]) if e[7] > 0 else HConcat(e[5], e[0])
+        for e in geo.entries)
+    return Grammar2D(rules=rules, start=g.start, labels=g.labels)
 
 
 def margin_slp(g: Grammar2D, side: str) -> Grammar1D:
@@ -67,7 +66,7 @@ def margin_slp(g: Grammar2D, side: str) -> Grammar1D:
 
     ``side`` is ``top``/``bottom``/``left``/``right``.  Column margins are
     returned as height-1 strings read top to bottom.  Follows the geometry
-    table's entries: a concat along the margin's direction joins both
+    table's int64 view: a concat along the margin's direction joins both
     children's margins, and one across it keeps the first child's (top,
     left) or the second child's (bottom, right), so the output has at most
     one production per reachable input symbol.  A reachable hole raises
@@ -78,21 +77,21 @@ def margin_slp(g: Grammar2D, side: str) -> Grammar1D:
     # A horizontal concat runs along a row margin.
     rows, first = side in ("top", "bottom"), side in ("top", "left")
     geo = compute_geometry(g)
-    E, HOLE = geo.entries, geo.holes
+    (c1, _, _, c2, _, dy2), _, (p, _, _, _) = geo.columns
+    left, right, along = c1.tolist(), c2.tolist(), ((dy2 > 0) == rows).tolist()
+    post = _post_order(left, right, [g.start])
+    if p[post].any():
+        raise ParameterError("margins are defined for plain grammars only")
     b = GrammarBuilder(dedup=True)
     out: dict[int, int] = {}
-    for sym in reachable_topo(geo, g.start):
-        e = E[sym]
-        if e.__class__ is str:
-            out[sym] = b.terminal(e)
-            continue
-        if HOLE[sym] is not None:
-            raise ParameterError("margins are defined for plain grammars only")
-        c1, _, _, _, _, c2, _, dy2 = e
-        if (dy2 > 0) == rows:
-            out[sym] = b.h(out[c1], out[c2])
+    for sym in post:
+        x = left[sym]
+        if x < 0:
+            out[sym] = b.terminal(geo.entries[sym])
+        elif along[sym]:
+            out[sym] = b.h(out[x], out[right[sym]])
         else:
-            out[sym] = out[c1 if first else c2]
+            out[sym] = out[x if first else right[sym]]
     return b.finish(out[g.start])
 
 
@@ -114,8 +113,7 @@ def linearize_rows(g: Grammar2D, geo: GeometryTable | None = None) -> Grammar1D:
     gives each its own id; the builder then makes the join and keeps its
     geometry table on the grammar it returns.
     """
-    if geo is None:
-        geo = compute_geometry(g)
+    geo = _table(g, geo)
     dag, parts = _linearize(g, geo)
     b = GrammarBuilder()
     for x, y, c in zip(dag.left, dag.right, dag.op):

@@ -46,6 +46,15 @@ def rule_order(rules, roots) -> list[int]:
     return _post_order([k[0] for k in kids], [k[1] for k in kids], roots)
 
 
+def reachable_topo(geo, root: int) -> list[int]:
+    """The symbols ``root`` reaches, children before parents, read off the
+    entries of the geometry table ``geo``."""
+    E = geo.entries
+    first = [e[0] if e.__class__ is tuple else -1 for e in E]
+    second = [-1 if e.__class__ is not tuple or e[5] is None else e[5] for e in E]
+    return _post_order(first, second, (root,))
+
+
 def near_bound_grammar():
     """A (2^62 - 1) x 2^61 grammar of doubling chains: rows of the block
     ``ac/da`` repeated, over one row of ``cd``."""

@@ -28,7 +28,7 @@ from gridslp import (
     validate,
 )
 from gridslp.balance import _inline_contexts, _shallow
-from gridslp.grammar import PLAIN_KINDS, reachable_topo
+from gridslp.grammar import PLAIN_KINDS
 from gridslp.transforms import _linearize
 
 from conftest import (
@@ -37,6 +37,7 @@ from conftest import (
     fresh_geometry,
     glyph_quadtree,
     random_tslp,
+    reachable_topo,
     sample_positions,
 )
 from reference_balance import eliminate_contexts_1d

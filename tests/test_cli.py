@@ -14,6 +14,7 @@ from gridslp import (
     emit_grammar,
     expand,
     parse_grammar,
+    random_grammar,
 )
 from gridslp.cli import main
 from gridslp.matrix import DEFAULT_MAX_CELLS
@@ -337,6 +338,18 @@ class TestBench:
             code, out, err = run(*argv, f"--epsilon={epsilon}")
             assert code == 2, argv
             assert "epsilon must be finite and positive" in err, argv
+
+    @pytest.mark.parametrize("epsilon", ["1e12", "1e20", "1e308"])
+    def test_absurd_epsilon_is_usage_error(self, run, tmp_path, epsilon):
+        """An ε that asks for more than 62 unwinding levels is refused
+        before the index computes 2^K."""
+        path = tmp_path / "random.slp"
+        path.write_text(emit_grammar(random_grammar(3, 60)))
+        for argv in (("bench", path, "--queries", 4), ("access", path, 1, 1, "--fast")):
+            code, out, err = run(*argv, f"--epsilon={epsilon}")
+            assert code == 2, argv
+            assert out == ""
+            assert "more than 62 unwinding levels" in err, argv
 
 
 class TestMaxCellsEnvironment:

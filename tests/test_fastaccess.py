@@ -34,9 +34,8 @@ from gridslp import (
     validate,
 )
 from gridslp import fastaccess
-from gridslp.grammar import reachable_topo
 
-from conftest import near_bound_grammar, random_tslp, sample_positions
+from conftest import near_bound_grammar, random_tslp, reachable_topo, sample_positions
 from reference_index import PredecessorSet, _unwind, reference_build
 
 
@@ -109,6 +108,13 @@ class TestFastParams:
     def test_rejects_nonfinite_epsilon(self, epsilon):
         with pytest.raises(ParameterError):
             FastParams.from_area(100, epsilon)
+
+    def test_at_most_62_levels(self):
+        # log2 log2 2^16 = 4, so K = ⌊ε·4/3⌋.
+        assert FastParams.from_area(1 << 16, 46.5).levels == 62
+        for epsilon in (47.25, 1e12, 1e308):
+            with pytest.raises(ParameterError, match="more than 62 unwinding levels"):
+                FastParams.from_area(1 << 16, epsilon)
 
 
 def _region_area(region):

@@ -33,17 +33,17 @@ from gridslp import (
     expand,
     linearize_rows,
     parse_grammar,
+    rebalance_plain_2d,
     validate,
 )
 from gridslp import grammar
 from gridslp.grammar import (
     _post_order,
     children,
-    reachable_topo,
     rule_size,
 )
 
-from conftest import example_tslp, fresh_geometry, random_tslp
+from conftest import example_tslp, fresh_geometry, random_tslp, reachable_topo
 
 
 class TestBuilder:
@@ -431,25 +431,35 @@ class TestValidate:
         assert rep.violations == (grammar.Violation(
             "undefined", start, str(start), "start symbol id out of range"),)
 
-    @pytest.mark.parametrize("start", [-1, 2])
+    @pytest.mark.parametrize("start", [-1, 2, "undefined"])
     @pytest.mark.parametrize("entry", [
-        compute_geometry,
-        lambda g: access_tslp(g, 1, 1),
-        build_fast,
+        lambda g, geo: compute_geometry(g),
+        lambda g, geo: access_tslp(g, 1, 1, geo),
+        lambda g, geo: build_fast(g, geo=geo),
         linearize_rows,
         balance_to_tslp,
+        rebalance_plain_2d,
+        lambda g, geo: expand(g, geo=geo),
     ], ids=["compute_geometry", "access_tslp", "build_fast", "linearize_rows",
-            "balance_to_tslp"])
+            "balance_to_tslp", "rebalance_plain_2d", "expand"])
     def test_start_out_of_range_refused(self, entry, start):
-        """A start id out of range is never read as another symbol's (-1
-        was the last one's), kept table or not."""
-        rules = (Terminal("a"), Terminal("b"))
-        kept = grammar._with_geometry(
-            Grammar2D(rules, start), compute_geometry(Grammar2D(rules, 0)))
-        for g in (Grammar2D(rules, start), kept):
+        """A start id out of range, or in range but undefined, is never read
+        as another symbol's (-1 was the last one's): not with a kept table,
+        and not with a table handed in as ``geo=``, here the one of the same
+        rules at start 0."""
+        if start == "undefined":
+            rules, start = (Terminal("a"), None), 1
+            message = "[undefined] S1: start symbol has no production"
+        else:
+            rules = (Terminal("a"), Terminal("b"))
+            message = f"[undefined] {start}: start symbol id out of range"
+        table = compute_geometry(Grammar2D(rules, 0))
+        kept = grammar._with_geometry(Grammar2D(rules, start), table)
+        for g, geo in ((Grammar2D(rules, start), None), (kept, None),
+                       (Grammar2D(rules, start), table)):
             with pytest.raises(GridSlpError) as e:
-                entry(g)
-            assert str(e.value) == f"[undefined] {start}: start symbol id out of range"
+                entry(g, geo)
+            assert str(e.value) == message
 
     def test_overflow_flagged_by_validate(self):
         # Assembled by hand so the oversized grammar exists to be validated.
@@ -482,14 +492,13 @@ HOLED_KIND_NAMES = re.compile(
 )
 
 
-#: The kind lists, and the functions outside grammar and textio that may
-#: read them or a production's kind: the two production rewrites.
+#: The kind lists, which no module outside grammar and textio reads.
 KIND_LISTS = {"PLAIN_KINDS", "CONTEXT_KINDS"}
-KIND_READERS = {("transforms.py", "rotate_cw"), ("gadgets.py", "_import_symbols")}
 
 
 def test_only_grammar_and_textio_name_holed_kinds():
-    """Everything else follows ``layout`` entries instead of the kinds."""
+    """Everything else follows ``layout`` entries instead of the kinds or
+    the productions."""
     src = Path(__file__).resolve().parent.parent / "src" / "gridslp"
     hits = [
         f"{path.name}:{i}: {line.strip()}"
@@ -499,22 +508,17 @@ def test_only_grammar_and_textio_name_holed_kinds():
         if HOLED_KIND_NAMES.search(line)
     ]
     assert not hits, "\n".join(hits)
-    # Outside grammar and textio, only the two production rewrites read a
-    # production's kind or the kind lists.
-    readers, hits = set(), []
-    for path in sorted(src.glob("*.py")):
-        if path.name in ("grammar.py", "textio.py"):
-            continue
-        for top in ast.parse(path.read_text()).body:
-            where = (path.name, getattr(top, "name", None))
-            for node in ast.walk(top):
-                if (isinstance(node, ast.Attribute) and node.attr == "kind"
-                        or isinstance(node, ast.Name) and node.id in KIND_LISTS):
-                    readers.add(where)
-                    if where not in KIND_READERS:
-                        hits.append(f"{path.name}:{node.lineno}")
+    # Outside grammar and textio, nothing reads a production's kind, the
+    # kind lists or a grammar's productions (``.rules``).
+    hits = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        if path.name not in ("grammar.py", "textio.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("kind", "rules")
+        or isinstance(node, ast.Name) and node.id in KIND_LISTS
+    ]
     assert not hits, "\n".join(hits)
-    assert readers == KIND_READERS
 
 
 class TestGeometryCache:

@@ -32,10 +32,10 @@ from gridslp import (
 from gridslp import transforms
 from gridslp.balance import (
     KEEP_SLACK, _dag_of, _inline_contexts, _keep, _plan, _shallow)
-from gridslp.grammar import children, reachable_topo
+from gridslp.grammar import children
 
 import reference_rebalance as ref
-from conftest import random_tslp
+from conftest import random_tslp, reachable_topo
 
 #: (N, c) of the spirals 2^8..2^11 at c = 1, 2, 3 that ``build_spiral`` can
 #: make: at c ≥ 2 the sides below 2^10 leave no room for a ShiftBin block.

@@ -12,8 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridslp import (
+    Grammar2D,
     GrammarBuilder,
+    GridSlpError,
+    HConcat,
     ParameterError,
+    Terminal,
+    VConcat,
     build_cnm,
     build_spiral,
     compute_geometry,
@@ -27,12 +32,55 @@ from gridslp import (
 )
 from gridslp import transforms
 from gridslp.balance import _inline_contexts, _shallow
-from gridslp.grammar import reachable_topo
 
-from conftest import example_tslp, glyph_quadtree, random_tslp, row_caterpillar
+from conftest import (
+    example_tslp,
+    glyph_quadtree,
+    random_tslp,
+    reachable_topo,
+    row_caterpillar,
+)
+
+
+def rotate_by_kind(g):
+    """The oracle for ``rotate_cw``: the production rewrite by kind it
+    replaced.  A horizontal concat becomes a vertical one in the same order,
+    a vertical concat a horizontal one with operands swapped."""
+    rules = []
+    for r in g.rules:
+        if r is None or r.kind == "term":
+            rules.append(r)
+        elif r.kind == "h":
+            rules.append(VConcat(r.left, r.right))
+        elif r.kind == "v":
+            rules.append(HConcat(r.bottom, r.top))
+        else:
+            raise ParameterError("rotation is defined for plain grammars only")
+    return Grammar2D(rules=tuple(rules), start=g.start, labels=g.labels)
+
+
+def _outcome(f, g):
+    try:
+        return f(g)
+    except GridSlpError as e:
+        return type(e), str(e)
 
 
 class TestRotate:
+    def test_equals_rewrite_by_kind(self, small_corpus):
+        """Rewriting the table's entries gives the kind rewrite's grammar,
+        or its error, on plain and holed inputs alike."""
+        grammars = [g for _, g in small_corpus]
+        grammars += [random_grammar(seed, 50, max_dim=24) for seed in range(60)]
+        grammars += [_inline_contexts(random_tslp(seed)) for seed in range(150)]
+        for i, g in enumerate(grammars):
+            assert _outcome(rotate_cw, g) == _outcome(rotate_by_kind, g), i
+
+    def test_unsound_grammar_raises(self):
+        g = Grammar2D((Terminal("a"), HConcat(0, 2)), 1)
+        with pytest.raises(GridSlpError, match="out-of-range symbol 2"):
+            rotate_cw(g)
+
     def test_matches_numpy(self, small_corpus):
         for name, g in small_corpus:
             if g.text_kind != "SLP2D":
