@@ -75,33 +75,32 @@ def _load(path: str) -> Grammar2D:
     return g
 
 
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise ParameterError(f"--gadget {args.gadget} requires --{name}")
+def _emit(args, grammar, stats=None) -> int:
+    """Print ``stats`` as JSON to stderr under ``--stats``; write the grammar."""
+    if stats is not None and args.stats:
+        print(json.dumps(stats, indent=2), file=sys.stderr)
+    _write_text(emit_grammar(grammar), args.output)
+    return 0
+
+
+# Each gadget's builder and the flags it is called with, in order.  A flag
+# whose default is None is required; ``cnmseq`` keeps only the grammar.
+GADGETS = {
+    "bin": (build_bin, ("n",)),
+    "shiftbin": (build_shiftbin, ("n",)),
+    "cnm": (build_cnm, ("n", "m")),
+    "cnmseq": (lambda *flags: build_cnm_sequence(*flags)[0], ("n", "m", "b", "k")),
+    "spiral": (build_spiral, ("n", "c")),
+    "random": (random_grammar, ("seed", "size", "max_dim")),
+}
 
 
 def cmd_gen(args) -> int:
-    if args.gadget in ("bin", "shiftbin", "spiral"):
-        _require(args, "n")
-    elif args.gadget == "cnm":
-        _require(args, "n", "m")
-    elif args.gadget == "cnmseq":
-        _require(args, "n", "m", "b", "k")
-    if args.gadget == "bin":
-        g = build_bin(args.n)
-    elif args.gadget == "shiftbin":
-        g = build_shiftbin(args.n)
-    elif args.gadget == "cnm":
-        g = build_cnm(args.n, args.m)
-    elif args.gadget == "cnmseq":
-        g, _roots = build_cnm_sequence(args.n, args.m, args.b, args.k)
-    elif args.gadget == "spiral":
-        g = build_spiral(args.n, args.c)
-    else:
-        g = random_grammar(args.seed, args.size, max_dim=args.max_dim)
-    _write_text(emit_grammar(g), args.output)
-    return 0
+    builder, flags = GADGETS[args.gadget]
+    for name in flags:
+        if getattr(args, name) is None:
+            raise ParameterError(f"--gadget {args.gadget} requires --{name}")
+    return _emit(args, builder(*(getattr(args, name) for name in flags)))
 
 
 def cmd_stats(args) -> int:
@@ -138,62 +137,43 @@ def cmd_access(args) -> int:
 
 def cmd_balance(args) -> int:
     t, stats = balance_to_tslp(_load(args.file))
-    if args.stats:
-        print(
-            json.dumps(
-                {
-                    "inputSize": stats.input_size,
-                    "inlinedSize": stats.inlined_size,
-                    "outputSize": stats.output_size,
-                    "inputDepth": stats.input_depth,
-                    "outputDepth": stats.output_depth,
-                    "area": stats.area,
-                    "paths": stats.path_count,
-                    "requests": stats.request_count,
-                    "kept": stats.kept_count,
-                },
-                indent=2,
-            ),
-            file=sys.stderr,
-        )
-    _write_text(emit_grammar(t), args.output)
-    return 0
+    summary = {
+        "inputSize": stats.input_size,
+        "inlinedSize": stats.inlined_size,
+        "outputSize": stats.output_size,
+        "inputDepth": stats.input_depth,
+        "outputDepth": stats.output_depth,
+        "area": stats.area,
+        "paths": stats.path_count,
+        "requests": stats.request_count,
+        "kept": stats.kept_count,
+    }
+    return _emit(args, t, summary)
 
 
 def cmd_linearize(args) -> int:
-    _write_text(emit_grammar(linearize_rows(_load(args.file))), args.output)
-    return 0
+    return _emit(args, linearize_rows(_load(args.file)))
 
 
 def cmd_rebalance(args) -> int:
     out, stats = rebalance_plain_2d(_load(args.file))
-    if args.stats:
-        print(
-            json.dumps(
-                {
-                    "rows": stats.rows,
-                    "cols": stats.cols,
-                    "inputSize": stats.input_size,
-                    "inputDepth": stats.input_depth,
-                    "outputSize": stats.output_size,
-                    "outputDepth": stats.output_depth,
-                },
-                indent=2,
-            ),
-            file=sys.stderr,
-        )
-    _write_text(emit_grammar(out), args.output)
-    return 0
+    summary = {
+        "rows": stats.rows,
+        "cols": stats.cols,
+        "inputSize": stats.input_size,
+        "inputDepth": stats.input_depth,
+        "outputSize": stats.output_size,
+        "outputDepth": stats.output_depth,
+    }
+    return _emit(args, out, summary)
 
 
 def cmd_rotate(args) -> int:
-    _write_text(emit_grammar(rotate_cw(_load(args.file))), args.output)
-    return 0
+    return _emit(args, rotate_cw(_load(args.file)))
 
 
 def cmd_margins(args) -> int:
-    _write_text(emit_grammar(margin_slp(_load(args.file), args.side)), args.output)
-    return 0
+    return _emit(args, margin_slp(_load(args.file), args.side))
 
 
 def cmd_verify(args) -> int:
@@ -243,6 +223,15 @@ def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
 
 
+def _command(sub, name: str, func, help: str, file: bool = True):
+    """A subparser for ``name`` that runs ``func``, with its input ``file``."""
+    p = sub.add_parser(name, help=help)
+    if file:
+        p.add_argument("file")
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridslp",
@@ -250,12 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a gadget or random grammar")
-    p.add_argument(
-        "--gadget",
-        required=True,
-        choices=["bin", "shiftbin", "cnm", "cnmseq", "spiral", "random"],
-    )
+    p = _command(sub, "gen", cmd_gen, "generate a gadget or random grammar", file=False)
+    p.add_argument("--gadget", required=True, choices=list(GADGETS))
     p.add_argument("--n", type=int, default=None, help="size parameter")
     p.add_argument("--m", type=int, default=None, help="width parameter (cnm)")
     p.add_argument("--b", type=int, default=None, help="row step (cnmseq)")
@@ -265,15 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=64, help="target size (random)")
     p.add_argument("--max-dim", type=int, default=64, help="dimension cap (random)")
     _add_output(p)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("stats", help="grammar summary as JSON")
-    p.add_argument("file")
+    p = _command(sub, "stats", cmd_stats, "grammar summary as JSON")
     _add_output(p)
-    p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("expand", help="write the full matrix")
-    p.add_argument("file")
+    p = _command(sub, "expand", cmd_expand, "write the full matrix")
     p.add_argument(
         "--max-cells",
         type=int,
@@ -281,64 +262,53 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"area cap (default {DEFAULT_MAX_CELLS}, or env GRIDSLP_MAX_CELLS)",
     )
     _add_output(p)
-    p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("access", help="one cell by position")
-    p.add_argument("file")
+    p = _command(sub, "access", cmd_access, "one cell by position")
     p.add_argument("x", type=int)
     p.add_argument("y", type=int)
     p.add_argument("--fast", action="store_true", help="use the unwound index")
     p.add_argument("--epsilon", type=float, default=3.0)
     _add_output(p)
-    p.set_defaults(func=cmd_access)
 
-    p = sub.add_parser("balance", help="equivalent grammar with holes, low depth")
-    p.add_argument("file")
+    p = _command(
+        sub, "balance", cmd_balance, "equivalent grammar with holes, low depth"
+    )
     p.add_argument("--stats", action="store_true", help="print stats to stderr")
     _add_output(p)
-    p.set_defaults(func=cmd_balance)
 
-    p = sub.add_parser("linearize", help="1D grammar of the row-major flattening")
-    p.add_argument("file")
+    p = _command(
+        sub, "linearize", cmd_linearize, "1D grammar of the row-major flattening"
+    )
     _add_output(p)
-    p.set_defaults(func=cmd_linearize)
 
-    p = sub.add_parser(
+    p = _command(
+        sub,
         "rebalance",
-        help="equivalent plain grammar, low depth and never deeper "
+        cmd_rebalance,
+        "equivalent plain grammar, low depth and never deeper "
         "(shallow input comes back as it is)",
     )
-    p.add_argument("file")
     p.add_argument("--stats", action="store_true", help="print stats to stderr")
     _add_output(p)
-    p.set_defaults(func=cmd_rebalance)
 
-    p = sub.add_parser("rotate", help="rotate the expansion 90° clockwise")
-    p.add_argument("file")
+    p = _command(sub, "rotate", cmd_rotate, "rotate the expansion 90° clockwise")
     _add_output(p)
-    p.set_defaults(func=cmd_rotate)
 
-    p = sub.add_parser("margins", help="1D grammar of one margin")
-    p.add_argument("file")
+    p = _command(sub, "margins", cmd_margins, "1D grammar of one margin")
     p.add_argument("--side", required=True, choices=["top", "bottom", "left", "right"])
     _add_output(p)
-    p.set_defaults(func=cmd_margins)
 
-    p = sub.add_parser("verify", help="compare two grammars' expansions")
-    p.add_argument("file")
+    p = _command(sub, "verify", cmd_verify, "compare two grammars' expansions")
     p.add_argument("--against", required=True)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-cells", type=int, default=None)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="time the descent and the index access paths")
-    p.add_argument("file")
+    p = _command(sub, "bench", cmd_bench, "time the descent and the index access paths")
     p.add_argument("--queries", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=3.0)
     _add_output(p)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -4,7 +4,8 @@ The matrices here stress different parts of the package.  ``Bin`` enumerates
 all n-bit words between ``$`` markers; ``ShiftBin`` repeats it in
 progressively shifted column blocks so middle rows contain many distinct
 words; the ``C`` matrices stack shifted copies into two offset vertical
-strips; the spiral nests rotated ``C`` strips around a shrinking square.
+strips; the spiral nests ``C`` strips and their clockwise rotations, laid
+out from the strips' own geometry table, around a shrinking square.
 Each ``build_*`` grammar is checked against an independent oracle that
 fills a numpy matrix cell by cell straight from the definition; the oracles
 live with the tests (``tests/reference_gadgets.py``), so neither borrows
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .grammar import Grammar2D, GrammarBuilder, ParameterError, compute_geometry
-from .transforms import rotate_cw
 
 
 def _block_exponent_for(budget: Fraction) -> int:
@@ -236,7 +236,12 @@ class SpiralParams:
 
 
 def spiral_params(N: int, c: int = 1) -> SpiralParams:
-    """Derive and sanity-check the spiral parameters for side length N."""
+    """Derive the spiral parameters for side length N.
+
+    Once M' fits delta'/2, delta ≥ delta'/2, the block size re-derived from
+    delta is M' again and the centre block is non-empty, so none is checked
+    here; ``TestSpiral.test_params_invariants`` asserts all three.
+    """
     if N < 2 or N & (N - 1):
         raise ParameterError(f"spiral side must be a power of two ≥ 2, got {N}")
     if c < 1:
@@ -244,37 +249,9 @@ def spiral_params(N: int, c: int = 1) -> SpiralParams:
     logn = N.bit_length() - 1
     lam = math.ceil(2 * c * logn)
     delta_prime = Fraction(N, 8 * c * logn)
-    m = _block_exponent_for(delta_prime / 2)
-    mp = 1 << m
+    mp = 1 << _block_exponent_for(delta_prime / 2)
     delta = 2 * mp * math.floor(delta_prime / (2 * mp))
-    params = SpiralParams(N, c, delta_prime, lam, mp, delta)
-    if delta < delta_prime / 2:
-        raise ParameterError(
-            f"layer thickness {delta} fell below delta'/2 = {delta_prime / 2}"
-        )
-    if _block_exponent_for(Fraction(delta, 2)) != m:
-        raise ParameterError(
-            f"block size re-derived from delta={delta} disagrees with M'={mp}"
-        )
-    if params.center_width <= 0 or params.center_height <= 0:
-        raise ParameterError(
-            f"center block {params.center_height}x{params.center_width} is empty; "
-            f"N={N} is too small for {lam} layers of thickness {delta}"
-        )
-    return params
-
-
-def _import_symbols(b: GrammarBuilder, g: Grammar2D) -> list[int]:
-    """Copy a builder-made plain grammar into ``b`` by its geometry table's
-    entries, in id order, which lists children first; id map."""
-    idmap: list[int] = []
-    for e in compute_geometry(g).entries:
-        if e.__class__ is str:
-            idmap.append(b.terminal(e))
-        else:
-            x, y = idmap[e[0]], idmap[e[5]]
-            idmap.append(b.h(x, y) if e[7] > 0 else b.v(x, y))
-    return idmap
+    return SpiralParams(N, c, delta_prime, lam, mp, delta)
 
 
 def build_spiral(N: int, c: int = 1) -> Grammar2D:
@@ -283,16 +260,25 @@ def build_spiral(N: int, c: int = 1) -> Grammar2D:
     Layer i (side N − 2iΔ) wraps C strips clockwise around layer i+1: the
     full-height strip on the right, a rotated one on the bottom, then left,
     then top; the innermost square is all zeros.  All strips come from one
-    C-sequence grammar plus its clockwise rotation.
+    C-sequence grammar; its clockwise rotation is added to the same builder
+    from the sequence's own geometry table, at most one symbol per symbol.
     """
     sp = spiral_params(N, c)
     lam, delta = sp.lam, sp.delta
     n_base = N - (2 * lam - 1) * delta
     seq, roots = build_cnm_sequence(n_base, delta, delta, 2 * lam - 1)
-    rot = rotate_cw(seq)
 
+    # rmap[s] derives exp(s) rotated clockwise: a second child beside the
+    # first goes below it (left columns become top rows), one below the first
+    # goes to its left (top rows become right columns).
     b = GrammarBuilder.seeded(seq)
-    rmap = _import_symbols(b, rot)
+    rmap: list[int] = []
+    for e in compute_geometry(seq).entries:
+        if e.__class__ is str:
+            rmap.append(b.terminal(e))
+        else:
+            x, y = rmap[e[0]], rmap[e[5]]
+            rmap.append(b.v(x, y) if e[7] > 0 else b.h(y, x))
 
     def strip(m: int) -> int:
         # Vertical C strip of height N − m·delta.

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gridslp import (
+    GrammarBuilder,
     build_cnm,
     build_shiftbin,
     build_spiral,
@@ -291,6 +292,21 @@ class TestVerify:
         )
         assert code == 0
         assert "sampled" in out
+
+    def test_sampled_mismatch_when_over_cap(self, run, tmp_path):
+        paths = []
+        for char in "xy":
+            b = GrammarBuilder(dedup=True)
+            root = b.repeat("V", b.repeat("H", b.terminal(char), 32), 32)
+            paths.append(tmp_path / f"{char}.slp")
+            paths[-1].write_text(emit_grammar(b.finish(root)))
+        code, out, err = run(
+            "verify", paths[0], "--against", paths[1], "--max-cells", 100,
+            "--samples", 5,
+        )
+        assert code == 1
+        assert out == ""
+        assert "mismatch at" in err
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_sample_count_below_one_is_usage_error(self, run, tmp_path, samples):

@@ -17,9 +17,12 @@ from hypothesis import strategies as st
 from gridslp import (
     FastParams,
     GrammarBuilder,
+    HoleConcat,
     InternalHoleHit,
     OutOfBounds,
     ParameterError,
+    Terminal,
+    Tslp2D,
     access_fast,
     access_plain,
     access_tslp,
@@ -380,6 +383,17 @@ class TestAccessFast:
         for x, y in ((0, 1), (1, 0), (h + 1, 1), (1, w + 1)):
             with pytest.raises(OutOfBounds):
                 access_fast(idx, x, y)
+
+    def test_hole_hit_on_context_start(self):
+        """A 1x2 context whose start has its hole at (1,1): the index raises
+        where the descent does, naming the symbol, and agrees elsewhere."""
+        t = Tslp2D(rules=(Terminal("a"), HoleConcat("H", "first", 0, 1, 1)), start=1)
+        idx = build_fast(t)
+        with pytest.raises(InternalHoleHit, match="hole of symbol S1"):
+            access_fast(idx, 1, 1)
+        with pytest.raises(InternalHoleHit):
+            access_tslp(t, 1, 1)
+        assert access_fast(idx, 1, 2)[0] == access_tslp(t, 1, 2)[0] == "a"
 
     def test_plain_grammar_indexable(self):
         g = build_shiftbin(2)

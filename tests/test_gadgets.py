@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -180,11 +181,19 @@ class TestSpiral:
             assert (p.lam, p.delta, p.m_prime) == (lam, delta, mp), N
 
     def test_params_invariants(self):
-        for e in range(8, 17):
-            p = spiral_params(1 << e, 1)
-            assert p.delta * 2 >= p.delta_prime  # Δ ≥ Δ′/2
-            assert p.delta % (2 * p.m_prime) == 0
-            assert 1 << cnm_block_exponent(p.delta) == p.m_prime
+        """Wherever M' = 1 fits Δ′/2, Δ ≥ Δ′/2, Δ re-derives M' and the
+        centre is non-empty; spiral_params relies on this and checks none."""
+        for e in range(1, 65):
+            for c in range(1, 17):
+                if Fraction(1 << e, 16 * c * e) < 2:
+                    with pytest.raises(ParameterError, match="no ShiftBin block"):
+                        spiral_params(1 << e, c)
+                    continue
+                p = spiral_params(1 << e, c)
+                assert p.delta * 2 >= p.delta_prime, (e, c)  # Δ ≥ Δ′/2
+                assert p.delta % (2 * p.m_prime) == 0, (e, c)
+                assert 1 << cnm_block_exponent(p.delta) == p.m_prime, (e, c)
+                assert p.center_width > 0 and p.center_height > 0, (e, c)
 
     def test_spiral_is_square_and_valid(self):
         g = build_spiral(256)
