@@ -30,6 +30,7 @@ def test_readme_library_example():
 #: Every script under ``scripts/`` with the arguments of its smallest run.
 SCRIPT_RUNS = [
     ["access_bench.py", "--exp", "8", "--queries", "200"],
+    ["expand_bench.py", "--quick", "--calls", "1"],
     ["flatness_report.py", "--exps", "8", "--samples", "50"],
     ["rebalance_stages.py", "--exps", "8", "--reps", "1"],
     ["separation.py", "--exps", "8"],

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,17 +13,20 @@ from gridslp import (
     Grammar2D,
     GrammarBuilder,
     HConcat,
+    InternalHoleHit,
     ParameterError,
     Terminal,
+    access_tslp,
     build_bin,
     build_shiftbin,
     build_spiral,
+    compute_geometry,
     expand,
     matrix_to_text,
     max_cells_default,
 )
 
-from conftest import example_tslp, random_tslp
+from conftest import example_tslp, glyph_quadtree, random_tslp
 from reference_gadgets import reference_bin, reference_shiftbin
 
 
@@ -66,6 +71,14 @@ def test_custom_hole_marker():
     ctx = next(s for s, r in enumerate(t.rules) if r is not None and r.kind == "hole")
     m = expand(t, ctx, hole_marker="@")
     assert m[0].tolist() == ["@", "@"]
+
+
+def test_malformed_hole_marker_rejected():
+    t = example_tslp()
+    ctx = next(s for s, r in enumerate(t.rules) if r is not None and r.kind == "hole")
+    for marker in ("ab", "", None):
+        with pytest.raises(ParameterError):
+            expand(t, ctx, hole_marker=marker)
 
 
 def test_area_cap_enforced():
@@ -161,3 +174,63 @@ def test_context_cached_with_its_hole_open(apply_first):
         top = b.ctx_concat("V", "first", opened, filled)
     t = b.finish_tslp(b.apply(top, x))
     assert expand(t, top).tolist() == [["#", "x"], ["g", "g"], ["y", "x"]]
+
+
+def _walk_only(monkeypatch):
+    monkeypatch.setattr(matrix, "_CELLS_PER_SYMBOL", float("inf"))
+
+
+def _always_batch(monkeypatch):
+    monkeypatch.setattr(matrix, "_CELLS_PER_SYMBOL", 0)
+    monkeypatch.setattr(matrix, "_SYMBOLS_PER_LAYOUT", 0)
+
+
+def _batches(g, sym) -> bool:
+    geo = compute_geometry(g)
+    return matrix._build(geo, sym, geo.area(sym)) is not None
+
+
+def test_batched_build_matches_the_walk(monkeypatch):
+    """With the batching rule forced on, every symbol of the differential
+    corpus and the spirals 2^8..2^10 expands as the walk alone paints it,
+    hole markers included."""
+    cases = [(t, s) for t in map(random_tslp, range(300)) for s in range(t.symbols)]
+    cases += [(g, g.start) for g in (build_spiral(1 << k) for k in (8, 9, 10))]
+    _walk_only(monkeypatch)
+    want = [expand(t, s) for t, s in cases]
+    _always_batch(monkeypatch)
+    assert all(_batches(t, s) for t, s in cases[-3:])
+    for i, ((t, s), w) in enumerate(zip(cases, want)):
+        got = expand(t, s)
+        assert got.dtype == w.dtype and got.shape == w.shape and (got == w).all(), i
+
+
+def test_glyph_quadtree_batches_by_itself():
+    m, g = glyph_quadtree()
+    assert _batches(g, g.start)
+    assert expand(g).tolist() == [list(row) for row in m]
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_wide_characters_on_both_paths(monkeypatch, batch):
+    """Terminals and a hole marker above U+00FF, one outside the BMP,
+    expand cell for cell as ``access_tslp`` reads them, batched or walked."""
+    wide = {"a": "\u0101", "b": "\U0001F600", "c": "c", "d": "\u4e2d"}
+    marker = "\u2588"
+    (_always_batch if batch else _walk_only)(monkeypatch)
+    built = set()
+    for seed in range(40):
+        t = random_tslp(seed)
+        t = dataclasses.replace(t, rules=tuple(
+            Terminal(wide[r.char]) if r.kind == "term" else r for r in t.rules))
+        for s in range(t.symbols):
+            ts = dataclasses.replace(t, start=s)
+            built.add(_batches(ts, s))
+            got = expand(ts, hole_marker=marker)
+            for x, y in np.ndindex(*got.shape):
+                try:
+                    want = access_tslp(ts, x + 1, y + 1)[0]
+                except InternalHoleHit:
+                    want = marker
+                assert got[x, y] == want, (seed, s, x, y)
+    assert built == ({False, True} if batch else {False})
