@@ -10,7 +10,7 @@ The inputs: the 4096^2 spiral, the quadtree-build grammars of seeds 1-3
 (from ``perfbench/inputs.py``), the spiral's balanced TSLP, a caterpillar of
 20,000 links and V(C, C) of it, and two random plain grammars.  ``--quick``
 runs small sizes instead and checks that every expansion equals the walk
-alone (batching switched off), so CI can run it.
+alone (batching switched off); ``tests/test_examples.py`` runs it so.
 
 Usage, from the repository root:
 

@@ -37,16 +37,8 @@ from .grammar import (
     validate,
 )
 from .matrix import DEFAULT_MAX_CELLS, expand, matrix_to_text, max_cells_default
-from .textio import FormatError, emit_grammar, parse_grammar
+from .textio import emit_grammar, parse_grammar
 from .transforms import linearize_rows, margin_slp, rebalance_plain_2d, rotate_cw
-
-
-class _Fail(Exception):
-    """Internal: carry an exit code and message out of a subcommand."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 def _read_text(path: str) -> str:
@@ -71,7 +63,7 @@ def _load(path: str) -> Grammar2D:
     g = parse_grammar(_read_text(path))
     report = validate(g)
     if not report.ok:
-        raise _Fail(1, f"{path}: invalid grammar\n{report}")
+        raise GridSlpError(f"{path}: invalid grammar\n{report}")
     return g
 
 
@@ -318,16 +310,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _Fail as e:
-        print(e, file=sys.stderr)
-        return e.code
-    except ParameterError as e:
+    except (ParameterError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (FormatError, GridSlpError, OverflowError) as e:
+    except (GridSlpError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

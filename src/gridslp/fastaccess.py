@@ -55,7 +55,6 @@ class FastParams:
     epsilon: float
     levels: int
     b_bound: int
-    area: int
 
     @classmethod
     def from_area(cls, area: int, epsilon: float) -> "FastParams":
@@ -66,7 +65,7 @@ class FastParams:
             raise ParameterError(f"epsilon {epsilon} asks for more than 62 "
                                  f"unwinding levels on a {area}-cell matrix")
         k = max(1, math.floor(k))
-        return cls(epsilon=epsilon, levels=k, b_bound=1 << k, area=area)
+        return cls(epsilon=epsilon, levels=k, b_bound=1 << k)
 
 
 @dataclass(frozen=True)

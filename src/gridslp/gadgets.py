@@ -316,32 +316,28 @@ def random_grammar(seed: int, g: int, max_dim: int = 64) -> Grammar2D:
     alphabet = "01ab"
     b = GrammarBuilder(dedup=False)
     b.terminal(rng.choice(alphabet))
+    # Each height's (id, width) and each width's (id, height) pairs, in id
+    # order, so a filtered bucket lists the candidates a scan of every id
+    # finds, in the same order, and every rng.choice is unchanged.
+    by_h, by_w = {1: [(0, 1)]}, {1: [(0, 1)]}
     while len(b) < g:
         if rng.random() < 0.2:
-            b.terminal(rng.choice(alphabet))
-            continue
-        axis = rng.choice("HV")
-        first = rng.randrange(len(b))
-        h1, w1 = b.dims(first)
-        if axis == "H":
-            cands = [
-                s
-                for s in range(len(b))
-                if b.dims(s)[0] == h1 and w1 + b.dims(s)[1] <= max_dim
-            ]
+            sym = b.terminal(rng.choice(alphabet))
         else:
-            cands = [
-                s
-                for s in range(len(b))
-                if b.dims(s)[1] == w1 and h1 + b.dims(s)[0] <= max_dim
-            ]
-        if not cands:
-            b.terminal(rng.choice(alphabet))
-            continue
-        second = rng.choice(cands)
-        if axis == "H":
-            b.h(first, second)
-        else:
-            b.v(first, second)
+            axis = rng.choice("HV")
+            first = rng.randrange(len(b))
+            h1, w1 = b.dims(first)
+            if axis == "H":
+                cands = [s for s, w in by_h[h1] if w1 + w <= max_dim]
+            else:
+                cands = [s for s, h in by_w[w1] if h1 + h <= max_dim]
+            if not cands:
+                sym = b.terminal(rng.choice(alphabet))
+            else:
+                second = rng.choice(cands)
+                sym = (b.h if axis == "H" else b.v)(first, second)
+        h, w = b.dims(sym)
+        by_h.setdefault(h, []).append((sym, w))
+        by_w.setdefault(w, []).append((sym, h))
     start = max(range(len(b)), key=lambda s: (b.dims(s)[0] * b.dims(s)[1], s))
     return b.finish(start)

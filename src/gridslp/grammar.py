@@ -725,9 +725,8 @@ class GrammarBuilder:
     another pass.  With ``dedup=True`` structurally identical productions
     are shared, which the gadget builders rely on for their size bounds.
 
-    Symbols are named at :meth:`finish`: a seeded builder keeps its seed's
-    labels and names each added symbol ``S<id>``, with ``_`` appended while
-    that clashes; a fresh builder's grammar gets the default labels.
+    The builder names nothing: every grammar it finishes, seeded or not,
+    has the default labels ``S<id>``.
     """
 
     def __init__(self, dedup: bool = True):
@@ -742,7 +741,6 @@ class GrammarBuilder:
         self._dedup = dedup
         # Production -> id; a horizontal concat is keyed by its (left, right).
         self._index: dict = {}
-        self._seed_labels: tuple[str, ...] = ()
 
     @classmethod
     def seeded(cls, g: Grammar2D) -> "GrammarBuilder":
@@ -750,7 +748,6 @@ class GrammarBuilder:
         geo = compute_geometry(g)
         b = cls()
         b.rules = list(g.rules)
-        b._seed_labels = g.labels
         b._h = list(geo.heights)
         b._w = list(geo.widths)
         b._hole = list(geo.holes)
@@ -906,22 +903,9 @@ class GrammarBuilder:
             raise DimensionMismatch("start symbol must be ground")
         # A grammar with an apply has a context, so the holes decide.
         cls = Tslp2D if any(self._hole) else Grammar2D
-        g = cls(tuple(self.rules), start, self._labels())
+        g = cls(tuple(self.rules), start)
         return _with_geometry(g, GeometryTable(*map(tuple, (
             self._h, self._w, self._hole, self._depth, self._entry))))
 
     def finish_tslp(self, start: int) -> Tslp2D:
         return as_tslp(self.finish(start))
-
-    def _labels(self) -> tuple[str, ...]:
-        if not self._seed_labels:
-            return ()  # Grammar2D's defaults
-        # Added names clash only with the seed's: each is S<its id> plus "_"s.
-        used = set(self._seed_labels)
-        labels = list(self._seed_labels)
-        for sym in range(len(labels), len(self.rules)):
-            label = f"S{sym}"
-            while label in used:
-                label += "_"
-            labels.append(label)
-        return tuple(labels)

@@ -76,7 +76,7 @@ def max_cells_default() -> int:
 
 def matrix_to_text(m: np.ndarray) -> str:
     """Render a matrix as one line per row, characters unseparated."""
-    return "\n".join("".join(row) for row in m)
+    return "\n".join(row.tobytes().decode("utf-32-le") for row in m)
 
 
 def _build(geo: GeometryTable, sym: int, cells: int):
@@ -214,15 +214,11 @@ def expand(
             f"{h}x{w} = {h * w} cells exceeds the limit of {max_cells}"
         )
 
-    built = _build(geo, sym, h * w)
-    if built is None:
-        out = buf = np.empty((h, w), dtype="<U1")
-        memo, cache = {}, None
-    else:
-        # Built blocks hold character codes; the walk never meets a terminal.
-        memo, cache = built
-        out = np.empty((h, w), dtype=np.uint32)
-        buf = out.view("<U1")
+    # The walk paints character codes, as the built blocks hold them, and
+    # writes a terminal through the buffer's character view.
+    memo, cache = _build(geo, sym, h * w) or ({}, None)
+    out = np.empty((h, w), dtype=np.uint32)
+    buf = out.view("<U1")
 
     # Box 1 is pushed before the second child, so an argument is painted
     # after its context, over the hole, whatever the hole held then.  The
@@ -247,7 +243,7 @@ def expand(
             continue
         e = E[s]
         if e.__class__ is str:
-            out[ox, oy] = e
+            buf[ox, oy] = e
             continue
         if H[s] * W[s] <= _MEMO_CELLS if cache is None else s in cache:
             stack.append((~s, ox, oy))

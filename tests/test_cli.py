@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -391,3 +392,86 @@ class TestMaxCellsEnvironment:
             main(["expand", "--help"])
         assert exit_.value.code == 0
         assert f"default {DEFAULT_MAX_CELLS}" in " ".join(capsys.readouterr().out.split())
+
+
+# Grammar files the pinned runs read besides the ones they write: a
+# grammar that fails validation, a malformed text, and two one-by-two
+# grammars that differ in every cell.
+PINNED_FILES = {
+    "invalid.slp": "SLP2D v1\nstart S2\nS0 T x\nS1 V S0 S0\nS2 H S0 S1\n",
+    "malformed.slp": "SLP2D v1\nstart S1\nS0 Q x\n",
+    "x.slp": "SLP2D v1\nstart S1\nS0 T x\nS1 H S0 S0\n",
+    "y.slp": "SLP2D v1\nstart S1\nS0 T y\nS1 H S0 S0\n",
+}
+
+# Every command but ``bench`` (timings), on relative paths so the bytes
+# hold no directory.  Help and argparse usage errors are left out: their
+# text depends on the Python version.
+PINNED_RUNS = [
+    ("gen", "--gadget", "bin", "--n", 3),
+    ("gen", "--gadget", "shiftbin", "--n", 2),
+    ("gen", "--gadget", "cnm", "--n", 16, "--m", 16),
+    ("gen", "--gadget", "cnmseq", "--n", 32, "--m", 16, "--b", 16, "--k", 3),
+    ("gen", "--gadget", "spiral", "--n", 256),
+    ("gen", "--gadget", "random", "--seed", 7, "--size", 30, "--max-dim", 16),
+    ("gen", "--gadget", "cnm", "--n", 16),
+    ("gen", "--gadget", "spiral", "--n", 256, "-o", "spiral.slp"),
+    ("gen", "--gadget", "random", "--seed", 3, "--size", 40, "--max-dim", 12,
+     "-o", "random.slp"),
+    ("gen", "--gadget", "shiftbin", "--n", 2, "-o", "sb.slp"),
+    ("stats", "spiral.slp"),
+    ("stats", "random.slp"),
+    ("stats", "example.tslp"),
+    ("expand", "sb.slp"),
+    ("expand", "example.tslp"),
+    ("expand", "random.slp", "--max-cells", 4096),
+    ("expand", "spiral.slp", "--max-cells", 100),
+    ("access", "spiral.slp", 1, 1),
+    ("access", "spiral.slp", 200, 17, "--fast"),
+    ("access", "example.tslp", 2, 2, "--fast", "--epsilon", 1),
+    ("access", "spiral.slp", 0, 1),
+    ("access", "spiral.slp", 257, 1, "--fast"),
+    ("access", "x.slp", 1, 2, "--fast", "--epsilon", 0),
+    ("balance", "spiral.slp", "--stats", "-o", "bal.tslp"),
+    ("balance", "random.slp", "--stats"),
+    ("rebalance", "spiral.slp", "--stats"),
+    ("rebalance", "random.slp", "--stats"),
+    ("stats", "bal.tslp"),
+    ("linearize", "sb.slp"),
+    ("linearize", "example.tslp"),
+    ("rotate", "sb.slp"),
+    ("rotate", "bal.tslp"),
+    ("margins", "random.slp", "--side", "top"),
+    ("margins", "random.slp", "--side", "bottom"),
+    ("margins", "random.slp", "--side", "left"),
+    ("margins", "random.slp", "--side", "right"),
+    ("verify", "spiral.slp", "--against", "bal.tslp"),
+    ("verify", "spiral.slp", "--against", "bal.tslp", "--max-cells", 100,
+     "--samples", 200, "--seed", 3),
+    ("verify", "x.slp", "--against", "y.slp", "--max-cells", 1, "--samples", 5),
+    ("verify", "sb.slp", "--against", "spiral.slp"),
+    ("stats", "invalid.slp"),
+    ("expand", "invalid.slp"),
+    ("stats", "malformed.slp"),
+    ("stats", "missing.slp"),
+]
+
+PINNED_SHA256 = "6ae46e939643d6eee639a1f0ed4543f35cd38461984d9034c982d6d4646c2154"
+
+
+def test_pinned_output_bytes(tmp_path, monkeypatch, capsys):
+    """Exit codes and output bytes of a fixed list of runs do not move."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GRIDSLP_MAX_CELLS", raising=False)
+    for name, text in PINNED_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    (tmp_path / "example.tslp").write_text(emit_grammar(example_tslp()))
+    transcript = []
+    for argv in PINNED_RUNS:
+        argv = [str(a) for a in argv]
+        code = main(argv)
+        captured = capsys.readouterr()
+        transcript.append([argv, code, captured.out, captured.err])
+    assert {code for _, code, _, _ in transcript} == {0, 1, 2}
+    digest = hashlib.sha256(json.dumps(transcript).encode()).hexdigest()
+    assert digest == PINNED_SHA256

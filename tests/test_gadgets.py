@@ -261,6 +261,18 @@ class TestRandomGrammar:
                 if r is not None:
                     assert geo.heights[s] <= 20 and geo.widths[s] <= 20
 
+    # sha256 of the emitted text, for (seed, g, max_dim).
+    EMITTED_SHA256 = {
+        (1, 4000, 256): "aaeee8187b59959ed2481a24fd17f7dcb1d9caf37a272ca250495c7a3fdb8394",
+        (3, 400, 64): "189c1c274d18007ab3d494ff10b0bdb63423e95d5fe9a9d69c6f4dff88c79d9f",
+        (7, 50, 24): "0f1aa0036ea3e5c1edf00fb503c8d13960071d7be570b7e9d8f290e63d17b161",
+    }
+
+    @pytest.mark.parametrize("args", list(EMITTED_SHA256))
+    def test_emitted_bytes_pinned(self, args):
+        text = emit_grammar(random_grammar(*args))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.EMITTED_SHA256[args]
+
     def test_rotation_of_cnm_matches_numpy(self):
         g = build_cnm(32, 16)
         assert (expand(rotate_cw(g)) == np.rot90(expand(g), k=-1)).all()

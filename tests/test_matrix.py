@@ -125,6 +125,14 @@ def test_matrix_text_round_trip():
     assert (matrix_from_text(matrix_to_text(m)) == m).all()
 
 
+def test_matrix_text_of_wide_characters_and_views():
+    """Each line is the row's characters joined, for terminals above U+00FF
+    and outside the BMP and for a non-contiguous view."""
+    m = np.array([["\u0101", "\u4e2d", "#"], ["\U0001F600", "#", "\u0101"]], dtype="<U1")
+    for view in (m, m.T, m[:, ::2]):
+        assert matrix_to_text(view) == "\n".join("".join(row) for row in view)
+
+
 def test_matrix_from_text_rejects_ragged():
     with pytest.raises(ValueError):
         matrix_from_text("ab\nabc")

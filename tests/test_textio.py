@@ -43,16 +43,15 @@ class TestRoundTrip:
         back = parse_grammar(text)
         assert back.labels[back.start] == "pair"
 
-    def test_seeded_builder_names_added_symbols_at_finish(self):
-        # The seed already uses S2 and S3, the default names of the first
-        # two added symbols, so those two take a trailing underscore.
-        g = parse_grammar("SLP2D v1\nstart S3\nS2 T x\nS3 H S2 S2\n")
+    def test_seeded_builder_finishes_with_default_labels(self):
+        # The seed's own labels are not kept: the builder names nothing.
+        g = parse_grammar("SLP2D v1\nstart top\nleaf T x\ntop H leaf leaf\n")
         b = GrammarBuilder.seeded(g)
         row = b.h(g.start, b.terminal("y"))
         out = b.finish(b.v(row, row))
-        assert out.labels == ("S2", "S3", "S2_", "S3_", "S4")
+        assert out.labels == ("S0", "S1", "S2", "S3", "S4")
+        assert out.rules[: len(g.rules)] == g.rules
         text = emit_grammar(out)
-        assert "S3_ H S3 S2_" in text and "S4 V S3_ S3_" in text
         back = parse_grammar(text)
         assert (back.rules, back.start, back.labels) == (out.rules, out.start, out.labels)
         assert emit_grammar(back) == text
