@@ -31,7 +31,7 @@ def main() -> None:
           f"balanced size {stats.output_size} depth {stats.output_depth}")
 
     idx = build_fast(t, 3.0)
-    report = bench_access(t, idx, args.queries, args.seed)
+    report = bench_access(idx, args.queries, args.seed)
     print(f"\n{'path':>6} {'mean_visits':>12} {'max_visits':>11} {'ns/query':>10}")
     for p in report["paths"]:
         print(f"{p['path']:>6} {p['meanVisits']:>12.2f} {p['maxVisits']:>11} "
@@ -42,7 +42,7 @@ def main() -> None:
         t0 = time.perf_counter()
         idx = build_fast(t, eps)
         build_s = time.perf_counter() - t0
-        report = bench_access(t, idx, args.queries, args.seed)
+        report = bench_access(idx, args.queries, args.seed)
         fast = next(p for p in report["paths"] if p["path"] == "fast")
         print(f"{eps:>5.1f} {idx.params.levels:>7} {len(idx.grids):>7} {idx.total_cells:>9} "
               f"{idx.nbytes:>10} {build_s:>8.3f} {fast['meanVisits']:>12.2f}")

@@ -14,7 +14,7 @@ from functools import partial
 
 from .access import access_tslp
 from .fastaccess import FastAccessIndex, access_fast
-from .grammar import Grammar2D, ParameterError, Tslp2D, compute_geometry
+from .grammar import ParameterError, compute_geometry
 
 
 def _run_path(fn, positions) -> dict:
@@ -31,7 +31,6 @@ def _run_path(fn, positions) -> dict:
 
 
 def bench_access(
-    g: Grammar2D | Tslp2D,
     idx: FastAccessIndex,
     queries: int,
     seed: int,
@@ -41,12 +40,12 @@ def bench_access(
     ``width`` and ``paths``, one dict per path (``path``, ``meanVisits``,
     ``maxVisits``, ``nanosPerQuery``).
 
-    ``idx`` must index ``g``.  ``g`` is laid out before the clock starts
-    (a lookup if it keeps its table), so no timed query pays for it.
+    The descent runs on ``idx.grammar``, which is laid out before the clock
+    starts (a lookup if it keeps its table), so no timed query pays for it.
     """
     if queries < 1:
         raise ParameterError(f"queries must be at least 1, got {queries}")
-    h, w = compute_geometry(g).dims(g.start)
+    h, w = compute_geometry(idx.grammar).dims(idx.grammar.start)
     rng = random.Random(seed)
     positions = [
         (rng.randrange(1, h + 1), rng.randrange(1, w + 1)) for _ in range(queries)
@@ -54,7 +53,7 @@ def bench_access(
     paths = [
         {"path": name, **_run_path(fn, positions)}
         for name, fn in (
-            ("tslp", partial(access_tslp, g)),
+            ("tslp", partial(access_tslp, idx.grammar)),
             ("fast", partial(access_fast, idx)),
         )
     ]

@@ -180,39 +180,30 @@ def cmd_verify(args) -> int:
     cap = args.max_cells if args.max_cells is not None else max_cells_default()
     if h * w <= cap:
         ma, mb = expand(a, max_cells=cap), expand(b, max_cells=cap)
-        if np.array_equal(ma, mb):
-            print(f"equal ({h}x{w}, full expansion)")
-            return 0
-        diff = np.argwhere(ma != mb)[0]
-        x, y = int(diff[0]) + 1, int(diff[1]) + 1
-        print(
-            f"mismatch at ({x},{y}): {ma[x - 1][y - 1]!r} vs {mb[x - 1][y - 1]!r}",
-            file=sys.stderr,
+        cells = (np.argwhere(ma != mb)[:1] + 1).tolist()
+        equal = f"equal ({h}x{w}, full expansion)"
+    else:
+        rng = random.Random(args.seed)
+        cells = (
+            (rng.randrange(1, h + 1), rng.randrange(1, w + 1)) for _ in range(args.samples)
         )
-        return 1
-    rng = random.Random(args.seed)
-    for _ in range(args.samples):
-        x = rng.randrange(1, h + 1)
-        y = rng.randrange(1, w + 1)
+        equal = f"equal ({h}x{w}, {args.samples} sampled positions, seed {args.seed})"
+    for x, y in cells:
         ca, _ = access_tslp(a, x, y)
         cb, _ = access_tslp(b, x, y)
         if ca != cb:
             print(f"mismatch at ({x},{y}): {ca!r} vs {cb!r}", file=sys.stderr)
             return 1
-    print(f"equal ({h}x{w}, {args.samples} sampled positions, seed {args.seed})")
+    print(equal)
     return 0
 
 
 def cmd_bench(args) -> int:
     g = _load(args.file)
     idx = build_fast(g, epsilon=args.epsilon)
-    report = bench_access(g, idx, args.queries, args.seed)
+    report = bench_access(idx, args.queries, args.seed)
     _write_text(json.dumps(report, indent=2), args.output)
     return 0
-
-
-def _add_output(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
 
 
 def _command(sub, name: str, func, help: str, file: bool = True):
@@ -241,10 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="rng seed (random)")
     p.add_argument("--size", type=int, default=64, help="target size (random)")
     p.add_argument("--max-dim", type=int, default=64, help="dimension cap (random)")
-    _add_output(p)
 
-    p = _command(sub, "stats", cmd_stats, "grammar summary as JSON")
-    _add_output(p)
+    _command(sub, "stats", cmd_stats, "grammar summary as JSON")
 
     p = _command(sub, "expand", cmd_expand, "write the full matrix")
     p.add_argument(
@@ -253,25 +242,21 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"area cap (default {DEFAULT_MAX_CELLS}, or env GRIDSLP_MAX_CELLS)",
     )
-    _add_output(p)
 
     p = _command(sub, "access", cmd_access, "one cell by position")
     p.add_argument("x", type=int)
     p.add_argument("y", type=int)
     p.add_argument("--fast", action="store_true", help="use the unwound index")
     p.add_argument("--epsilon", type=float, default=3.0)
-    _add_output(p)
 
     p = _command(
         sub, "balance", cmd_balance, "equivalent grammar with holes, low depth"
     )
     p.add_argument("--stats", action="store_true", help="print stats to stderr")
-    _add_output(p)
 
-    p = _command(
+    _command(
         sub, "linearize", cmd_linearize, "1D grammar of the row-major flattening"
     )
-    _add_output(p)
 
     p = _command(
         sub,
@@ -281,14 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(shallow input comes back as it is)",
     )
     p.add_argument("--stats", action="store_true", help="print stats to stderr")
-    _add_output(p)
 
-    p = _command(sub, "rotate", cmd_rotate, "rotate the expansion 90° clockwise")
-    _add_output(p)
+    _command(sub, "rotate", cmd_rotate, "rotate the expansion 90° clockwise")
 
     p = _command(sub, "margins", cmd_margins, "1D grammar of one margin")
     p.add_argument("--side", required=True, choices=["top", "bottom", "left", "right"])
-    _add_output(p)
 
     p = _command(sub, "verify", cmd_verify, "compare two grammars' expansions")
     p.add_argument("--against", required=True)
@@ -300,8 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=3.0)
-    _add_output(p)
 
+    # -o comes last in every command's options; verify writes no output file.
+    for name, p in sub.choices.items():
+        if name != "verify":
+            p.add_argument("-o", "--output", help="output file (default stdout)")
     return parser
 
 

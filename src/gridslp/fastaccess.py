@@ -52,7 +52,6 @@ from .grammar import (
 class FastParams:
     """Unwinding parameters derived from ε and the expansion area."""
 
-    epsilon: float
     levels: int
     b_bound: int
 
@@ -65,7 +64,7 @@ class FastParams:
             raise ParameterError(f"epsilon {epsilon} asks for more than 62 "
                                  f"unwinding levels on a {area}-cell matrix")
         k = max(1, math.floor(k))
-        return cls(epsilon=epsilon, levels=k, b_bound=1 << k)
+        return cls(levels=k, b_bound=1 << k)
 
 
 @dataclass(frozen=True)
@@ -76,11 +75,11 @@ class FastAccessIndex:
     grid 0 is the start, whose ``height`` and ``width`` bound every query.
     Its cell ``(g2, dx, dy)`` descends to grid ``g2`` at (x - dx, y - dy),
     ``(-1, char, 0)`` is a terminal, and None is the owner's own hole.
+    The grammar's table is ``compute_geometry(grammar)``, a lookup.
     """
 
     grammar: Grammar2D
     params: FastParams
-    geo: GeometryTable
     grids: tuple[tuple, ...]
     symbols: tuple[int, ...]
     height: int
@@ -171,35 +170,28 @@ def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return item, np.arange(len(item)) + np.repeat(lo - start, count)
 
 
-def _paint_round(n, own, xranks, yranks, base, ncols, value) -> np.ndarray:
+def _paint_round(own, xranks, yranks, base, ncols, value, total) -> np.ndarray:
     """Every owner's cells, row-major, one owner after another.
 
-    Boxes ``0..n-1`` are regions: region ``i`` paints ``value[i]`` over rank
-    rows ``[i1, i2)`` and columns ``[j1, j2)`` of owner ``own[i]``'s grid,
-    minus its hole's ranks.  Box ``n + o`` is owner ``o`` itself, which
-    paints ``value[n]`` (None) over its own hole.  These pieces tile every
-    grid, so each row of a piece is one run of cells, or two beside a hole,
-    and the runs in position order spell the cells.
+    Region ``i`` paints ``value[i]`` over rank rows ``[i1, i2)`` and columns
+    ``[j1, j2)`` of owner ``own[i]``'s grid, minus its hole's ranks.  Each
+    row of a region is one run of cells, or two beside its hole.  The cells
+    start as None, so an owner's own hole is the None no region paints over.
     """
     i1, i2, hx1, hx2 = xranks
     j1, j2, hy1, hy2 = yranks
-    # An owner's piece is its own hole, which has no hole inside.
-    top, bottom, left, right = (
-        np.concatenate((a[:n], b[n:]))
-        for a, b in ((i1, hx1), (i2, hx2), (j1, hy1), (j2, hy2))
-    )
-    none = np.zeros(len(own) - n, np.int64)
-    hx1, hx2, hy1, hy2 = (np.concatenate((a[:n], none)) for a in (hx1, hx2, hy1, hy2))
-    box, row = _spans(top, bottom)
+    box, row = _spans(i1[: len(own)], i2[: len(own)])
     # A row through a hole is two runs: left of the hole, then right of it.
     split = (hx1[box] <= row) & (row < hx2[box])
-    start = np.concatenate((left[box], hy2[box[split]]))
-    end = np.concatenate((np.where(split, hy1[box], right[box]), right[box[split]]))
+    start = np.concatenate((j1[box], hy2[box[split]]))
+    end = np.concatenate((np.where(split, hy1[box], j2[box]), j2[box[split]]))
     box = np.concatenate((box, box[split]))
     row = np.concatenate((row, row[split]))
     o = own[box]
-    order = np.argsort(base[o] + row * ncols[o] + start)
-    return np.repeat(value[np.minimum(box, n)][order], (end - start)[order])
+    at = base[o] + row * ncols[o]
+    cells = np.empty(total, object)
+    cells[_spans(at + start, at + end)[1]] = np.repeat(value[box], end - start)
+    return cells
 
 
 def build_fast(
@@ -214,7 +206,7 @@ def build_fast(
 
     - unwind their regions K levels (:func:`_unwind_round`);
     - cut along every region side, frame hole and owner hole (:func:`_cut`);
-    - paint each region's cells (:func:`_paint_round`);
+    - paint each region's cells; owner holes stay None (:func:`_paint_round`);
     - give the symbols the new cells name for the first time the next ids,
       in order of first appearance, and make the cell values: one
       ``(gid, dx, dy)`` tuple per region, shared by its cells, or the
@@ -244,7 +236,6 @@ def build_fast(
         owners = np.array(order[len(grids) : len(grids) + CHUNK], np.int64)
         m = len(owners)
         own, sym, ox, oy = _unwind_round(owners, params.levels, entry, leaf)
-        n = len(sym)
 
         # Each owner's own box, at offset 0, adds its sides and hole sides.
         bown = np.concatenate((own, np.arange(m)))
@@ -264,12 +255,11 @@ def build_fast(
         fresh = fresh[np.argsort(first)].tolist()
         gid[fresh] = range(len(order), len(order) + len(fresh))
         order += fresh
-        value = np.empty(n + 1, object)  # value[n] stays None: owner holes
-        value[:n] = terminal_cell[sym]
+        value = terminal_cell[sym]
         value[landing] = np.fromiter(
             zip(gid[named].tolist(), ox[landing].tolist(), oy[landing].tolist()),
             object, len(landing))
-        cells = _paint_round(n, bown, xranks, yranks, base, ncols, value)
+        cells = _paint_round(own, xranks, yranks, base, ncols, value, size.sum())
 
         xl, yl = xlines.tolist(), ylines.tolist()
         xs, ys = xstart.tolist(), ystart.tolist()
@@ -281,7 +271,7 @@ def build_fast(
                 ys[i + 1] - ys[i] - 1,
             ))
     return FastAccessIndex(
-        grammar=t, params=params, geo=geo, grids=tuple(grids),
+        grammar=t, params=params, grids=tuple(grids),
         symbols=tuple(order), height=h, width=w,
     )
 
@@ -301,7 +291,7 @@ def access_fast(idx: FastAccessIndex, x: int, y: int) -> tuple[str, int]:
         if cell is None:
             raise InternalHoleHit(
                 "position maps into the hole of symbol "
-                f"{idx.grammar.label(idx.symbols[g])}"
+                f"{idx.grammar.labels[idx.symbols[g]]}"
             )
         g, dx, dy = cell
         if g < 0:

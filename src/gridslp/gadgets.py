@@ -197,10 +197,7 @@ def build_cnm_sequence(
             stack_left = grow_l if stack_left is None else b.v(stack_left, grow_l)
             tops = b.v(tops, grow_r)
 
-    final_roots = [r for r in roots if r is not None]
-    assert len(final_roots) == k + 1
-    g = b.finish(final_roots[-1])
-    return g, final_roots
+    return b.finish(roots[-1]), roots
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +262,7 @@ def build_spiral(N: int, c: int = 1) -> Grammar2D:
     """
     sp = spiral_params(N, c)
     lam, delta = sp.lam, sp.delta
-    n_base = N - (2 * lam - 1) * delta
-    seq, roots = build_cnm_sequence(n_base, delta, delta, 2 * lam - 1)
+    seq, roots = build_cnm_sequence(sp.center_height, delta, delta, 2 * lam - 1)
 
     # rmap[s] derives exp(s) rotated clockwise: a second child beside the
     # first goes below it (left columns become top rows), one below the first

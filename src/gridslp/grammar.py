@@ -427,9 +427,6 @@ class Grammar2D:
     def symbols(self) -> int:
         return len(self.rules)
 
-    def label(self, sym: int) -> str:
-        return self.labels[sym]
-
 
 @dataclass(frozen=True)
 class Tslp2D(Grammar2D):

@@ -159,6 +159,6 @@ def reference_build(
         _paint(*_unwind(sym, geo, k, terminals), ids, order) for sym in order
     ]
     return FastAccessIndex(
-        grammar=t, params=params, geo=geo, grids=tuple(grids),
+        grammar=t, params=params, grids=tuple(grids),
         symbols=tuple(order), height=h, width=w,
     )

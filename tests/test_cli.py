@@ -309,6 +309,26 @@ class TestVerify:
         assert out == ""
         assert "mismatch at" in err
 
+    @pytest.mark.parametrize(
+        "flags", [(), ("--max-cells", 1, "--samples", 50)], ids=["expanded", "sampled"]
+    )
+    @pytest.mark.parametrize(
+        "chars,report", [("xy", "'x' vs 'y'"), ("ée", "'é' vs 'e'")], ids=["ascii", "accent"]
+    )
+    def test_mismatch_reported_alike_on_both_paths(self, run, tmp_path, flags, chars, report):
+        """Both paths print the characters' reprs, so the bytes do not depend
+        on the numpy version.  Only (1,1) differs: sampling must reach it."""
+        paths = []
+        for char in chars:
+            paths.append(tmp_path / f"{len(paths)}.slp")
+            paths[-1].write_text(
+                f"SLP2D v1\nstart S2\nS0 T {char}\nS1 T z\nS2 H S0 S1\n", encoding="utf-8"
+            )
+        code, out, err = run("verify", paths[0], "--against", paths[1], *flags)
+        assert code == 1
+        assert out == ""
+        assert err == f"mismatch at (1,1): {report}\n"
+
     @pytest.mark.parametrize("samples", [0, -5])
     def test_sample_count_below_one_is_usage_error(self, run, tmp_path, samples):
         """Zero samples would report "equal" without comparing a cell."""
@@ -406,7 +426,8 @@ PINNED_FILES = {
 
 # Every command but ``bench`` (timings), on relative paths so the bytes
 # hold no directory.  Help and argparse usage errors are left out: their
-# text depends on the Python version.
+# text depends on the Python version.  ``verify`` reports a mismatch in the
+# same words on its expanded and sampled paths, so both are pinned.
 PINNED_RUNS = [
     ("gen", "--gadget", "bin", "--n", 3),
     ("gen", "--gadget", "shiftbin", "--n", 2),
@@ -449,6 +470,7 @@ PINNED_RUNS = [
     ("verify", "spiral.slp", "--against", "bal.tslp", "--max-cells", 100,
      "--samples", 200, "--seed", 3),
     ("verify", "x.slp", "--against", "y.slp", "--max-cells", 1, "--samples", 5),
+    ("verify", "x.slp", "--against", "y.slp"),
     ("verify", "sb.slp", "--against", "spiral.slp"),
     ("stats", "invalid.slp"),
     ("expand", "invalid.slp"),
@@ -456,7 +478,7 @@ PINNED_RUNS = [
     ("stats", "missing.slp"),
 ]
 
-PINNED_SHA256 = "6ae46e939643d6eee639a1f0ed4543f35cd38461984d9034c982d6d4646c2154"
+PINNED_SHA256 = "2f53dd1fa245314e38535535435601199ecb0dffaaf5bf88dd36adcc88a96119"
 
 
 def test_pinned_output_bytes(tmp_path, monkeypatch, capsys):

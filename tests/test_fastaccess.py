@@ -148,11 +148,12 @@ class TestIndexStructure:
             t, _ = balance_to_tslp(g)
             idx = build_fast(t)
             k = idx.params.levels
-            for sym in reachable_topo(compute_geometry(t), t.start):
-                regions, _, _ = _unwind(sym, idx.geo, k)
-                h, w = idx.geo.dims(sym)
+            geo = compute_geometry(idx.grammar)
+            for sym in reachable_topo(geo, t.start):
+                regions, _, _ = _unwind(sym, geo, k)
+                h, w = geo.dims(sym)
                 covered = sum(_region_area(r) for r in regions)
-                assert covered + _hole_area(idx.geo, sym) == h * w, (name, sym)
+                assert covered + _hole_area(geo, sym) == h * w, (name, sym)
                 assert len(regions) <= idx.params.b_bound
 
     def test_total_cells_bound(self, small_corpus):
@@ -379,7 +380,7 @@ class TestAccessFast:
     def test_out_of_bounds(self):
         t, _ = balance_to_tslp(build_shiftbin(2))
         idx = build_fast(t)
-        h, w = idx.geo.dims(t.start)
+        h, w = compute_geometry(idx.grammar).dims(t.start)
         for x, y in ((0, 1), (1, 0), (h + 1, 1), (1, w + 1)):
             with pytest.raises(OutOfBounds):
                 access_fast(idx, x, y)
@@ -419,7 +420,7 @@ class TestBench:
         g = build_spiral(256)
         t, _ = balance_to_tslp(g)
         idx = build_fast(t)
-        d = bench_access(t, idx, queries=64, seed=3)
+        d = bench_access(idx, queries=64, seed=3)
         assert d["queries"] == 64
         assert d["seed"] == 3
         assert (d["height"], d["width"]) == (256, 256)
@@ -434,11 +435,11 @@ class TestBench:
         """A plain grammar's descent is the tslp row: one function, one row."""
         g = build_spiral(256)
         idx = build_fast(g)
-        report = bench_access(g, idx, queries=32, seed=4)
+        report = bench_access(idx, queries=32, seed=4)
         assert [p["path"] for p in report["paths"]] == ["tslp", "fast"]
 
     @pytest.mark.parametrize("queries", [0, -3])
     def test_rejects_query_counts_below_one(self, queries):
         g = build_shiftbin(2)
         with pytest.raises(ParameterError):
-            bench_access(g, build_fast(g), queries=queries, seed=0)
+            bench_access(build_fast(g), queries=queries, seed=0)
