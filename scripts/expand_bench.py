@@ -7,10 +7,12 @@ call, in MiB.  The grammar's geometry table, ``columns`` included, is built
 before any call, as it is in a pipeline that has already loaded the grammar.
 
 The inputs: the 4096^2 spiral, the quadtree-build grammars of seeds 1-3
-(from ``perfbench/inputs.py``), the spiral's balanced TSLP, a caterpillar of
-20,000 links and V(C, C) of it, and two random plain grammars.  ``--quick``
-runs small sizes instead and checks that every expansion equals the walk
-alone (batching switched off); ``tests/test_examples.py`` runs it so.
+(from ``perfbench/inputs.py``), seed 1's with its terminals drawn above
+U+00FF (so expansion paints four bytes a cell, where every other input here
+paints one), the spiral's balanced TSLP, a caterpillar of 20,000 links and
+V(C, C) of it, and two random plain grammars.  ``--quick`` runs small sizes
+instead and checks that every expansion equals the walk alone (batching
+switched off); ``tests/test_examples.py`` runs it so.
 
 Usage, from the repository root:
 
@@ -20,6 +22,7 @@ Usage, from the repository root:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import importlib.util
 import json
@@ -36,6 +39,7 @@ import numpy as np  # noqa: E402
 
 from gridslp import (  # noqa: E402
     GrammarBuilder,
+    Terminal,
     balance_to_tslp,
     build_spiral,
     compute_geometry,
@@ -65,6 +69,13 @@ def caterpillar(links: int, both: bool):
     return b.finish(b.v(s, s) if both else s)
 
 
+def wide_alphabet(g):
+    """``g`` with its terminals 0 and 1 drawn as U+0101 and U+4E2D."""
+    chars = {"0": "\u0101", "1": "\u4e2d"}
+    return dataclasses.replace(g, rules=tuple(
+        Terminal(chars[r.char]) if r.kind == "term" else r for r in g.rules))
+
+
 def inputs(quick: bool):
     """(name, grammar-maker) pairs; the makers run only for selected names."""
     side = 256 if quick else 4096
@@ -78,6 +89,7 @@ def inputs(quick: bool):
     yield f"spiral-{side}", lambda: build_spiral(side)
     for seed in (1, 2, 3):
         yield f"quadtree-s{seed}", lambda seed=seed: quadtree(seed)
+    yield "quadtree-s1-wide", lambda: wide_alphabet(quadtree(1))
     yield f"spiral-{side}-balanced", lambda: balance_to_tslp(build_spiral(side))[0]
     yield f"caterpillar-{links}", lambda: caterpillar(links, False)
     yield f"caterpillar-{links}-VCC", lambda: caterpillar(links, True)

@@ -29,6 +29,7 @@ from .gadgets import (
     random_grammar,
 )
 from .grammar import (
+    FormatError,
     Grammar2D,
     GridSlpError,
     ParameterError,
@@ -42,10 +43,18 @@ from .transforms import linearize_rows, margin_slp, rebalance_plain_2d, rotate_c
 
 
 def _read_text(path: str) -> str:
+    """The UTF-8 text of ``path`` (``-``: stdin); undecodable bytes are a
+    :class:`FormatError` that names the file and the byte offset."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as f:
+            data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        name = "stdin" if path == "-" else path
+        raise FormatError(f"{name}: not UTF-8 at byte {e.start}") from None
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -171,6 +180,8 @@ def cmd_margins(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples < 1:
         raise ParameterError(f"--samples must be at least 1, got {args.samples}")
+    if args.max_cells is not None and args.max_cells < 0:
+        raise ParameterError(f"--max-cells must be at least 0, got {args.max_cells}")
     a, b = _load(args.file), _load(args.against)
     dims_a, dims_b = compute_geometry(a).dims(a.start), compute_geometry(b).dims(b.start)
     if dims_a != dims_b:

@@ -370,6 +370,12 @@ class GeometryTable:
         return ((c1, x1, y1, c2, dx2, dy2), tuple(_frozen_int64(sizes, 3, n)),
                 tuple(_frozen_int64(holes, n, 4).T))
 
+    @cached_property
+    def max_code(self) -> int:
+        """The largest character code of any terminal, found on first use
+        and kept as :attr:`columns` is."""
+        return max(ord(e) for e in self.entries if e.__class__ is str)
+
     def dims(self, sym: int) -> tuple[int, int]:
         return (self.heights[sym], self.widths[sym])
 

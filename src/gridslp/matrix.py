@@ -21,9 +21,16 @@ with the same depth and layout at a time, and the walk pastes them where it
 would descend to terminals.  The threshold is the largest area whose blocks
 together hold at most the output's cells, so the blocks never outweigh it.
 
+The walk and the built blocks paint character codes.  Where every terminal
+of the grammar is below U+0100, a code is one byte: they paint into the last
+quarter of the result's own bytes, which are widened in place to four bytes
+a cell at the end, so no second copy of the matrix is made.  Other alphabets
+paint the result's four-byte codes directly.
+
 Context symbols materialize with the hole filled by a marker character.
 Every hole inside the symbol expanded is filled by an argument, except its
-own, so the walk paints no hole and the marker goes on that one at the end.
+own, so the walk paints no hole and the marker goes on that one, after
+widening and through the character view, so it may be any character.
 """
 
 from __future__ import annotations
@@ -46,19 +53,24 @@ DEFAULT_MAX_CELLS = 1 << 26
 #: Symbols at most this many cells get a cached block during the walk.
 _MEMO_CELLS = 1 << 15
 
+#: Widening a one-byte buffer in place copies at most this many codes aside.
+_SPARE_CELLS = 1 << 16
+
 # The rule that decides whether expansion builds its small blocks in
 # batches (``_build``), timed on one core of a shared 2-core Xeon host
-# (CPython 3.11, numpy 2.4).  The output must hold at least
-# _CELLS_PER_SYMBOL cells per grammar symbol, or most built blocks go
-# unused: built, random_grammar(1, 2000, max_dim=256) (3.3 cells per
-# symbol) took 5.2 ms against 0.6 ms walked, while the quadtree of the
-# 128^2 corner of the quadtree-build matrix (14.7) took 1.5 ms against 2.7.
+# (CPython 3.11, numpy 2.4), with one-byte codes painted (every input below
+# has an ASCII alphabet; medians of 31 alternating calls).  The output must
+# hold at least _CELLS_PER_SYMBOL cells per grammar symbol, or most built
+# blocks go unused: built, random_grammar(1, 2000, max_dim=256) (3.3 cells
+# per symbol) took 2.5 ms against 0.27 ms walked, while the quadtree of the
+# 128^2 corner of the quadtree-build matrix (14.7) took 0.92 ms against 1.75.
 # Each group costs about ten numpy calls, so the small symbols must also
 # average _SYMBOLS_PER_LAYOUT per (depth, layout) group: built, the 256^2
-# spiral (199 small symbols in 196 groups) took 1.8 ms against 0.76 ms
-# walked, while the tests' 64^2 glyph quadtree (59 in 6) took 0.31 ms
-# against 0.57 and the 1024^2 quadtree-build input (5,406 in 9) 9.0 ms
-# against 18.9 (the benchmark's expand_s medians).
+# spiral (199 small symbols in 196 groups) took 2.1 ms against 0.88 ms
+# walked, and the 1024^2 quadtree-build input (5,406 in 9) 7.2 ms against
+# 17.1.  The tests' 64^2 glyph quadtree (59 in 6) passes the rule but took
+# 0.62 ms built against 0.41 walked: the rule was sized on four-byte
+# painting (0.31 against 0.57) and is not re-tuned.
 _CELLS_PER_SYMBOL = 8
 _SYMBOLS_PER_LAYOUT = 8
 
@@ -66,12 +78,15 @@ _SYMBOLS_PER_LAYOUT = 8
 def max_cells_default() -> int:
     """The configured expansion ceiling (``GRIDSLP_MAX_CELLS`` overrides)."""
     env = os.environ.get("GRIDSLP_MAX_CELLS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise AreaLimitExceeded(f"GRIDSLP_MAX_CELLS is not an integer: {env!r}")
-    return DEFAULT_MAX_CELLS
+    if not env:
+        return DEFAULT_MAX_CELLS
+    try:
+        cap = int(env)
+    except ValueError:
+        raise AreaLimitExceeded(f"GRIDSLP_MAX_CELLS is not an integer: {env!r}")
+    if cap < 0:
+        raise AreaLimitExceeded(f"GRIDSLP_MAX_CELLS is negative: {env!r}")
+    return cap
 
 
 def matrix_to_text(m: np.ndarray) -> str:
@@ -79,10 +94,11 @@ def matrix_to_text(m: np.ndarray) -> str:
     return "\n".join(row.tobytes().decode("utf-32-le") for row in m)
 
 
-def _build(geo: GeometryTable, sym: int, cells: int):
+def _build(geo: GeometryTable, sym: int, cells: int, dtype):
     """The blocks of the small symbols the walk from ``sym`` meets, as a
-    ``{symbol: block}`` memo of character-code arrays, and the set of larger
-    symbols the walk should cache; None where the input does not batch.
+    ``{symbol: block}`` memo of character-code arrays of ``dtype``, and the
+    set of larger symbols the walk should cache; None where the input does
+    not batch.
 
     Small symbols are those below the largest area whose blocks together
     hold at most ``cells`` cells.  They are grouped by depth and layout (the
@@ -140,7 +156,6 @@ def _build(geo: GeometryTable, sym: int, cells: int):
     ROW[members] = row
     E = geo.entries
     codes = [ord(E[s]) for s in members[: counts[0]].tolist()]
-    dtype = np.uint8 if max(codes) < 256 else np.uint32
     stores = [np.empty((c, hw // wide, hw % wide), dtype=dtype)
               for c, hw in zip(counts.tolist(), shapes.tolist())]
     starts = ends - np.diff(ends, prepend=0)
@@ -196,6 +211,9 @@ def expand(
     most ``_MEMO_CELLS`` cells as their last cell is painted.  Where the
     input batches (see ``_build``), the blocks of its small symbols are built
     first in numpy, the walk pastes them and caches only shared symbols.
+    Where every terminal is below U+0100 (``geo.max_code``), all of this
+    paints one-byte codes, widened once at the end into the ``uint32``
+    buffer whose ``'<U1'`` view is returned.
     """
     geo = _table(g, geo)
     H, W, HOLES, E = geo.heights, geo.widths, geo.holes, geo.entries
@@ -207,6 +225,8 @@ def expand(
         raise ParameterError(f"hole marker must be one character, got {hole_marker!r}")
     if max_cells is None:
         max_cells = max_cells_default()
+    elif max_cells < 0:
+        raise ParameterError(f"max_cells must be at least 0, got {max_cells}")
 
     h, w = H[sym], W[sym]
     if h * w > max_cells:
@@ -214,11 +234,16 @@ def expand(
             f"{h}x{w} = {h * w} cells exceeds the limit of {max_cells}"
         )
 
-    # The walk paints character codes, as the built blocks hold them, and
-    # writes a terminal through the buffer's character view.
-    memo, cache = _build(geo, sym, h * w) or ({}, None)
-    out = np.empty((h, w), dtype=np.uint32)
-    buf = out.view("<U1")
+    # The walk paints character codes, as the built blocks hold them.  A
+    # one-byte alphabet is painted into the last quarter of the result's own
+    # bytes and widened in place, front to back: cell i's code sits at byte
+    # 3n + i, past every byte that cells before i widen into, so a chunk
+    # [lo, hi) with 4 hi <= 3n + lo never reads what it writes.
+    n = h * w
+    narrow = geo.max_code < 256
+    memo, cache = _build(geo, sym, n, np.uint8 if narrow else np.uint32) or ({}, None)
+    wide = np.empty((h, w), dtype=np.uint32)
+    out = np.ndarray((h, w), np.uint8, wide, 3 * n) if narrow else wide
 
     # Box 1 is pushed before the second child, so an argument is painted
     # after its context, over the hole, whatever the hole held then.  The
@@ -237,13 +262,13 @@ def expand(
             continue
         block = memo.get(s)
         if block is not None:
-            if block.base is out:
+            if block.base is wide:
                 memo[s] = block = block.copy()
             out[ox : ox + H[s], oy : oy + W[s]] = block
             continue
         e = E[s]
         if e.__class__ is str:
-            buf[ox, oy] = e
+            out[ox, oy] = ord(e)
             continue
         if H[s] * W[s] <= _MEMO_CELLS if cache is None else s in cache:
             stack.append((~s, ox, oy))
@@ -251,6 +276,13 @@ def expand(
         stack.append((c1, ox + x1, oy + y1))
         if c2 is not None:
             stack.append((c2, ox + dx2, oy + dy2))
+    if narrow:
+        codes, cells, lo = out.reshape(-1), wide.reshape(-1), 0
+        while lo < n:
+            hi = (3 * n + lo) // 4 if n - lo > _SPARE_CELLS else n
+            cells[lo:hi] = codes[lo:hi]
+            lo = hi
+    buf = wide.view("<U1")
     if HOLES[sym] is not None:
         p, q, hr, hc = HOLES[sym]
         buf[hr - 1 : hr - 1 + p, hc - 1 : hc - 1 + q] = hole_marker

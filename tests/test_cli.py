@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -118,6 +119,26 @@ class TestStats:
         assert code == 1
 
 
+# A grammar whose terminal A is the byte 0xff, at offset 21: not UTF-8.
+NOT_UTF8 = b"SLP2D v1\nstart S\nA T \xff\nS H A A\n"
+
+
+@pytest.mark.parametrize("argv", [("stats",), ("expand",), ("access", 1, 1)])
+def test_undecodable_file_is_a_format_error(run, tmp_path, monkeypatch, argv):
+    """A file that is not UTF-8, given by path or on stdin, exits 1 with one
+    line naming it and the byte offset, and no traceback."""
+    p = tmp_path / "latin1.slp"
+    p.write_bytes(NOT_UTF8)
+    code, out, err = run(argv[0], p, *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == f"error: {p}: not UTF-8 at byte 21\n"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8)))
+    code, out, err = run(argv[0], "-", *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == "error: stdin: not UTF-8 at byte 21\n"
+    assert "Traceback" not in err
+
+
 class TestExpandAccess:
     def test_expand_matches_library(self, run, shiftbin_file):
         code, out, err = run("expand", shiftbin_file)
@@ -130,6 +151,15 @@ class TestExpandAccess:
         code, out, err = run("expand", shiftbin_file, "--max-cells", 10)
         assert code == 1
         assert "cells" in err
+
+    @pytest.mark.parametrize("command", ["expand", "verify"])
+    def test_negative_cell_cap_is_usage_error(self, run, shiftbin_file, command):
+        """A negative cap is refused, not taken as a limit (expand) or as a
+        reason to sample (verify)."""
+        extra = ("--against", shiftbin_file) if command == "verify" else ()
+        code, out, err = run(command, shiftbin_file, *extra, "--max-cells", -5)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "at least 0, got -5" in err
 
     def test_access_each_path_agrees(self, run, example_file, shiftbin_file):
         for f in (example_file, shiftbin_file):
@@ -405,6 +435,12 @@ class TestMaxCellsEnvironment:
         assert out == ""
         assert err.startswith("error:") and "GRIDSLP_MAX_CELLS" in err
         assert "Traceback" not in err
+
+    def test_expand_refuses_a_negative_one(self, run, monkeypatch, shiftbin_file):
+        monkeypatch.setenv("GRIDSLP_MAX_CELLS", "-5")
+        code, out, err = run("expand", shiftbin_file)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "GRIDSLP_MAX_CELLS" in err
 
     def test_help_names_the_default_without_reading_it(self, monkeypatch, capsys):
         monkeypatch.setenv("GRIDSLP_MAX_CELLS", "abc")

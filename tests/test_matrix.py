@@ -91,14 +91,20 @@ def test_area_cap_enforced():
         expand(g, max_cells=1 << 10)
     # and the default cap can be overridden upward explicitly
     assert expand(g, max_cells=1 << 21).shape == (1, 1 << 20)
+    # a negative cap is refused, not taken as a limit
+    with pytest.raises(ParameterError):
+        expand(g, max_cells=-1)
 
 
 def test_max_cells_env_override(monkeypatch):
     monkeypatch.setenv("GRIDSLP_MAX_CELLS", "12345")
     assert max_cells_default() == 12345
-    monkeypatch.setenv("GRIDSLP_MAX_CELLS", "junk")
-    with pytest.raises(AreaLimitExceeded):
-        max_cells_default()
+    for junk in ("junk", "-1"):
+        monkeypatch.setenv("GRIDSLP_MAX_CELLS", junk)
+        with pytest.raises(AreaLimitExceeded):
+            max_cells_default()
+    monkeypatch.setenv("GRIDSLP_MAX_CELLS", "0")
+    assert max_cells_default() == 0
     monkeypatch.delenv("GRIDSLP_MAX_CELLS")
     assert max_cells_default() == 1 << 26
 
@@ -195,7 +201,7 @@ def _always_batch(monkeypatch):
 
 def _batches(g, sym) -> bool:
     geo = compute_geometry(g)
-    return matrix._build(geo, sym, geo.area(sym)) is not None
+    return matrix._build(geo, sym, geo.area(sym), np.uint32) is not None
 
 
 def test_batched_build_matches_the_walk(monkeypatch):
@@ -219,26 +225,63 @@ def test_glyph_quadtree_batches_by_itself():
     assert expand(g).tolist() == [list(row) for row in m]
 
 
+def _expands_as_access(t, s, marker) -> bool:
+    """Whether ``expand(t, s)`` is a ``'<U1'`` matrix holding, cell for cell,
+    what ``access_tslp`` reads there (``marker`` on ``s``'s own hole); and
+    asserts so.  Returns whether the input batches."""
+    ts = dataclasses.replace(t, start=s)
+    got = expand(ts, hole_marker=marker)
+    assert got.dtype == np.dtype("<U1")
+    for x, y in np.ndindex(*got.shape):
+        try:
+            want = access_tslp(ts, x + 1, y + 1)[0]
+        except InternalHoleHit:
+            want = marker
+        assert got[x, y] == want, (s, x, y)
+    return _batches(ts, s)
+
+
 @pytest.mark.parametrize("batch", [False, True])
 def test_wide_characters_on_both_paths(monkeypatch, batch):
     """Terminals and a hole marker above U+00FF, one outside the BMP,
     expand cell for cell as ``access_tslp`` reads them, batched or walked."""
     wide = {"a": "\u0101", "b": "\U0001F600", "c": "c", "d": "\u4e2d"}
-    marker = "\u2588"
     (_always_batch if batch else _walk_only)(monkeypatch)
     built = set()
     for seed in range(40):
         t = random_tslp(seed)
         t = dataclasses.replace(t, rules=tuple(
             Terminal(wide[r.char]) if r.kind == "term" else r for r in t.rules))
-        for s in range(t.symbols):
-            ts = dataclasses.replace(t, start=s)
-            built.add(_batches(ts, s))
-            got = expand(ts, hole_marker=marker)
-            for x, y in np.ndindex(*got.shape):
-                try:
-                    want = access_tslp(ts, x + 1, y + 1)[0]
-                except InternalHoleHit:
-                    want = marker
-                assert got[x, y] == want, (seed, s, x, y)
+        built |= {_expands_as_access(t, s, "\u2588") for s in range(t.symbols)}
+    assert built == ({False, True} if batch else {False})
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_one_byte_alphabet_under_a_wide_hole_marker(monkeypatch, batch):
+    """ASCII terminals are painted as one-byte codes; the marker, above
+    U+00FF, still lands on every hole cell of the widened result."""
+    (_always_batch if batch else _walk_only)(monkeypatch)
+    built, holes = set(), 0
+    for seed in range(40):
+        t = random_tslp(seed)
+        assert compute_geometry(t).max_code < 256
+        built |= {_expands_as_access(t, s, "\u4e2d") for s in range(t.symbols)}
+        holes += sum((expand(t, s, hole_marker="\u4e2d") == "\u4e2d").sum()
+                     for s in range(t.symbols))
+    assert holes > 0
+    assert built == ({False, True} if batch else {False})
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_ascii_symbol_of_a_wide_alphabet(monkeypatch, batch):
+    """A grammar with one terminal above U+00FF that no other symbol
+    reaches: every other symbol, painted four bytes a cell, expands as
+    ``access_tslp`` reads it."""
+    (_always_batch if batch else _walk_only)(monkeypatch)
+    built = set()
+    for seed in range(40):
+        t = random_tslp(seed)
+        t = dataclasses.replace(t, rules=t.rules + (Terminal("\u4e2d"),), labels=())
+        assert compute_geometry(t).max_code == 0x4E2D
+        built |= {_expands_as_access(t, s, "#") for s in range(t.symbols - 1)}
     assert built == ({False, True} if batch else {False})
