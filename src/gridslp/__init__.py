@@ -12,7 +12,7 @@ same code for grammars with and without contexts), and a K-level unwound
 grid index with predecessor lookups.
 """
 
-from .access import access_plain, access_tslp
+from .access import access_plain, access_tslp, first_difference
 from .balance import BalanceStats, balance_1d, balance_to_tslp
 from .bench import bench_access
 from .fastaccess import (

@@ -1,22 +1,19 @@
 """Command-line front end: deterministic, scriptable subcommands.
 
-Every command is a pure function of its flags (plus seed where sampling is
-involved): repeated runs produce byte-identical output.  Machine-readable
-results are JSON on stdout; grammars and matrices are the plain text formats
-of the serialization layer.  Exit codes: 0 success, 1 validation or
-equivalence failure, 2 usage error.
+Every command is a pure function of its flags (``verify`` errs with
+probability below 2^-63): repeated runs produce byte-identical output.
+Machine-readable results are JSON on stdout; grammars and matrices are the
+plain text formats of the serialization layer.  Exit codes: 0 success, 1
+validation or equivalence failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
-import numpy as np
-
-from .access import access_tslp
+from .access import access_tslp, first_difference
 from .balance import balance_to_tslp
 from .bench import bench_access
 from .fastaccess import access_fast, build_fast
@@ -37,7 +34,7 @@ from .grammar import (
     compute_geometry,
     validate,
 )
-from .matrix import DEFAULT_MAX_CELLS, expand, matrix_to_text, max_cells_default
+from .matrix import DEFAULT_MAX_CELLS, expand, matrix_to_text
 from .textio import emit_grammar, parse_grammar
 from .transforms import linearize_rows, margin_slp, rebalance_plain_2d, rotate_cw
 
@@ -178,35 +175,17 @@ def cmd_margins(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise ParameterError(f"--samples must be at least 1, got {args.samples}")
-    if args.max_cells is not None and args.max_cells < 0:
-        raise ParameterError(f"--max-cells must be at least 0, got {args.max_cells}")
     a, b = _load(args.file), _load(args.against)
     dims_a, dims_b = compute_geometry(a).dims(a.start), compute_geometry(b).dims(b.start)
     if dims_a != dims_b:
         print(f"dimension mismatch: {dims_a} vs {dims_b}", file=sys.stderr)
         return 1
-    h, w = dims_a
-    cap = args.max_cells if args.max_cells is not None else max_cells_default()
-    if h * w <= cap:
-        ma, mb = expand(a, max_cells=cap), expand(b, max_cells=cap)
-        cells = (np.argwhere(ma != mb)[:1] + 1).tolist()
-        equal = f"equal ({h}x{w}, full expansion)"
-    else:
-        rng = random.Random(args.seed)
-        cells = (
-            (rng.randrange(1, h + 1), rng.randrange(1, w + 1)) for _ in range(args.samples)
-        )
-        equal = f"equal ({h}x{w}, {args.samples} sampled positions, seed {args.seed})"
-    for x, y in cells:
-        ca, _ = access_tslp(a, x, y)
-        cb, _ = access_tslp(b, x, y)
-        if ca != cb:
-            print(f"mismatch at ({x},{y}): {ca!r} vs {cb!r}", file=sys.stderr)
-            return 1
-    print(equal)
-    return 0
+    if (cell := first_difference(a, b)) is None:
+        print(f"equal ({dims_a[0]}x{dims_a[1]}, fingerprint)")
+        return 0
+    (ca, _), (cb, _) = access_tslp(a, *cell), access_tslp(b, *cell)
+    print(f"mismatch at ({cell[0]},{cell[1]}): {ca!r} vs {cb!r}", file=sys.stderr)
+    return 1
 
 
 def cmd_bench(args) -> int:
@@ -285,9 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "verify", cmd_verify, "compare two grammars' expansions")
     p.add_argument("--against", required=True)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-cells", type=int, default=None)
 
     p = _command(sub, "bench", cmd_bench, "time the descent and the index access paths")
     p.add_argument("--queries", type=int, default=10000)

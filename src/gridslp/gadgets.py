@@ -306,8 +306,8 @@ def random_grammar(seed: int, g: int, max_dim: int = 64) -> Grammar2D:
     side.  The start symbol is the one with the largest derived area (ties to
     the newest), so fuzz queries exercise real structure.
     """
-    if g < 1:
-        raise ParameterError(f"symbol count must be ≥ 1, got {g}")
+    if g < 1 or max_dim < 1:
+        raise ParameterError(f"symbol count and max_dim must be ≥ 1, got {g}, {max_dim}")
     rng = random.Random(seed)
     alphabet = "01ab"
     b = GrammarBuilder(dedup=False)

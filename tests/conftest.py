@@ -109,6 +109,35 @@ def example_tslp():
     return b.finish_tslp(b.apply(ctx, row))
 
 
+#: The production fields that hold a geometry entry's ``c1`` and ``c2``.
+ENTRY_FIELDS = {"h": ("left", "right"), "v": ("top", "bottom"),
+                "apply": ("arg", "ctx"), "compose": ("inner", "outer"),
+                "hole": ("ground",), "ctxcat": ("ground", "ctx")}
+
+
+def one_cell_mutant(g, x: int, y: int, char: str = "@"):
+    """``g`` with cell (x, y) changed to ``char``: the productions on the
+    descent to that cell are copied, each copy naming the next one, so the
+    rest of the matrix is unchanged whatever symbols it shares."""
+    geo = compute_geometry(g)
+    if geo.entries[g.start].__class__ is str:
+        return dataclasses.replace(g, rules=g.rules + (Terminal(char),),
+                                   start=len(g.rules), labels=())
+    rules, path, cur = list(g.rules), [], g.start
+    while geo.entries[cur].__class__ is tuple:
+        c1, x1, y1, x2, y2, c2, dx2, dy2 = geo.entries[cur]
+        side = 0 if x1 < x <= x2 and y1 < y <= y2 else 1
+        path.append((cur, side))
+        x, y = (x - x1, y - y1) if side == 0 else (x - dx2, y - dy2)
+        cur = (c1, c2)[side]
+    assert geo.entries[cur] != char, f"cell already holds {char!r}"
+    rules.append(Terminal(char))
+    for sym, side in reversed(path):
+        field = ENTRY_FIELDS[rules[sym].kind][side]
+        rules.append(dataclasses.replace(rules[sym], **{field: len(rules) - 1}))
+    return dataclasses.replace(g, rules=tuple(rules), start=len(rules) - 1, labels=())
+
+
 def sample_positions(n_rows: int, n_cols: int, count: int, seed: int):
     """Deterministic uniform (x, y) samples, 1-based."""
     rng = random.Random(seed)

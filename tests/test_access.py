@@ -1,23 +1,42 @@
-"""Single-cell queries: agreement with expansion, bounds, visit counts."""
+"""Single-cell queries: agreement with expansion, bounds, visit counts; and
+``first_difference`` against the first differing cell of full expansion."""
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridslp import (
+    HConcat,
+    HoleConcat,
     OutOfBounds,
+    Terminal,
+    Tslp2D,
     access_plain,
     access_tslp,
     balance_to_tslp,
+    build_spiral,
     compute_geometry,
     expand,
+    first_difference,
     random_grammar,
+    rebalance_plain_2d,
 )
-from gridslp.grammar import PLAIN_KINDS
+from gridslp.grammar import PLAIN_KINDS, DimensionMismatch
 
-from conftest import example_tslp, sample_positions
+from conftest import (
+    caterpillar,
+    example_tslp,
+    glyph_quadtree,
+    one_cell_mutant,
+    random_tslp,
+    row_caterpillar,
+    sample_positions,
+)
 
 
 def _check_against_expansion(g, access, samples=200, seed=0):
@@ -87,3 +106,70 @@ def test_plain_equals_tslp_on_random_grammars(seed, q):
     h, w = geo.dims(g.start)
     x, y = 1 + q % h, 1 + (q * 7919) % w
     assert access_plain(g, x, y, geo=geo)[0] == access_tslp(g, x, y, geo=geo)[0]
+
+
+def _first_by_expansion(a, b):
+    """The first differing cell of two full expansions, 1-based, or None."""
+    cells = np.argwhere(expand(a) != expand(b))
+    return None if len(cells) == 0 else tuple(int(v) + 1 for v in cells[0])
+
+
+def _mutants(g, rng, count):
+    """``g`` with one, then two, ... up to ``count`` seeded cells changed,
+    each to a character of its own."""
+    h, w = compute_geometry(g).dims(g.start)
+    out = []
+    for char in "@!?&"[:count]:
+        g = one_cell_mutant(g, rng.randint(1, h), rng.randint(1, w), char)
+        out.append(g)
+    return out
+
+
+class TestFirstDifference:
+    @pytest.mark.parametrize("seeds", [range(0, 50), range(50, 100), range(100, 150)])
+    def test_first_cell_of_full_expansion_on_random_tslps(self, seeds):
+        """Every production kind, plain and balanced, against mutants of up
+        to three cells: the witness is the row-major first difference."""
+        rng = random.Random(seeds[0])
+        for seed in seeds:
+            g = random_tslp(seed)
+            t, _ = balance_to_tslp(g)
+            assert first_difference(g, t) is None, seed
+            for m in _mutants(g, rng, 3):
+                for a, b in ((g, m), (m, g), (t, m)):
+                    assert first_difference(a, b) == _first_by_expansion(a, b), seed
+
+    def test_first_cell_of_full_expansion_on_the_glyph_quadtree(self):
+        _, g = glyph_quadtree()
+        rng = random.Random(3)
+        for m in _mutants(g, rng, 4):
+            assert first_difference(g, m) == _first_by_expansion(g, m)
+            assert first_difference(m, g) == _first_by_expansion(m, g)
+        assert first_difference(g, balance_to_tslp(g)[0]) is None
+        assert first_difference(g, rebalance_plain_2d(g)[0]) is None
+
+    @pytest.mark.parametrize("name", ["spiral_256", "row_caterpillar", "random"])
+    def test_equal_to_rebalanced_and_balanced(self, name):
+        g = {
+            "spiral_256": build_spiral(256),
+            "row_caterpillar": row_caterpillar(8, 40),
+            "random": random_grammar(4, 200, max_dim=48),
+        }[name]
+        for other in (rebalance_plain_2d(g)[0], balance_to_tslp(g)[0]):
+            assert first_difference(g, other) is None
+            assert first_difference(other, g) is None
+
+    def test_hole_cells_differ_from_every_character(self):
+        """A start that is a context: its hole counts 0, no character does."""
+        g = Tslp2D(rules=(Terminal("\x00"), HoleConcat("H", "first", 0, 1, 1)), start=1)
+        t = Tslp2D(rules=(Terminal("\x00"), HConcat(0, 0)), start=1)
+        assert first_difference(g, g) is None
+        assert first_difference(g, t) == (1, 1)
+
+    def test_deeper_than_the_recursion_limit(self):
+        g = caterpillar(20000)
+        assert first_difference(g, one_cell_mutant(g, 1, 15001)) == (1, 15001)
+
+    def test_unequal_dimensions_refused(self):
+        with pytest.raises(DimensionMismatch):
+            first_difference(build_spiral(256), build_spiral(512))

@@ -11,6 +11,8 @@ import pytest
 
 from gridslp import (
     GrammarBuilder,
+    access_tslp,
+    balance_to_tslp,
     build_cnm,
     build_shiftbin,
     build_spiral,
@@ -22,7 +24,7 @@ from gridslp import (
 from gridslp.cli import main
 from gridslp.matrix import DEFAULT_MAX_CELLS
 
-from conftest import example_tslp
+from conftest import caterpillar, example_tslp, full_dims, one_cell_mutant
 
 
 @pytest.fixture()
@@ -30,7 +32,10 @@ def run(capsys):
     """Invoke the CLI and return (exit_code, stdout, stderr)."""
 
     def _run(*argv):
-        code = main([str(a) for a in argv])
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as e:  # argparse exits on a usage error
+            code = e.code
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
@@ -84,6 +89,15 @@ class TestGen:
     def test_bad_gadget_parameter(self, run):
         code, out, err = run("gen", "--gadget", "bin", "--n", -1)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag", [("--size", 0), ("--max-dim", 0), ("--max-dim", -3)],
+        ids=["size-0", "max-dim-0", "max-dim-negative"],
+    )
+    def test_random_bounds_below_one_are_usage_errors(self, run, flag):
+        code, out, err = run("gen", "--gadget", "random", *flag)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "must be ≥ 1" in err
 
 
 class TestStats:
@@ -154,12 +168,15 @@ class TestExpandAccess:
 
     @pytest.mark.parametrize("command", ["expand", "verify"])
     def test_negative_cell_cap_is_usage_error(self, run, shiftbin_file, command):
-        """A negative cap is refused, not taken as a limit (expand) or as a
-        reason to sample (verify)."""
+        """A negative cap is refused: ``expand`` does not take it as a
+        limit, and ``verify``, which expands nothing, takes no cap."""
         extra = ("--against", shiftbin_file) if command == "verify" else ()
         code, out, err = run(command, shiftbin_file, *extra, "--max-cells", -5)
         assert (code, out) == (2, "")
-        assert err.startswith("error:") and "at least 0, got -5" in err
+        if command == "expand":
+            assert err.startswith("error:") and "at least 0, got -5" in err
+        else:
+            assert err.endswith("error: unrecognized arguments: --max-cells -5\n")
 
     def test_access_each_path_agrees(self, run, example_file, shiftbin_file):
         for f in (example_file, shiftbin_file):
@@ -290,8 +307,6 @@ class TestVerify:
         b = tmp_path / "b.tslp"
         g = build_cnm(16, 32)
         a.write_text(emit_grammar(g))
-        from gridslp import balance_to_tslp
-
         b.write_text(emit_grammar(balance_to_tslp(g)[0]))
         code, out, err = run("verify", str(a), "--against", str(b))
         assert code == 0
@@ -314,63 +329,112 @@ class TestVerify:
         assert code == 1
         assert "dimension mismatch" in err
 
-    def test_sampled_when_over_cap(self, run, tmp_path):
-        a = tmp_path / "a.slp"
+    def test_equal_past_the_cell_cap(self, run, tmp_path, monkeypatch):
+        """``verify`` reads no expansion cap: a matrix past it is compared
+        as exactly as any other."""
+        a, b = tmp_path / "a.slp", tmp_path / "b.tslp"
         g = build_cnm(32, 32)
         a.write_text(emit_grammar(g))
-        code, out, err = run(
-            "verify", str(a), "--against", str(a), "--max-cells", 100, "--samples", 50
-        )
-        assert code == 0
-        assert "sampled" in out
+        b.write_text(emit_grammar(balance_to_tslp(g)[0]))
+        monkeypatch.setenv("GRIDSLP_MAX_CELLS", "100")
+        code, out, err = run("verify", str(a), "--against", str(b))
+        assert (code, out, err) == (0, "equal (32x32, fingerprint)\n", "")
 
-    def test_sampled_mismatch_when_over_cap(self, run, tmp_path):
+    def test_mismatch_past_the_cell_cap(self, run, tmp_path, monkeypatch):
         paths = []
         for char in "xy":
             b = GrammarBuilder(dedup=True)
             root = b.repeat("V", b.repeat("H", b.terminal(char), 32), 32)
             paths.append(tmp_path / f"{char}.slp")
             paths[-1].write_text(emit_grammar(b.finish(root)))
-        code, out, err = run(
-            "verify", paths[0], "--against", paths[1], "--max-cells", 100,
-            "--samples", 5,
-        )
+        monkeypatch.setenv("GRIDSLP_MAX_CELLS", "100")
+        code, out, err = run("verify", paths[0], "--against", paths[1])
         assert code == 1
         assert out == ""
         assert "mismatch at" in err
+        assert err == "mismatch at (1,1): 'x' vs 'y'\n"
 
-    @pytest.mark.parametrize(
-        "flags", [(), ("--max-cells", 1, "--samples", 50)], ids=["expanded", "sampled"]
-    )
+    @pytest.mark.parametrize("cap", [None, "1"], ids=["under-cap", "past-cap"])
     @pytest.mark.parametrize(
         "chars,report", [("xy", "'x' vs 'y'"), ("ée", "'é' vs 'e'")], ids=["ascii", "accent"]
     )
-    def test_mismatch_reported_alike_on_both_paths(self, run, tmp_path, flags, chars, report):
-        """Both paths print the characters' reprs, so the bytes do not depend
-        on the numpy version.  Only (1,1) differs: sampling must reach it."""
+    def test_mismatch_reported_as_reprs(self, run, tmp_path, monkeypatch, cap, chars, report):
+        """The characters' reprs, so the bytes do not depend on the numpy
+        version, under the expansion cap and past it alike.  Only (1,1)
+        differs."""
+        if cap is not None:
+            monkeypatch.setenv("GRIDSLP_MAX_CELLS", cap)
         paths = []
         for char in chars:
             paths.append(tmp_path / f"{len(paths)}.slp")
             paths[-1].write_text(
                 f"SLP2D v1\nstart S2\nS0 T {char}\nS1 T z\nS2 H S0 S1\n", encoding="utf-8"
             )
-        code, out, err = run("verify", paths[0], "--against", paths[1], *flags)
+        code, out, err = run("verify", paths[0], "--against", paths[1])
         assert code == 1
         assert out == ""
         assert err == f"mismatch at (1,1): {report}\n"
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_sample_count_below_one_is_usage_error(self, run, tmp_path, samples):
-        """Zero samples would report "equal" without comparing a cell."""
+        """``verify`` compares fingerprints and samples nothing, so argparse
+        refuses a sample count of any value."""
         a = tmp_path / "a.slp"
         a.write_text(emit_grammar(build_cnm(32, 32)))
-        code, out, err = run(
-            "verify", str(a), "--against", str(a), "--max-cells", 100,
-            "--samples", samples,
-        )
+        code, out, err = run("verify", str(a), "--against", str(a), "--samples", samples)
         assert code == 2
         assert out == ""
         assert "--samples" in err
+
+    @pytest.mark.parametrize("flag", [("--samples", 5), ("--seed", 3)], ids=["samples", "seed"])
+    def test_sampling_flags_are_usage_errors(self, run, shiftbin_file, flag):
+        code, out, err = run("verify", shiftbin_file, "--against", shiftbin_file, *flag)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: unrecognized arguments: {flag[0]} {flag[1]}\n")
+
+    @pytest.mark.parametrize(
+        "n,cell", [(1 << 12, (2500, 77)), (1 << 16, (40000, 12345))], ids=["4096", "65536"]
+    )
+    def test_exact_cell_of_a_one_cell_mutant(self, run, tmp_path, n, cell):
+        """The spiral's balanced TSLP against the spiral with one cell
+        changed: exit 1 and that cell, at any size."""
+        g = build_spiral(n)
+        was, _ = access_tslp(g, *cell)
+        a, b = tmp_path / "a.tslp", tmp_path / "b.slp"
+        a.write_text(emit_grammar(balance_to_tslp(g)[0]))
+        b.write_text(emit_grammar(one_cell_mutant(g, *cell)))
+        code, out, err = run("verify", str(a), "--against", str(b))
+        assert (code, out) == (1, "")
+        assert err == f"mismatch at ({cell[0]},{cell[1]}): {was!r} vs '@'\n"
+
+    @pytest.mark.parametrize("name", ["spiral_65536", "caterpillar_20000"])
+    def test_equal_far_past_the_cell_cap(self, run, tmp_path, name):
+        """A 2^16 square and a grammar 20,001 levels deep, each against its
+        balanced TSLP."""
+        g = build_spiral(1 << 16) if name == "spiral_65536" else caterpillar(20000)
+        h, w = full_dims(g)
+        a, b = tmp_path / "a.slp", tmp_path / "b.tslp"
+        a.write_text(emit_grammar(g))
+        b.write_text(emit_grammar(balance_to_tslp(g)[0]))
+        code, out, err = run("verify", str(a), "--against", str(b))
+        assert (code, out, err) == (0, f"equal ({h}x{w}, fingerprint)\n", "")
+
+    def test_forward_reference(self, run, tmp_path):
+        """Symbols used before their line, against the same matrix in id
+        order, and against it with one cell changed."""
+        paths = {}
+        for name, text in {
+            "forward": "SLP2D v1\nstart R\nR V B B\nB H A C\nA T x\nC T y\n",
+            "ordered": "SLP2D v1\nstart S3\nS0 T x\nS1 T y\nS2 H S0 S1\nS3 V S2 S2\n",
+            "changed": "SLP2D v1\nstart S4\nS0 T x\nS1 T y\nS2 H S0 S1\nS3 H S1 S1\n"
+                       "S4 V S2 S3\n",
+        }.items():
+            paths[name] = tmp_path / f"{name}.slp"
+            paths[name].write_text(text)
+        assert run("verify", paths["forward"], "--against", paths["ordered"]) == (
+            0, "equal (2x2, fingerprint)\n", "")
+        assert run("verify", paths["forward"], "--against", paths["changed"]) == (
+            1, "", "mismatch at (2,1): 'x' vs 'y'\n")
 
 
 class TestBench:
@@ -462,8 +526,8 @@ PINNED_FILES = {
 
 # Every command but ``bench`` (timings), on relative paths so the bytes
 # hold no directory.  Help and argparse usage errors are left out: their
-# text depends on the Python version.  ``verify`` reports a mismatch in the
-# same words on its expanded and sampled paths, so both are pinned.
+# text depends on the Python version.  ``verify`` runs both ways round on
+# an equal pair and on a pair that differs in every cell.
 PINNED_RUNS = [
     ("gen", "--gadget", "bin", "--n", 3),
     ("gen", "--gadget", "shiftbin", "--n", 2),
@@ -503,9 +567,8 @@ PINNED_RUNS = [
     ("margins", "random.slp", "--side", "left"),
     ("margins", "random.slp", "--side", "right"),
     ("verify", "spiral.slp", "--against", "bal.tslp"),
-    ("verify", "spiral.slp", "--against", "bal.tslp", "--max-cells", 100,
-     "--samples", 200, "--seed", 3),
-    ("verify", "x.slp", "--against", "y.slp", "--max-cells", 1, "--samples", 5),
+    ("verify", "bal.tslp", "--against", "spiral.slp"),
+    ("verify", "y.slp", "--against", "x.slp"),
     ("verify", "x.slp", "--against", "y.slp"),
     ("verify", "sb.slp", "--against", "spiral.slp"),
     ("stats", "invalid.slp"),
@@ -514,7 +577,7 @@ PINNED_RUNS = [
     ("stats", "missing.slp"),
 ]
 
-PINNED_SHA256 = "2f53dd1fa245314e38535535435601199ecb0dffaaf5bf88dd36adcc88a96119"
+PINNED_SHA256 = "f90a8838fbc6051d307731c7848040545392bb35bfaf52ed23505cc6dc7c30c2"
 
 
 def test_pinned_output_bytes(tmp_path, monkeypatch, capsys):

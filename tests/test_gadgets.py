@@ -253,6 +253,11 @@ class TestRandomGrammar:
             assert g.symbols == 25
             assert validate(g).ok
 
+    @pytest.mark.parametrize("g,max_dim", [(0, 64), (5, 0), (5, -1)])
+    def test_counts_below_one_refused(self, g, max_dim):
+        with pytest.raises(ParameterError, match="must be ≥ 1"):
+            random_grammar(0, g, max_dim=max_dim)
+
     def test_dims_capped(self):
         for seed in range(20):
             g = random_grammar(seed, 60, max_dim=20)
