@@ -7,13 +7,18 @@ keep test:
 - linearize: ``transforms._linearize``, the rows as a flat DAG;
 - post-order: ``grammar._post_order`` from the N row symbols;
 - plan: ``balance._plan``, which runs that post-order itself first, then
-  the marks, splits, canon and requests;
+  marks the folded nodes on whole arrays (with a scalar peel of any unkept
+  node that no path of unkept nodes reaches, none on the spirals), walks
+  the copied part once more with ``grammar._post_order``, and derives the
+  splits, canon and requests on whole arrays;
 - fold: ``balance._fold`` with the flank-pair algebra;
 - stack + finish: the balanced vertical join of the rows and
   ``GrammarBuilder.finish``.
 
 Each figure is the median of ``--reps`` runs in ms, with the cyclic
-collector off.  The last line times the whole rebalance of
+collector off.  Before timing an N, the script asserts that the staged
+pipeline emits the same text as ``rebalance_plain_2d``, so the table times
+the pipeline that ships.  The last line times the whole rebalance of
 ``random_grammar(1, 200, max_dim=64)`` chained 40 times: a small input whose
 linearization takes 47 numpy rounds of a few keys each, so a fixed cost per
 round shows there and not on the spirals.
@@ -27,8 +32,8 @@ import statistics
 from time import perf_counter
 
 from gridslp import (
-    GrammarBuilder, build_spiral, compute_geometry, random_grammar,
-    rebalance_plain_2d)
+    GrammarBuilder, build_spiral, compute_geometry, emit_grammar,
+    random_grammar, rebalance_plain_2d)
 from gridslp.balance import _flanks, _fold, _plan
 from gridslp.grammar import _post_order
 from gridslp.transforms import _linearize
@@ -36,7 +41,8 @@ from gridslp.transforms import _linearize
 STAGES = ("linearize", "post-order", "plan", "fold", "stack+finish")
 
 
-def stages(g, geo) -> list[float]:
+def stages(g, geo):
+    """The seconds each stage took, and the grammar the stages made."""
     t = [perf_counter()]
     dag, rows = _linearize(g, geo)
     t.append(perf_counter())
@@ -47,9 +53,9 @@ def stages(g, geo) -> list[float]:
     b = GrammarBuilder(dedup=True)
     bal, copy, _ = _fold(b, dag, plan, *_flanks(b))
     t.append(perf_counter())
-    b.finish(b.balanced("V", [copy[s] if bal[s] is None else bal[s] for s in rows]))
+    out = b.finish(b.balanced("V", [copy[s] if bal[s] is None else bal[s] for s in rows]))
     t.append(perf_counter())
-    return [b - a for a, b in zip(t, t[1:])]
+    return [b - a for a, b in zip(t, t[1:])], out
 
 
 def median_ms(runs) -> list[float]:
@@ -79,7 +85,9 @@ def main() -> None:
     for exp in args.exps:
         g = build_spiral(1 << exp)
         geo = compute_geometry(g)
-        ms = median_ms(timed(lambda: stages(g, geo), args.reps))
+        assert emit_grammar(stages(g, geo)[1]) == emit_grammar(
+            rebalance_plain_2d(g, geo)[0]), f"stages differ from the rebalance at N={1 << exp}"
+        ms = median_ms(timed(lambda: stages(g, geo)[0], args.reps))
         nodes = len(_linearize(g, geo)[0].left)
         total = sum(ms) - ms[1]
         print(f"{1 << exp:>6} {nodes:>8} " + " ".join(f"{x:>12.1f}" for x in ms)

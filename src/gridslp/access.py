@@ -73,18 +73,39 @@ def access_tslp(
 access_plain = access_tslp
 
 
+def _powers(base: int, exps) -> dict[int, int]:
+    """``base**e`` mod 2^127 - 1 for each distinct ``e`` in ``exps``, from
+    the smallest up, each the one before times ``base`` to the gap between
+    them: one modular ``pow`` per distinct gap, and exponent 0 gives 1."""
+    out: dict[int, int] = {}
+    step: dict[int, int] = {}
+    acc, prev = 1, 0
+    for e in sorted(exps):
+        m = step.get(e - prev)
+        if m is None:
+            m = step[e - prev] = pow(base, e - prev, _P)
+        out[e] = acc = acc * m % _P
+        prev = e
+    return out
+
+
 def _corner_query(g: Grammar2D, R: int, S: int):
     """``q(k, m)``, the sum of ``code * R**(x-1) * S**(y-1)`` mod 2^127 - 1
     over the start's cells (x, y) with x <= k and y <= m, and the start's
     dimensions.  ``code`` is the code point plus one and a hole cell counts
     0, so a node ``(s, k, m)`` of any kind adds each child's corner, clamped
-    to its box, times its offset's multiplier.  ``q`` is one stack walk,
-    memoized across calls, since nearby corners share most of their nodes."""
+    to its box, times its offset's multiplier: R to the row offset times S
+    to the column offset, each power made once per distinct offset
+    (``_powers``).  ``q`` is one stack walk, memoized across calls, since
+    nearby corners share most of their nodes."""
     geo = compute_geometry(g)
     E, H, W = geo.entries, geo.heights, geo.widths
     memo = {(s, 1, 1): ord(e) + 1 for s, e in enumerate(E) if e.__class__ is str}
+    inner = [e for e in E if e.__class__ is tuple]
+    Rx = _powers(R, {e[i] for e in inner for i in (1, 6)})
+    Sy = _powers(S, {e[i] for e in inner for i in (2, 7)})
     mult = [e if e.__class__ is str else tuple(
-        pow(R, e[i], _P) * pow(S, e[i + 1], _P) % _P for i in (1, 6)) for e in E]
+        Rx[e[i]] * Sy[e[i + 1]] % _P for i in (1, 6)) for e in E]
 
     def q(k: int, m: int) -> int:
         stack = [root := (g.start, k, m)]

@@ -25,10 +25,14 @@ folds one string, and the 2D rebalance folds a grammar's N linearized rows
 at once, copying each row that passes the keep test.  The plan and the fold read the grammar
 as flat per-symbol child lists with the keep test computed once (``_Dag``):
 from a geometry table's int64 view (``GeometryTable.columns``), or from the
-rebalance's array linearization, which never becomes productions.  The plan
-marks the symbols in one scalar pass over the reversed post-order and
-derives the rest as whole numpy arrays: the splits, the requests, and each
-folded node's canonical heavy parent, its folded heavy parent of lowest
+rebalance's array linearization, which never becomes productions; the
+plan reads the int64 arrays those lists were made from.  It marks as
+folded the reachable symbols that fail the keep test, less any that no
+path of such symbols reaches from a start (peeled off by a scalar loop
+over those symbols only), and as copied all that one more post-order walk
+reaches from the kept starts and the folded nodes' kept children.  The
+rest is whole numpy arrays: the splits, the requests, and each folded
+node's canonical heavy parent, its folded heavy parent of lowest
 post-order rank, through which the fold continues the node's heavy path.
 The fold reads them as flat per-symbol lists.  Input whose geometry table
 has a hole is first flattened to plain form (``_plain``, by
@@ -159,14 +163,18 @@ class _Dag(NamedTuple):
     ``left[z]`` and ``right[z]`` are a concat's first and second child (top
     and bottom for a vertical one), ``-1`` for a terminal; ``op[z]`` is the
     concat's axis, ``"H"`` or ``"V"``, or the terminal's character.
-    ``area[z]`` is the expansion's area and ``keep[z]`` its keep test.
+    ``area[z]`` is the expansion's area and ``keep[z]`` its keep test (a
+    list, or a bool array).  ``columns`` holds ``left``, ``right`` and
+    ``area`` as the int64 arrays they were read from (``area`` as an object
+    array where it passes int64), for ``_plan``'s whole-array steps.
     """
 
     left: list
     right: list
     op: list
     area: list
-    keep: list
+    keep: list | np.ndarray
+    columns: tuple
 
 
 def _keep(depth: np.ndarray, area: np.ndarray) -> np.ndarray:
@@ -180,13 +188,14 @@ def _dag_of(geo: GeometryTable) -> _Dag:
     """The ``_Dag`` of a plain grammar, read off its geometry table's int64
     view (a second child offset by columns sits beside the first), with
     the areas and the keep test on Python ints: a 2D area reaches 2**124."""
-    (c1, _, _, c2, _, dy2), (_, _, depths), _ = geo.columns
+    (c1, _, _, c2, _, dy2), (H, W, depths), _ = geo.columns
     op = np.where(dy2 > 0, "H", "V").astype(object)
     leaves = np.flatnonzero(c1 < 0)
     op[leaves] = [geo.entries[z] for z in leaves.tolist()]
     area = [h * w if h is not None else 0 for h, w in zip(geo.heights, geo.widths)]
     keep = list(map(_shallow, depths.tolist(), area))
-    return _Dag(c1.tolist(), c2.tolist(), op.tolist(), area, keep)
+    A = H * W if int(H.max()) * int(W.max()) < 1 << 63 else np.array(area, dtype=object)
+    return _Dag(c1.tolist(), c2.tolist(), op.tolist(), area, keep, (c1, c2, A))
 
 
 class _Plan(NamedTuple):
@@ -219,45 +228,56 @@ def _plan(dag: _Dag, starts: list[int]) -> _Plan:
 
     Each start is copied (COPY) if it passes the keep test and folded
     (FOLD) otherwise.  A child of a folded node is folded unless it is
-    kept, and then it is copied, as is all below a copied node.  The marks
-    take one scalar pass over the reversed post-order; the rest is whole
-    arrays over the folded nodes.  Each is split into its heavy child, the
-    one of larger area (the first on a tie), and its light child.  The
-    canonical heavy parent of a folded node is its folded parent of lowest
-    post-order rank whose heavy child it is; a second such parent, or a
-    light one, requests the node's own fold, as does being a folded start.
+    kept, and then it is copied, as is all below a copied node.  So the
+    folded nodes are the reachable ones that fail the keep test, less those
+    that every path from a folded start enters through a kept node.  Those
+    are peeled, parents first, from the unkept non-starts that no unkept
+    node has as a child (``np.bincount`` over the unkept nodes' edges
+    counts their unkept parents), in a scalar loop over the peeled nodes
+    only.  The copied nodes are all that one ``grammar._post_order`` walk
+    reaches from the kept starts and the kept children of folded nodes.
+    The rest is whole arrays over the folded nodes.  Each is split into its
+    heavy child, the one of larger area (the first on a tie), and its light
+    child.  The canonical heavy parent of a folded node is its folded parent
+    of lowest post-order rank whose heavy child it is; a second such parent,
+    or a light one, requests the node's own fold, as does being a folded
+    start.
     """
-    left, right, _, area, keep = dag
+    left, right, _, _, keep, (L, R, A) = dag
     n = len(left)
     order = _post_order(left, right, starts)
-    # What a child of a folded node becomes.
-    kid = [COPY if k else FOLD for k in keep]
-    mark = bytearray(n)
-    for s in starts:
-        mark[s] = kid[s]
-    for z in reversed(order):
-        x = left[z]
-        if x < 0:
-            continue
-        y = right[z]
-        m = mark[z]
-        c = m & COPY
-        if m & FOLD:
-            mark[x] |= kid[x] | c
-            mark[y] |= kid[y] | c
-        else:
-            mark[x] |= c
-            mark[y] |= c
-
-    folded = np.frombuffer(mark, dtype=np.uint8) & FOLD > 0
     post = np.fromiter(order, np.int64, len(order))
-    L = np.fromiter(left, np.int64, n)
-    z = post[folded[post] & (L[post] >= 0)]  # the folded nodes, in post-order
-    x, y = L[z], np.fromiter(right, np.int64, n)[z]
-    try:
-        A = np.fromiter(area, np.int64, n)
-    except OverflowError:  # a 2D area reaches 2**124
-        A = np.array(area, dtype=object)
+    inner = post[L[post] >= 0]
+    K = np.asarray(keep, dtype=bool)
+    folded = np.zeros(n, dtype=bool)
+    folded[post] = ~K[post]
+    # An unkept non-start left with no unkept parent is peeled, which may
+    # leave its children with none in turn.
+    loose = folded.copy()
+    loose[starts] = False
+    z = inner[folded[inner]]
+    parents = np.bincount(np.concatenate((L[z], R[z])), minlength=n)
+    peel = np.flatnonzero(loose & (parents == 0)).tolist()
+    if peel:
+        parents, loose = parents.tolist(), loose.tolist()
+        for p in peel:  # grows while it runs
+            if left[p] >= 0:
+                for c in (left[p], right[p]):
+                    parents[c] -= 1
+                    if not parents[c] and loose[c]:
+                        peel.append(c)
+        folded[peel] = False
+        z = inner[folded[inner]]
+    # z holds the folded nodes in post-order; what their kept children and
+    # the kept starts reach is copied.
+    x, y = L[z], R[z]
+    tops = np.zeros(n, dtype=bool)
+    tops[x] = True
+    tops[y] = True
+    tops[starts] = True
+    mark = np.zeros(n, dtype=np.uint8)
+    mark[folded] = FOLD
+    mark[_post_order(left, right, np.flatnonzero(tops & K).tolist())] |= COPY
     second = A[y] > A[x]
     hv, lt = np.where(second, y, x), np.where(second, x, y)
     # Rows: heavy, light, canon, requested.
@@ -276,7 +296,8 @@ def _plan(dag: _Dag, starts: list[int]) -> _Plan:
     side = np.full(n, None)
     side[z] = _SIDES[second.view(np.uint8)]
     heavy, light, canon, requested = out.tolist()
-    return _Plan(order, mark, heavy, light, side.tolist(), canon, requested)
+    return _Plan(order, bytearray(mark), heavy, light, side.tolist(), canon,
+                 requested)
 
 
 def _fold(b: GrammarBuilder, dag: _Dag, plan: _Plan, hole, compose, apply):
@@ -285,12 +306,13 @@ def _fold(b: GrammarBuilder, dag: _Dag, plan: _Plan, hole, compose, apply):
     ``hole(axis, side, ground, heavy)`` makes the context of a folded node
     around its heavy child, ``compose(outer, inner)`` nests two contexts,
     and ``apply(ctx, fill)`` plugs one into a ground symbol.  Each heavy
-    path's contexts go on a spine of ``[ctx, weight, acc]`` entries whose
-    weight classes strictly increase toward the bottom, like a binary
-    counter; ``acc`` is the composition of that entry with everything below
-    it and is made only when a requested node reads the spine (``None``
-    until then), so consecutive snapshots share structure and none is built
-    that no symbol reaches.  A path continues through each node's canonical
+    path's contexts go on a spine of ``[ctx, weight, weight_class, acc]``
+    entries whose weight classes (``weight.bit_length()``, kept with the
+    entry) strictly increase toward the bottom, like a binary counter;
+    ``acc`` is the composition of that entry with everything below it and
+    is made only when a requested node reads the spine (``None`` until
+    then), so consecutive snapshots share structure and none is built that
+    no symbol reaches.  A path continues through each node's canonical
     heavy parent.  Returns, per symbol, its fold (requested nodes) and its
     copy (copied nodes), ``None`` elsewhere, and the number of heavy paths.
     """
@@ -324,18 +346,20 @@ def _fold(b: GrammarBuilder, dag: _Dag, plan: _Plan, hole, compose, apply):
         else:
             spine, fill = [], bal[h]
             path_count += 1
-        while spine and spine[-1][1].bit_length() <= weight.bit_length():
-            inner, w2, _ = spine.pop()
+        weight_class = weight.bit_length()
+        while spine and spine[-1][2] <= weight_class:
+            inner, w2, _, _ = spine.pop()
             ctx = compose(ctx, inner)
             weight += w2
-        spine.append([ctx, weight, None if spine else ctx])
+            weight_class = weight.bit_length()
+        spine.append([ctx, weight, weight_class, None if spine else ctx])
         if requested[z]:
             i = len(spine) - 1
-            while spine[i][2] is None:
+            while spine[i][3] is None:
                 i -= 1
-            acc = spine[i][2]
+            acc = spine[i][3]
             for e in spine[i + 1:]:
-                acc = e[2] = compose(e[0], acc)
+                acc = e[3] = compose(e[0], acc)
             bal[z] = apply(acc, fill)
         if canon[z] >= 0:
             state[z] = (spine, fill)

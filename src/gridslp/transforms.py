@@ -255,13 +255,13 @@ def _linearize(g: Grammar2D, geo: GeometryTable) -> tuple[_Dag, list[int]]:
                     if not parents[c]:
                         del rows[c]
 
-    cols = cols[:n]
-    keep = _keep(cols[:, 3], cols[:, 2]).tolist()
-    left, right, widths, _ = cols.T.tolist()
+    L, R, W, D = cols[:n].T
+    left, right, widths = cols[:n, :3].T.tolist()
     op = ["H"] * n
     for c, t in terms.items():
         op[t] = c
-    return _Dag(left, right, op, widths, keep), rows[g.start].tolist()
+    dag = _Dag(left, right, op, widths, _keep(D, W), (L, R, W))
+    return dag, rows[g.start].tolist()
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ DAGs' ids (``test_rebalance_reference._bijection``): the tests renumber the
 library's grammars, emitted text and plans (marks, splits, canonical heavy
 parents and requests) by it and then require equality.  The rebalance's
 output, ``balance_1d`` and ``balance_to_tslp`` of a common input and the
-stats are compared by id.
+stats are compared by id.  ``marks`` is the plan's marking as one scalar
+pass, the oracle for the library's whole-array marks under any keep vector.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from gridslp import (
     compute_geometry,
 )
 from gridslp.balance import COPY, FOLD, _flanks, _inline_contexts, _shallow
-from gridslp.grammar import PLAIN_KINDS
+from gridslp.grammar import PLAIN_KINDS, _post_order
 
 from conftest import rule_order
 
@@ -123,6 +124,33 @@ def _plan(rules, geo: GeometryTable, starts: list[int]):
                 requested.add(heavy)
             canon[heavy] = z
     return order, mark, split, canon, requested
+
+
+def marks(dag, starts: list[int]) -> bytearray:
+    """The marks of ``balance._plan`` over ``dag``'s lists and its keep
+    vector, by one scalar pass over the reversed post-order: a start gets
+    COPY if kept and FOLD if not, a child of a folded node gets its own
+    keep test's mark, and everything a copied node has below it gets COPY."""
+    left, right, keep = dag.left, dag.right, dag.keep
+    # What a child of a folded node becomes.
+    kid = [COPY if k else FOLD for k in keep]
+    mark = bytearray(len(left))
+    for s in starts:
+        mark[s] = kid[s]
+    for z in reversed(_post_order(left, right, starts)):
+        x = left[z]
+        if x < 0:
+            continue
+        y = right[z]
+        m = mark[z]
+        c = m & COPY
+        if m & FOLD:
+            mark[x] |= kid[x] | c
+            mark[y] |= kid[y] | c
+        else:
+            mark[x] |= c
+            mark[y] |= c
+    return mark
 
 
 def _fold(b: GrammarBuilder, rules, plan, hole, compose, apply):

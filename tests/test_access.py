@@ -26,6 +26,7 @@ from gridslp import (
     random_grammar,
     rebalance_plain_2d,
 )
+from gridslp.access import _P, _powers
 from gridslp.grammar import PLAIN_KINDS, DimensionMismatch
 
 from conftest import (
@@ -123,6 +124,17 @@ def _mutants(g, rng, count):
         g = one_cell_mutant(g, rng.randint(1, h), rng.randint(1, w), char)
         out.append(g)
     return out
+
+
+def test_stepped_powers_equal_pow():
+    """Each power from the one below it by the gap equals ``pow``: exponent
+    0, repeated gaps, one-off gaps and exponents far apart."""
+    rng = random.Random(0)
+    base = rng.randrange(_P)
+    for exps in ({0}, {5}, set(range(0, 40, 3)), {0, 1, 2, 7, 1 << 40, (1 << 40) + 1},
+                 {rng.randrange(1 << 20) for _ in range(300)}):
+        assert _powers(base, exps) == {e: pow(base, e, _P) for e in exps}
+    assert _powers(base, []) == {}
 
 
 class TestFirstDifference:

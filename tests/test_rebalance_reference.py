@@ -8,7 +8,9 @@ both DAGs down from corresponding roots finds."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -31,11 +33,11 @@ from gridslp import (
 )
 from gridslp import transforms
 from gridslp.balance import (
-    KEEP_SLACK, _dag_of, _inline_contexts, _keep, _plan, _shallow)
+    COPY, FOLD, KEEP_SLACK, _dag_of, _inline_contexts, _keep, _plan, _shallow)
 from gridslp.grammar import children
 
 import reference_rebalance as ref
-from conftest import random_tslp, reachable_topo
+from conftest import caterpillar, random_tslp, reachable_topo
 
 #: (N, c) of the spirals 2^8..2^11 at c = 1, 2, 3 that ``build_spiral`` can
 #: make: at c ≥ 2 the sides below 2^10 leave no room for a ShiftBin block.
@@ -209,6 +211,124 @@ def test_plan_matches_reference(family):
         grammars = [build_spiral(n, c) for n, c in SPIRALS]
     for g in grammars:
         _assert_same_plans(g)
+
+
+def _random_keep(dag, rng):
+    """A keep vector for ``dag`` with no geometry behind it: each symbol
+    passes with one probability drawn per vector, terminals included."""
+    p = rng.random()
+    return [rng.random() < p for _ in dag.left]
+
+
+def test_marks_match_reference_on_random_keep_vectors():
+    """The whole-array marks equal the scalar pass's under keep vectors no
+    geometry gives (kept nodes above unkept ones, unkept terminals), on the
+    differential corpus and on its linearized rows, whose starts repeat."""
+    for seed in range(200):
+        rng = random.Random(seed)
+        g = _inline_contexts(random_tslp(seed))
+        dag = _dag_of(compute_geometry(g))
+        dag = dag._replace(keep=_random_keep(dag, rng))
+        assert _plan(dag, [g.start]).mark == ref.marks(dag, [g.start]), seed
+        g = _wide(g)
+        geo = compute_geometry(g)
+        if geo.area(g.start) > 1 << 62:
+            continue
+        dag, rows = transforms._linearize(g, geo)
+        dag = dag._replace(keep=_random_keep(dag, rng))
+        assert _plan(dag, rows).mark == ref.marks(dag, rows), seed
+
+
+def _plan_with(g, unkept, starts):
+    """``_plan`` over ``g``'s ``_Dag`` with the symbols in ``unkept``
+    failing the keep test and all others passing it, its marks checked
+    against the scalar pass."""
+    dag = _dag_of(compute_geometry(g))
+    dag = dag._replace(keep=[z not in unkept for z in range(len(dag.left))])
+    plan = _plan(dag, starts)
+    assert plan.mark == ref.marks(dag, starts)
+    return plan
+
+
+def _kept_over_unkept(links: int):
+    """``root = k x``, with ``k = u a`` and ``x = c c``, where ``u`` is a
+    left chain of ``links`` concats over ``a c``; returns the grammar and
+    ``(root, x, k, chain, a, c)``, the chain from the top."""
+    b = GrammarBuilder()
+    a, c = b.terminal("a"), b.terminal("c")
+    chain = [b.h(a, c)]
+    for i in range(links - 1):
+        chain.append(b.h(chain[-1], (a, c)[i % 2]))
+    k = b.h(chain[-1], a)
+    x = b.h(c, c)
+    root = b.h(k, x)
+    return b.finish(root), (root, x, k, chain[::-1], a, c)
+
+
+@pytest.mark.parametrize("links", [1, 3])
+def test_unkept_below_kept_only_is_copied(links):
+    """An unkept node that every path from the folded start enters through
+    a kept node is copied, not folded; with three in a chain, peeling one
+    leaves the next without an unkept parent."""
+    g, (root, x, k, chain, a, c) = _kept_over_unkept(links)
+    mark = _plan_with(g, {root, x, *chain}, [root]).mark
+    assert [mark[s] for s in (root, x, k, a, c)] == [FOLD, FOLD, COPY, COPY, COPY]
+    assert [mark[s] for s in chain] == [COPY] * links
+
+
+def test_node_both_folded_and_copied():
+    """An unkept node below a folded node and below a kept one is both."""
+    b = GrammarBuilder()
+    a, c = b.terminal("a"), b.terminal("c")
+    n = b.h(a, c)
+    x, k = b.h(n, a), b.h(n, c)
+    root = b.h(x, k)
+    mark = _plan_with(b.finish(root), {n, x, root}, [root]).mark
+    assert [mark[s] for s in (root, x, k, n)] == [FOLD, FOLD, COPY, FOLD | COPY]
+
+
+def test_duplicate_starts():
+    """Starts may repeat, as equal rows do: an unkept start is folded and a
+    kept one copied however often it is listed."""
+    g, (root, x, k, (u1, u2, u3), a, c) = _kept_over_unkept(3)
+    starts = [root, u2, root, k, u2]
+    plan = _plan_with(g, {root, x, u1, u2, u3}, starts)
+    assert [plan.mark[s] for s in (root, x, k, u1, u2, u3)] == [
+        FOLD, FOLD, COPY, COPY, FOLD | COPY, FOLD | COPY]
+    assert [plan.requested[s] for s in (root, u2, k)] == [1, 1, 0]
+
+
+def test_marks_on_a_deep_chain():
+    """``caterpillar(20000)``, of depth 20,001, under the default recursion
+    limit: its plan equals the reference's, and its marks the scalar
+    pass's when one node deep in the chain is kept, which peels the 14,999
+    unkept nodes below it one after another, and under random keeps."""
+    assert sys.getrecursionlimit() < 20001
+    g = caterpillar(20000)
+    _assert_same_plans(g)
+    # Symbol i > 0 is the chain's (i + 1)-character prefix.
+    _plan_with(g, set(range(1, 20001)) - {15000}, [g.start])
+    dag = _dag_of(compute_geometry(g))
+    rng = random.Random(0)
+    for _ in range(5):
+        dag = dag._replace(keep=_random_keep(dag, rng))
+        assert _plan(dag, [g.start]).mark == ref.marks(dag, [g.start])
+
+
+#: sha256 of the emitted rebalance and balance of ``build_spiral(4096)``,
+#: the benchmark's own input.
+SPIRAL_4096_SHA256 = {
+    "rebalance": "4f6d0a595fb910a8dc726051ac05f654e191cd6c0c6da43959a5bcc9c55065c0",
+    "balance": "d2139be226aced60e4e8628173d5aeb4548cc8976ff20e76b2a40e3bb574a136",
+}
+
+
+def test_benchmark_input_bytes():
+    g = build_spiral(4096)
+    got = {name: hashlib.sha256(emit_grammar(f(g)[0]).encode()).hexdigest()
+           for name, f in (("rebalance", rebalance_plain_2d),
+                           ("balance", balance_to_tslp))}
+    assert got == SPIRAL_4096_SHA256
 
 
 def _wide_tall_rows():
